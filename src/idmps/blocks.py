@@ -10,7 +10,15 @@ of the flavor-diagonal Weierstrass kernel matrix
 
     psi_nu(s|tau) = Pf[ wp_nu(z_i - z_j|tau) delta_{s_i, s_j} ],  nu = 2, 3, 4,
 
-with labels read as fermion flavors in the circular-polarization basis.
+with labels read as fermion flavors in the circular-polarization basis and
+K[i,j] = wp_nu(z_i - z_j) (i > j gives wp_nu((i - j)/N)).
+
+Both models run on one path: a kernel table per model (_kernel_table), one
+row evaluator (_config_logs) and one builder (_build). The geometry argument
+is a torus ModularParam, or None for the cylinder tau -> i infinity, where
+the kernels reduce to sin/tan forms (the infinite-dimensional MPS limit).
+build_state, build_cylinder_state and the single-amplitude functions share
+that path; only build_record adds the thin-torus pairing metadata.
 Everything is accumulated in log-magnitude/phase form: at small R the raw
 amplitudes overflow doubles, so the builder subtracts the maximum log before
 exponentiating and records the discarded global scale.
@@ -82,175 +90,112 @@ def marshall_sign(config):
     return int(np.prod(s[0::2]))
 
 
-# ------------------------------------------------------------ SU(2)_1 assembly
+# ---------------------------------------------------- kernels and amplitudes
 
-def _pair_log_matrices(N, tau, cylinder):
-    """log|f| and arg f for the pair factor f(z_i - z_j), antisymmetrized."""
-    z = insertion_points(N)
-    logs = np.zeros((N, N))
-    args = np.zeros((N, N))
-    for i in range(N):
-        for j in range(i + 1, N):
-            dz = z[i] - z[j]
-            if cylinder:
-                lc = LogComplex.from_value(math.sin(math.pi * dz) / math.pi)
-            else:
-                lc = prime_form_log(dz, tau)
-            logs[i, j] = logs[j, i] = lc.log
-            args[i, j] = args[j, i] = lc.arg
-    return logs, args
+def _kernel_table(spec, geom):
+    """Pair kernels on the torus geom, or on the cylinder for geom=None.
 
-
-def _su2_1_sector_logs(spec, geom, cylinder):
-    """Per-configuration (log, arg, zero-mask) over the Sz = 0 sector."""
+    su2_1: log|E(z_i - z_j)| and arg E(z_i - z_j), symmetric, with
+    E -> sin(pi z)/pi on the cylinder. su2_2: K[i,j] = wp_nu(z_i - z_j),
+    antisymmetric, with wp_2 -> pi/tan(pi z), wp_3, wp_4 -> pi/sin(pi z) on
+    the cylinder. Both have a zero diagonal.
+    """
     N = spec.N
-    sector = enumerate_sector(N, 2, 0.0)
-    labels = sector.configs()
-    s = labels.astype(float)
-    tau = None if cylinder else geom.tau
-    plog, parg = _pair_log_matrices(N, tau, cylinder)
-    # sum_{i<j,[s_i=s_j]} X_ij = 1/2 sum_{i<j} X_ij + 1/4 s^T X s
-    triu = np.triu_indices(N, 1)
-    logs = 0.5 * plog[triu].sum() + 0.25 * np.einsum("mi,ij,mj->m", s, plog, s)
-    args = 0.5 * parg[triu].sum() + 0.25 * np.einsum("mi,ij,mj->m", s, parg, s)
-    signs = np.array([marshall_sign(c) for c in labels])
-    args = args + np.where(signs < 0, math.pi, 0.0)
-    # theta factor depends on the configuration only through n = sum_j s_j j
-    nums = labels @ np.arange(1, N + 1)
-    zero = np.zeros(len(labels), dtype=bool)
-    cache = {}
-    for m, n in enumerate(nums):
-        key = int(n)
-        if key not in cache:
-            if cylinder:
-                if spec.label == 0.0:
-                    cache[key] = LogComplex.one()
-                elif (2 * key - N) % (2 * N) == 0 or (2 * key + N) % (2 * N) == 0:
-                    # cos(pi n/N) vanishes identically when n/N = +-1/2 mod 1
-                    cache[key] = LogComplex.zero()
+    if spec.model == SU2_1:
+        z = insertion_points(N)
+        logs = np.zeros((N, N))
+        args = np.zeros((N, N))
+        for i in range(N):
+            for j in range(i + 1, N):
+                dz = z[i] - z[j]
+                if geom is None:
+                    lc = LogComplex.from_value(math.sin(math.pi * dz) / math.pi)
                 else:
-                    cache[key] = LogComplex.from_value(
-                        math.cos(math.pi * key / N))
-            else:
-                cache[key] = theta_char_log((spec.label, 0.0), key / N,
-                                            2.0 * geom.tau)
-        lc = cache[key]
+                    lc = prime_form_log(dz, geom.tau)
+                logs[i, j] = logs[j, i] = lc.log
+                args[i, j] = args[j, i] = lc.arg
+        return logs, args
+    # wp_nu is odd and depends on i - j only: one value per distance
+    vals = np.zeros(N, dtype=complex)
+    for k in range(1, N):
+        dz = k / N
+        if geom is None:
+            trig = math.tan if spec.label == 2 else math.sin
+            vals[k] = math.pi / trig(math.pi * dz)
+        else:
+            vals[k] = weierstrass_nu_log(spec.label, dz, geom.tau).value
+    idx = np.arange(N)
+    lower = np.where(idx[:, None] > idx[None, :],
+                     vals[np.abs(idx[:, None] - idx[None, :])], 0j)
+    return lower - lower.T
+
+
+def _theta_factor(spec, geom, n):
+    """theta[k;0](n/N | 2 tau) for n = sum_j s_j j, or its cylinder limit:
+    theta3 -> 1, and theta2 with its vanishing scale dropped -> cos(pi n/N)."""
+    N = spec.N
+    if geom is not None:
+        return theta_char_log((spec.label, 0.0), n / N, 2.0 * geom.tau)
+    if spec.label == 0.0:
+        return LogComplex.one()
+    if (2 * n + N) % (2 * N) == 0:
+        # cos(pi n/N) vanishes identically when n/N = +-1/2 mod 1
+        return LogComplex.zero()
+    return LogComplex.from_value(math.cos(math.pi * n / N))
+
+
+def _config_logs(spec, geom, labels):
+    """log|psi|, arg psi and an exact-zero mask for each row of labels.
+
+    su2_1 rows must be charge neutral.
+    """
+    N = spec.N
+    if spec.model == SU2_1:
+        plog, parg = _kernel_table(spec, geom)
+        s = labels.astype(float)
+        # sum_{i<j,[s_i=s_j]} X_ij = 1/2 sum_{i<j} X_ij + 1/4 s^T X s
+        triu = np.triu_indices(N, 1)
+        logs = (0.5 * plog[triu].sum()
+                + 0.25 * np.einsum("mi,ij,mj->m", s, plog, s))
+        args = (0.5 * parg[triu].sum()
+                + 0.25 * np.einsum("mi,ij,mj->m", s, parg, s))
+        signs = np.array([marshall_sign(c) for c in labels])
+        args = args + np.where(signs < 0, math.pi, 0.0)
+        # the theta factor sees a configuration only through n
+        nums = [int(n) for n in labels @ np.arange(1, N + 1)]
+        thetas = {n: _theta_factor(spec, geom, n) for n in dict.fromkeys(nums)}
+        factors = (thetas[n] for n in nums)
+    else:
+        kernel = _kernel_table(spec, geom)
+        logs = np.zeros(len(labels))
+        args = np.zeros(len(labels))
+        factors = (pfaffian_log(kernel * (row[:, None] == row[None, :]))
+                   for row in labels)
+    zero = np.zeros(len(labels), dtype=bool)
+    for m, lc in enumerate(factors):
         if lc.is_zero:
             zero[m] = True
         else:
             logs[m] += lc.log
             args[m] += lc.arg
-    return sector, logs, args, zero
+    return logs, args, zero
 
 
-# ------------------------------------------------------------ SU(2)_2 assembly
-
-def _kernel_values(nu, N, tau, cylinder):
-    """wp_nu((i-j)/N) for i-j = 1..N-1, as plain complex values."""
-    vals = np.zeros(N, dtype=complex)
-    for k in range(1, N):
-        dz = k / N
-        if cylinder:
-            if nu == 2:
-                vals[k] = math.pi / math.tan(math.pi * dz)
-            else:
-                vals[k] = math.pi / math.sin(math.pi * dz)
-        else:
-            vals[k] = weierstrass_nu_log(nu, dz, tau).value
-    return vals
-
-
-def _su2_2_sector_logs(spec, geom, cylinder):
-    N = spec.N
-    configs = all_configs(N, 3)
-    even = np.ones(len(configs), dtype=bool)
-    for lab in (1, 0, -1):
-        even &= (configs == lab).sum(axis=1) % 2 == 0
-    keep = np.nonzero(even)[0]
-    tau = None if cylinder else geom.tau
-    vals = _kernel_values(spec.label, N, tau, cylinder)
-    idx = np.arange(N)
-    base = np.where(idx[:, None] > idx[None, :],
-                    vals[np.abs(idx[:, None] - idx[None, :])], 0j)
-    base = base.T - base  # [i,j] = wp(z_i - z_j), antisymmetric, zero diagonal
-    logs = np.zeros(len(keep))
-    args = np.zeros(len(keep))
-    zero = np.zeros(len(keep), dtype=bool)
-    for m, r in enumerate(keep):
-        same = configs[r][:, None] == configs[r][None, :]
-        pf = pfaffian_log(base * same)
-        if pf.is_zero:
-            zero[m] = True
-        else:
-            logs[m] = pf.log
-            args[m] = pf.arg
-    return keep, logs, args, zero
-
-
-# ----------------------------------------------------------------- public API
-
-def amplitude_su2_1(spec, geom, config, cylinder=False):
-    """Single SU(2)_1 amplitude as a plain complex number."""
-    if spec.model != SU2_1:
-        raise InputError(f"expected an su2_1 spec, got {spec.model}")
-    s = np.asarray(config, dtype=np.int64)
-    if len(s) != spec.N or not set(np.unique(s)) <= {1, -1}:
-        raise InputError(f"bad su2_1 configuration {config!r}")
-    if s.sum() != 0:
-        return 0j
-    z = insertion_points(spec.N)
-    acc = LogComplex.one() if marshall_sign(s) > 0 else -LogComplex.one()
-    for i in range(spec.N):
-        for j in range(i + 1, spec.N):
-            if s[i] == s[j]:
-                dz = z[i] - z[j]
-                if cylinder:
-                    acc = acc * LogComplex.from_value(
-                        math.sin(math.pi * dz) / math.pi)
-                else:
-                    acc = acc * prime_form_log(dz, geom.tau)
-    arg = float(s @ z)
-    if cylinder:
-        if spec.label == 0.5:
-            acc = acc * LogComplex.from_value(math.cos(math.pi * arg))
+def _build(spec, geom):
+    """Normalized state over the nonvanishing sector and the discarded log
+    scale."""
+    if spec.model == SU2_1:
+        sector = enumerate_sector(spec.N, 2, 0.0)
+        ranks, labels = sector.ranks, sector.configs()
     else:
-        acc = acc * theta_char_log((spec.label, 0.0), arg, 2.0 * geom.tau)
-    return acc.value
-
-
-def amplitude_su2_2(spec, geom, config, cylinder=False):
-    """Single SU(2)_2 amplitude (Pfaffian of the masked kernel matrix)."""
-    if spec.model != SU2_2:
-        raise InputError(f"expected an su2_2 spec, got {spec.model}")
-    s = np.asarray(config, dtype=np.int64)
-    if len(s) != spec.N or not set(np.unique(s)) <= {1, 0, -1}:
-        raise InputError(f"bad su2_2 configuration {config!r}")
-    z = insertion_points(spec.N)
-    c = np.zeros((spec.N, spec.N), dtype=complex)
-    for i in range(spec.N):
-        for j in range(spec.N):
-            if i != j and s[i] == s[j]:
-                dz = z[i] - z[j]
-                if cylinder:
-                    if spec.label == 2:
-                        c[i, j] = math.pi / math.tan(math.pi * dz)
-                    else:
-                        c[i, j] = math.pi / math.sin(math.pi * dz)
-                else:
-                    c[i, j] = weierstrass_nu_log(spec.label, dz, geom.tau).value
-    return pfaffian_log(c).value
-
-
-class BuildRecord:
-    """A built block state plus the bookkeeping the CLI serializes."""
-
-    def __init__(self, state, log_scale, pairing=None):
-        self.state = state
-        self.log_scale = float(log_scale)
-        self.pairing = pairing
-
-
-def _assemble(spec, ranks, logs, args, zero):
+        configs = all_configs(spec.N, 3)
+        # an odd flavor count leaves an odd block with vanishing Pfaffian
+        even = np.ones(len(configs), dtype=bool)
+        for lab in (1, 0, -1):
+            even &= (configs == lab).sum(axis=1) % 2 == 0
+        ranks = np.nonzero(even)[0]
+        labels = configs[ranks]
+    logs, args, zero = _config_logs(spec, geom, labels)
     live = ~zero
     if not np.any(live):
         raise ConsistencyError(
@@ -261,6 +206,46 @@ def _assemble(spec, ranks, logs, args, zero):
     nrm = np.linalg.norm(amps)
     state = StateVector(spec.N, spec.d, amps / nrm, normalized=True)
     return state, m + math.log(nrm)
+
+
+def _amplitude(spec, geom, s):
+    logs, args, zero = _config_logs(spec, geom, s[None, :])
+    return 0j if zero[0] else LogComplex(logs[0], args[0]).value
+
+
+# ----------------------------------------------------------------- public API
+
+def amplitude_su2_1(spec, geom, config):
+    """Single SU(2)_1 amplitude as a plain complex number; geom=None is the
+    cylinder."""
+    if spec.model != SU2_1:
+        raise InputError(f"expected an su2_1 spec, got {spec.model}")
+    s = np.asarray(config, dtype=np.int64)
+    if len(s) != spec.N or not set(np.unique(s)) <= {1, -1}:
+        raise InputError(f"bad su2_1 configuration {config!r}")
+    if s.sum() != 0:
+        return 0j
+    return _amplitude(spec, geom, s)
+
+
+def amplitude_su2_2(spec, geom, config):
+    """Single SU(2)_2 amplitude (Pfaffian of the masked kernel matrix);
+    geom=None is the cylinder."""
+    if spec.model != SU2_2:
+        raise InputError(f"expected an su2_2 spec, got {spec.model}")
+    s = np.asarray(config, dtype=np.int64)
+    if len(s) != spec.N or not set(np.unique(s)) <= {1, 0, -1}:
+        raise InputError(f"bad su2_2 configuration {config!r}")
+    return _amplitude(spec, geom, s)
+
+
+class BuildRecord:
+    """A built block state plus the bookkeeping the CLI serializes."""
+
+    def __init__(self, state, log_scale, pairing=None):
+        self.state = state
+        self.log_scale = float(log_scale)
+        self.pairing = pairing
 
 
 def _resolve_pairing(spec, state):
@@ -294,19 +279,18 @@ def build_record(spec, geom):
     the discarded log scale and (at small R) the thin-torus pairing."""
     if not isinstance(geom, ModularParam):
         geom = ModularParam(geom)
-    if spec.model == SU2_1:
-        sector, logs, args, zero = _su2_1_sector_logs(spec, geom, False)
-        ranks = sector.ranks
-    else:
-        ranks, logs, args, zero = _su2_2_sector_logs(spec, geom, False)
-    state, scale = _assemble(spec, ranks, logs, args, zero)
+    state, scale = _build(spec, geom)
     pairing = _resolve_pairing(spec, state) if geom.R <= PAIRING_R_MAX else None
     return BuildRecord(state, scale, pairing)
 
 
 def build_state(spec, geom):
-    """Normalized StateVector of the block at torus radius R."""
-    return build_record(spec, geom).state
+    """Normalized StateVector of the block at torus radius R (a float or a
+    ModularParam), or on the cylinder for geom=None. Unlike build_record it
+    resolves no thin-torus pairing."""
+    if geom is not None and not isinstance(geom, ModularParam):
+        geom = ModularParam(geom)
+    return _build(spec, geom)[0]
 
 
 def momentum_eigenvalue(spec):
@@ -328,10 +312,4 @@ def build_cylinder_state(spec):
     vanishing scale is dropped, keeping the z-dependent cos(pi sum s_j z_j).
     SU(2)_2 kernels: wp_2 -> pi/tan(pi z), wp_3 and wp_4 -> pi/sin(pi z).
     """
-    if spec.model == SU2_1:
-        sector, logs, args, zero = _su2_1_sector_logs(spec, None, True)
-        ranks = sector.ranks
-    else:
-        ranks, logs, args, zero = _su2_2_sector_logs(spec, None, True)
-    state, _ = _assemble(spec, ranks, logs, args, zero)
-    return state
+    return _build(spec, None)[0]

@@ -54,16 +54,13 @@ def _map_ordered(fn, items, workers):
         return list(pool.map(fn, items))
 
 
-def block_state_spin_basis(spec, geom=None, cylinder=False):
-    """Block state expressed in the spin basis.
+def block_state_spin_basis(spec, geom=None):
+    """Block state expressed in the spin basis; geom=None is the cylinder.
 
     d=2 states already are; d=3 states are rotated from the circular
     (flavor) basis by the single-site unitary u on every site.
     """
-    if cylinder:
-        state = blocks.build_cylinder_state(spec)
-    else:
-        state = blocks.build_state(spec, geom)
+    state = blocks.build_state(spec, geom)
     if spec.model == blocks.SU2_2:
         state = apply_site_unitary(state, refstates.U_CIRC_TO_SPIN)
     return state

@@ -16,7 +16,8 @@ import scipy.sparse
 
 from . import blocks
 from .errors import ConsistencyError, InputError
-from .hilbert import StateVector, embed_sector, enumerate_sector, spin_matrices
+from .hilbert import (StateVector, digits, embed_sector, enumerate_sector,
+                      spin_matrices)
 from .numerics import DENSE_DIM_MAX, LinearOperator, eig_smallest
 
 HS = "hs"
@@ -142,11 +143,6 @@ def _terms(spec):
     return _parent_terms(N, heis)
 
 
-def _digit_table(ranks, N, d):
-    r = np.asarray(ranks, dtype=np.int64)
-    return (r[:, None] // d ** np.arange(N - 1, -1, -1)[None, :]) % d
-
-
 def _scatter_matrix(N, d, const, pairs, ranks):
     """Hamiltonian matrix on the basis {ranks} as a sparse CSR.
 
@@ -155,7 +151,7 @@ def _scatter_matrix(N, d, const, pairs, ranks):
     """
     ranks = np.asarray(ranks, dtype=np.int64)
     m = len(ranks)
-    digits = _digit_table(ranks, N, d)
+    site_digits = digits(ranks, N, d)
     weight = d ** np.arange(N - 1, -1, -1, dtype=np.int64)
     rows, cols, vals = [], [], []
     if const:
@@ -165,7 +161,8 @@ def _scatter_matrix(N, d, const, pairs, ranks):
     for coupling, i, j, gate in pairs:
         g4 = gate.reshape(d, d, d, d)
         for a2, b2, a, b in np.argwhere(np.abs(g4) > 1e-14):
-            sel = np.nonzero((digits[:, i] == a) & (digits[:, j] == b))[0]
+            sel = np.nonzero((site_digits[:, i] == a)
+                             & (site_digits[:, j] == b))[0]
             if not sel.size:
                 continue
             dest = ranks[sel] + (a2 - a) * weight[i] + (b2 - b) * weight[j]

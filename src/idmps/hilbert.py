@@ -40,32 +40,30 @@ def config_rank(labels, d):
     return rank
 
 
+def digits(ranks, N, d):
+    """Base-d digits of a rank or an array of ranks, site 1 (the most
+    significant digit) first: shape ranks.shape + (N,)."""
+    r = np.asarray(ranks, dtype=np.int64)
+    return (r[..., None] // d ** np.arange(N - 1, -1, -1)) % d
+
+
 def rank_config(rank, N, d):
-    """Configuration (array of labels) for a rank, site 1 first."""
+    """Configuration (array of labels) for a rank, site 1 first; an array of
+    ranks gives one row per rank."""
     _check_dim(d)
-    digits = np.zeros(N, dtype=np.int64)
-    r = int(rank)
-    for i in range(N - 1, -1, -1):
-        digits[i] = r % d
-        r //= d
-    return np.array(LABELS[d], dtype=np.int64)[digits]
+    return np.array(LABELS[d], dtype=np.int64)[digits(rank, N, d)]
 
 
 def all_configs(N, d):
     """(d^N, N) array of labels; row index equals configuration rank."""
     _check_dim(d)
-    ranks = np.arange(d ** N)
-    digits = (ranks[:, None] // d ** np.arange(N - 1, -1, -1)[None, :]) % d
-    return np.array(LABELS[d], dtype=np.int64)[digits]
+    return rank_config(np.arange(d ** N), N, d)
 
 
 def total_sz_table(N, d):
     """Total spin-z for every configuration rank."""
     _check_dim(d)
-    spins = np.array(SPINS[d])
-    ranks = np.arange(d ** N)
-    digits = (ranks[:, None] // d ** np.arange(N - 1, -1, -1)[None, :]) % d
-    return spins[digits].sum(axis=1)
+    return np.array(SPINS[d])[digits(np.arange(d ** N), N, d)].sum(axis=1)
 
 
 class SectorIndex:
@@ -82,7 +80,7 @@ class SectorIndex:
         return len(self.ranks)
 
     def configs(self):
-        return all_configs(self.N, self.d)[self.ranks]
+        return rank_config(self.ranks, self.N, self.d)
 
     def __repr__(self):
         return (f"SectorIndex(N={self.N}, d={self.d}, Sz={self.Sz}, "

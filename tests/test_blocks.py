@@ -11,9 +11,69 @@ from idmps.errors import ConsistencyError, InputError
 from idmps.hilbert import (all_configs, apply_site_unitary, config_rank,
                            enumerate_sector, fidelity_per_site,
                            total_spin_quantum, total_sz_table, translate)
+from idmps.logcomplex import LogComplex
 from idmps.numerics import pfaffian
 from idmps.refstates import U_CIRC_TO_SPIN
-from idmps.special import ModularParam, weierstrass_nu
+from idmps.special import (ModularParam, prime_form_log, theta_char_log,
+                           weierstrass_nu, weierstrass_nu_log)
+
+
+# ------------------------------------------------- single-amplitude oracles
+# Per-pair evaluation, independent of the builders' kernel tables.
+
+def oracle_su2_1(spec, geom, labels):
+    s = np.asarray(labels)
+    z = insertion_points(spec.N)
+    acc = LogComplex.one() if marshall_sign(s) > 0 else -LogComplex.one()
+    for i in range(spec.N):
+        for j in range(i + 1, spec.N):
+            if s[i] == s[j]:
+                dz = z[i] - z[j]
+                if geom is None:
+                    acc = acc * LogComplex.from_value(
+                        math.sin(math.pi * dz) / math.pi)
+                else:
+                    acc = acc * prime_form_log(dz, geom.tau)
+    arg = float(s @ z)
+    if geom is None:
+        if spec.label == 0.5:
+            acc = acc * LogComplex.from_value(math.cos(math.pi * arg))
+    else:
+        acc = acc * theta_char_log((spec.label, 0.0), arg, 2.0 * geom.tau)
+    return acc.value
+
+
+def oracle_su2_2(spec, geom, labels):
+    z = insertion_points(spec.N)
+    c = np.zeros((spec.N, spec.N), dtype=complex)
+    for i in range(spec.N):
+        for j in range(spec.N):
+            if i != j and labels[i] == labels[j]:
+                dz = z[i] - z[j]
+                if geom is None:
+                    trig = math.tan if spec.label == 2 else math.sin
+                    c[i, j] = math.pi / trig(math.pi * dz)
+                else:
+                    c[i, j] = weierstrass_nu_log(spec.label, dz,
+                                                 geom.tau).value
+    return pfaffian(c)
+
+
+def assert_matches_oracle(spec, geom, amplitude, oracle, configs):
+    """Single amplitudes and the built state against the oracle."""
+    want = np.array([oracle(spec, geom, c) for c in configs])
+    got = np.array([amplitude(spec, geom, c) for c in configs])
+    tol = dict(rtol=1e-10, atol=1e-12 * np.abs(want).max())
+    np.testing.assert_allclose(got, want, **tol)
+    ranks = [config_rank(c, spec.d) for c in configs]
+    if geom is None:
+        built = build_cylinder_state(spec).amplitudes[ranks]
+        # the cylinder builder keeps no scale: match the first amplitude
+        built = built * (want[0] / built[0])
+    else:
+        rec = build_record(spec, geom)
+        built = rec.state.amplitudes[ranks] * math.exp(rec.log_scale)
+    np.testing.assert_allclose(built, want, **tol)
 
 
 # ------------------------------------------------------------------ spec/basic
@@ -61,14 +121,26 @@ def test_su2_1_two_site_singlet_amplitudes():
 
 
 def test_su2_1_amplitude_matches_builder():
+    configs = ([1, 1, -1, -1, 1, -1], [1, -1, 1, -1, 1, -1],
+               [1, -1, -1, 1, 1, -1], [-1, -1, 1, 1, 1, -1])
+    for label in (0, 0.5):
+        spec = BlockSpec("su2_1", label, 6)
+        for geom in (ModularParam(1.3), None):
+            assert_matches_oracle(spec, geom, amplitude_su2_1, oracle_su2_1,
+                                  configs)
+
+
+def test_su2_1_cylinder_amplitude_exact_zero():
+    # n/N = +-1/2 mod 1 with n = sum_j s_j j zeroes cos(pi n/N) exactly
     spec = BlockSpec("su2_1", 0.5, 6)
-    geom = ModularParam(1.3)
-    rec = build_record(spec, geom)
-    scale = math.exp(rec.log_scale)
-    for labels in ([1, -1, 1, -1, 1, -1], [1, 1, -1, -1, 1, -1]):
-        raw = amplitude_su2_1(spec, geom, labels)
-        built = rec.state.amplitudes[config_rank(labels, 2)] * scale
-        assert raw == pytest.approx(built, rel=1e-10)
+    sector = enumerate_sector(6, 2, 0.0)
+    zeros = [c for c in sector.configs()
+             if (2 * int(c @ np.arange(1, 7)) + 6) % 12 == 0]
+    assert [1, -1, 1, -1, 1, -1] in [list(c) for c in zeros]
+    cyl = build_cylinder_state(spec)
+    for c in zeros:
+        assert amplitude_su2_1(spec, None, c) == 0
+        assert cyl.amplitudes[config_rank(c, 2)] == 0
 
 
 def test_su2_1_rejects_bad_config():
@@ -99,6 +171,19 @@ def test_su2_2_odd_flavor_count_vanishes():
     geom = ModularParam(1.0)
     spec = BlockSpec("su2_2", 4, 4)
     assert amplitude_su2_2(spec, geom, [0, 1, 1, 1]) == 0
+
+
+def test_su2_2_amplitude_matches_builder():
+    configs = {4: ([1, 1, 0, 0], [1, 0, 0, 1], [0, 0, 0, 0],
+                   [-1, 1, 1, -1]),
+               6: ([1, 1, 0, 0, -1, -1], [0, 1, -1, -1, 1, 0],
+                   [1, 1, 1, 1, 0, 0], [0, 0, 0, 0, 0, 0])}
+    for N, cfgs in configs.items():
+        for label in (2, 3, 4):
+            spec = BlockSpec("su2_2", label, N)
+            for geom in (ModularParam(0.9), None):
+                assert_matches_oracle(spec, geom, amplitude_su2_2,
+                                      oracle_su2_2, cfgs)
 
 
 def test_su2_2_matches_direct_pfaffian():

@@ -41,9 +41,12 @@ def test_rank_config_round_trip():
 
 
 def test_all_configs_rows_are_ranks():
-    cfgs = all_configs(3, 3)
-    for r in (0, 7, 26):
-        assert list(cfgs[r]) == list(rank_config(r, 3, 3))
+    # checked against config_rank, the encoder that shares no code with them
+    for N, d in ((4, 2), (3, 3)):
+        cfgs = all_configs(N, d)
+        assert [config_rank(c, d) for c in cfgs] == list(range(d ** N))
+        sec = enumerate_sector(N, d, 0)
+        assert np.array_equal(sec.configs(), cfgs[sec.ranks])
 
 
 def test_bad_labels_and_dims():
