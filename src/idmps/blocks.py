@@ -208,16 +208,23 @@ def _build(spec, geom):
     return state, m + math.log(nrm)
 
 
+def _geometry(geom):
+    """None stays the cylinder; a float radius becomes a ModularParam."""
+    if geom is None or isinstance(geom, ModularParam):
+        return geom
+    return ModularParam(geom)
+
+
 def _amplitude(spec, geom, s):
-    logs, args, zero = _config_logs(spec, geom, s[None, :])
+    logs, args, zero = _config_logs(spec, _geometry(geom), s[None, :])
     return 0j if zero[0] else LogComplex(logs[0], args[0]).value
 
 
 # ----------------------------------------------------------------- public API
 
 def amplitude_su2_1(spec, geom, config):
-    """Single SU(2)_1 amplitude as a plain complex number; geom=None is the
-    cylinder."""
+    """Single SU(2)_1 amplitude as a plain complex number at torus radius R
+    (a float or a ModularParam); geom=None is the cylinder."""
     if spec.model != SU2_1:
         raise InputError(f"expected an su2_1 spec, got {spec.model}")
     s = np.asarray(config, dtype=np.int64)
@@ -229,8 +236,8 @@ def amplitude_su2_1(spec, geom, config):
 
 
 def amplitude_su2_2(spec, geom, config):
-    """Single SU(2)_2 amplitude (Pfaffian of the masked kernel matrix);
-    geom=None is the cylinder."""
+    """Single SU(2)_2 amplitude (Pfaffian of the masked kernel matrix) at
+    torus radius R (a float or a ModularParam); geom=None is the cylinder."""
     if spec.model != SU2_2:
         raise InputError(f"expected an su2_2 spec, got {spec.model}")
     s = np.asarray(config, dtype=np.int64)
@@ -275,12 +282,13 @@ def _resolve_pairing(spec, state):
 
 
 def build_record(spec, geom):
-    """Evaluate all amplitudes of a block on the torus; normalized state plus
-    the discarded log scale and (at small R) the thin-torus pairing."""
-    if not isinstance(geom, ModularParam):
-        geom = ModularParam(geom)
+    """Evaluate all amplitudes of a block; normalized state plus the
+    discarded log scale and (at small torus R) the thin-torus pairing.
+    geom=None is the cylinder, which has no pairing."""
+    geom = _geometry(geom)
     state, scale = _build(spec, geom)
-    pairing = _resolve_pairing(spec, state) if geom.R <= PAIRING_R_MAX else None
+    thin = geom is not None and geom.R <= PAIRING_R_MAX
+    pairing = _resolve_pairing(spec, state) if thin else None
     return BuildRecord(state, scale, pairing)
 
 
@@ -288,9 +296,7 @@ def build_state(spec, geom):
     """Normalized StateVector of the block at torus radius R (a float or a
     ModularParam), or on the cylinder for geom=None. Unlike build_record it
     resolves no thin-torus pairing."""
-    if geom is not None and not isinstance(geom, ModularParam):
-        geom = ModularParam(geom)
-    return _build(spec, geom)[0]
+    return _build(spec, _geometry(geom))[0]
 
 
 def momentum_eigenvalue(spec):

@@ -3,11 +3,12 @@
 Four periodic chains share one representation: a constant plus a list of
 two-site terms (coupling, i, j, gate) where gate is a d^2 x d^2 matrix acting
 on sites i and j. Heisenberg exchange S_i.S_j and its square (S_i.S_j)^2 both
-conserve total Sz exactly, so operators restrict cleanly to Sz sectors and
-sector matrices are assembled by scattering gate entries over configuration
-ranks. The cotangent parent chain carries long-range couplings built from
-w_jk = i cot(pi (z_j - z_k)) at uniform z_j = j/N; every w product is real
-there, which the build asserts rather than assumes.
+conserve total Sz exactly, so operators restrict cleanly to Sz sectors.
+Every operator, full-space or sector, is one sparse matrix assembled by
+scattering gate entries over configuration ranks. The cotangent parent chain
+carries long-range couplings built from w_jk = i cot(pi (z_j - z_k)) at
+uniform z_j = j/N; every w product is real there, which the build asserts
+rather than assumes.
 """
 import math
 
@@ -18,7 +19,7 @@ from . import blocks
 from .errors import ConsistencyError, InputError
 from .hilbert import (StateVector, digits, embed_sector, enumerate_sector,
                       spin_matrices)
-from .numerics import DENSE_DIM_MAX, LinearOperator, eig_smallest
+from .numerics import LinearOperator, eig_smallest
 
 HS = "hs"
 J1J2 = "j1j2"
@@ -178,49 +179,23 @@ def _scatter_matrix(N, d, const, pairs, ranks):
     return mat.tocsr()
 
 
-def _stream_apply(N, d, const, pairs):
-    """Matrix-free matvec streaming two-site gates over the state tensor."""
-    shape = (d,) * N
-    gates = [(c, i, j, gate.reshape(d, d, d, d)) for c, i, j, gate in pairs]
-
-    def apply(v):
-        t = np.asarray(v, dtype=complex).reshape(shape)
-        out = const * t
-        for c, i, j, g in gates:
-            w = np.tensordot(g, t, axes=([2, 3], [i, j]))
-            out += c * np.moveaxis(w, (0, 1), (i, j))
-        return out.reshape(-1)
-
-    return apply
-
-
-def _operator_from_sparse(mat):
-    dim = mat.shape[0]
-    dense = mat.toarray() if dim <= DENSE_DIM_MAX else None
-    return LinearOperator(dim, lambda v: mat @ v, hermitian=True, dense=dense)
-
-
 def build(spec, sector=None):
     """Hermitian LinearOperator for the chain, on the full d^N space or,
     given a SectorIndex, restricted to that total-Sz sector.
 
-    Full-space operators at d=3, N >= 9 stream their two-site gates on the
-    fly instead of storing a matrix; everything smaller is assembled
-    explicitly (dense up to dimension 4096, sparse above).
+    The operator is always one sparse CSR matrix scattered over the basis
+    ranks; only eig_smallest densifies it (up to DENSE_DIM_MAX).
     """
     const, pairs = _terms(spec)
     N, d = spec.N, spec.d
-    if sector is not None:
-        if (sector.N, sector.d) != (N, d):
-            raise InputError(
-                f"sector ({sector.N},{sector.d}) does not match spec ({N},{d})")
-        return _operator_from_sparse(_scatter_matrix(N, d, const, pairs,
-                                                     sector.ranks))
-    if d == 3 and N >= 9:
-        return LinearOperator(d ** N, _stream_apply(N, d, const, pairs),
-                              hermitian=True)
-    return _operator_from_sparse(_scatter_matrix(N, d, const, pairs,
-                                                 np.arange(d ** N)))
+    if sector is None:
+        ranks = np.arange(d ** N)
+    elif (sector.N, sector.d) != (N, d):
+        raise InputError(
+            f"sector ({sector.N},{sector.d}) does not match spec ({N},{d})")
+    else:
+        ranks = sector.ranks
+    return LinearOperator(_scatter_matrix(N, d, const, pairs, ranks))
 
 
 def eigenstate_residual(h, v, energy):

@@ -1,14 +1,19 @@
-"""Dense linear-algebra kernels: Pfaffians, Hermitian eigensolvers, and a
+"""Linear-algebra kernels: Pfaffians, a Hermitian eigensolver, and a
 bracketed scalar minimizer.
 
 The Pfaffian is computed by Parlett-Reid elimination (skew-symmetric analogue
 of LU) with partial pivoting; the pivot product is accumulated as a LogComplex
 because block amplitudes at small torus radius overflow doubles.
+
+A LinearOperator holds one matrix, usually scipy sparse (every Hamiltonian
+is). eig_smallest is the only place that densifies it: dense eigh up to
+DENSE_DIM_MAX, Lanczos on the sparse matvec above.
 """
 import math
 
 import numpy as np
 import scipy.optimize
+import scipy.sparse
 import scipy.sparse.linalg
 
 from .errors import AccuracyError, InputError, NumericalError
@@ -86,27 +91,27 @@ def pfaffian(entries):
 
 
 class LinearOperator:
-    """Hermitian (or general) operator given by a matvec contract.
+    """Hermitian (or general) operator held as one matrix: an ndarray or a
+    scipy sparse matrix.
 
-    An optional dense matrix short-circuits the dense eigensolver path.
+    apply(v) is matrix @ v; to_dense() densifies a sparse matrix, which only
+    eig_smallest does, and only up to DENSE_DIM_MAX.
     """
 
-    def __init__(self, dim, apply, hermitian=True, dense=None):
-        self.dim = int(dim)
-        self.apply = apply
+    def __init__(self, matrix, hermitian=True):
+        if not scipy.sparse.issparse(matrix):
+            matrix = np.asarray(matrix)
+        self.matrix = matrix
+        self.dim = matrix.shape[0]
         self.hermitian = bool(hermitian)
-        self.dense = dense
 
-    @classmethod
-    def from_matrix(cls, m, hermitian=True):
-        m = np.asarray(m)
-        return cls(m.shape[0], lambda v: m @ v, hermitian=hermitian, dense=m)
+    def apply(self, v):
+        return self.matrix @ v
 
     def to_dense(self):
-        if self.dense is not None:
-            return np.asarray(self.dense)
-        eye = np.eye(self.dim, dtype=complex)
-        return np.column_stack([self.apply(eye[:, j]) for j in range(self.dim)])
+        if scipy.sparse.issparse(self.matrix):
+            return self.matrix.toarray()
+        return self.matrix
 
     def hermiticity_defect(self, probes=3, seed=0):
         """max |<u|Av> - conj(<v|Au>)| over random normalized probe pairs."""
@@ -127,11 +132,12 @@ def eig_smallest(h, k=1):
     """k algebraically smallest eigenpairs of a Hermitian LinearOperator.
 
     Dense diagonalization up to dim 4096, implicitly-restarted Lanczos above.
-    Returns [(eigenvalue, eigenvector), ...] sorted ascending; each residual
-    ||Hv - lambda v|| is verified against 1e-8.
+    Returns [(eigenvalue, eigenvector), ...] sorted ascending; each vector
+    owns its data (no view into the full eigenvector matrix), and each
+    residual ||Hv - lambda v|| is verified against 1e-8.
     """
     if not isinstance(h, LinearOperator):
-        h = LinearOperator.from_matrix(np.asarray(h))
+        h = LinearOperator(h)
     if not h.hermitian:
         raise InputError("eig_smallest requires a hermitian operator")
     if not 1 <= k <= h.dim:
@@ -139,7 +145,7 @@ def eig_smallest(h, k=1):
     if h.dim <= DENSE_DIM_MAX or k >= h.dim - 1:
         m = h.to_dense()
         vals, vecs = np.linalg.eigh(m)
-        pairs = [(float(vals[i]), vecs[:, i]) for i in range(k)]
+        pairs = [(float(vals[i]), vecs[:, i].copy()) for i in range(k)]
     else:
         op = scipy.sparse.linalg.LinearOperator(
             (h.dim, h.dim), matvec=h.apply, dtype=complex)
@@ -150,7 +156,7 @@ def eig_smallest(h, k=1):
             raise NumericalError(
                 f"Lanczos did not converge for dim={h.dim}, k={k}: {exc}")
         order = np.argsort(vals)
-        pairs = [(float(vals[i]), vecs[:, i]) for i in order]
+        pairs = [(float(vals[i]), vecs[:, i].copy()) for i in order]
     for lam, vec in pairs:
         res = np.linalg.norm(h.apply(vec) - lam * vec)
         if res > EIG_RESIDUAL_TOL * max(1.0, np.linalg.norm(vec)):

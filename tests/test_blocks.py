@@ -282,6 +282,22 @@ def test_thin_torus_pairing_metadata():
         is None
 
 
+def test_float_radius_and_cylinder_geometry():
+    # a float radius means ModularParam(R) everywhere, None the cylinder
+    one = BlockSpec("su2_1", 0, 4)
+    two = BlockSpec("su2_2", 3, 4)
+    for R in (0.1, 1.0):
+        assert amplitude_su2_1(one, R, [1, -1, 1, -1]) \
+            == amplitude_su2_1(one, ModularParam(R), [1, -1, 1, -1])
+        assert amplitude_su2_2(two, R, [1, 1, 0, 0]) \
+            == amplitude_su2_2(two, ModularParam(R), [1, 1, 0, 0])
+    for spec in (one, two):
+        rec = build_record(spec, None)
+        assert rec.pairing is None
+        assert np.array_equal(rec.state.amplitudes,
+                              build_cylinder_state(spec).amplitudes)
+
+
 def test_thin_torus_pairing_su2_2():
     want = {2: "s1dimer-", 3: "s1dimer+", 4: "aklt-circ"}
     for label, target in want.items():

@@ -11,7 +11,7 @@ from idmps.hamiltonians import (HamiltonianSpec, biquadratic_gate, build,
                                 ground_subspace, heisenberg_gate,
                                 parent_annihilation_check)
 from idmps.hilbert import (StateVector, enumerate_sector, fidelity_per_site,
-                           fidelity_per_site_subspace, project_sector,
+                           fidelity_per_site_subspace,
                            spin_matrices, total_spin_quantum, translate)
 
 
@@ -235,21 +235,6 @@ def test_sz_conservation_and_sector_restriction(spec):
     assert np.abs(outside).max() == 0.0
     hs = build(spec, sector=sector)
     assert np.abs(hs.apply(reduced) - out[sector.ranks]).max() < 1e-12
-
-
-def test_streaming_apply_matches_assembled_matrix():
-    # d=3 chains at N >= 9 stream gates instead of storing a matrix
-    spec = HamiltonianSpec("qbq", 9, theta=0.7)
-    h = build(spec)
-    assert h.dense is None
-    rng = np.random.default_rng(11)
-    v = rng.normal(size=h.dim) + 1j * rng.normal(size=h.dim)
-    sector = enumerate_sector(9, 3, 0.0)
-    hs = build(spec, sector=sector)
-    w = np.zeros(h.dim, dtype=complex)
-    w[sector.ranks] = project_sector(StateVector(9, 3, v), sector)
-    assert np.abs(h.apply(w)[sector.ranks]
-                  - hs.apply(w[sector.ranks])).max() < 1e-12
 
 
 # ---------------------------------------------------------------- ordering

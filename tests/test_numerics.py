@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 import idmps.numerics as numerics
 from idmps.errors import InputError, NumericalError
@@ -132,11 +133,25 @@ def test_eig_lanczos_agrees_with_dense(monkeypatch):
     m = rng.normal(size=(300, 300))
     m = (m + m.T) / 2
     dense = eig_smallest(m, k=2)
+    sparse = scipy.sparse.csr_matrix(m)
+    # below DENSE_DIM_MAX a sparse operand is densified to the same matrix
+    assert ([e for e, _ in eig_smallest(LinearOperator(sparse), k=2)]
+            == [e for e, _ in dense])
     monkeypatch.setattr(numerics, "DENSE_DIM_MAX", 100)
-    op = LinearOperator(300, lambda v: m @ v)
-    lanczos = eig_smallest(op, k=2)
-    for (a, _), (b, _) in zip(dense, lanczos):
-        assert a == pytest.approx(b, abs=1e-8)
+    for operand in (m, sparse):
+        lanczos = eig_smallest(LinearOperator(operand), k=2)
+        for (a, _), (b, _) in zip(dense, lanczos):
+            assert a == pytest.approx(b, abs=1e-8)
+
+
+@pytest.mark.parametrize("dense_max", [4096, 10])
+def test_eig_vectors_own_their_data(monkeypatch, dense_max):
+    # a view would keep the whole n x n eigenvector matrix alive
+    monkeypatch.setattr(numerics, "DENSE_DIM_MAX", dense_max)
+    rng = np.random.default_rng(9)
+    m = rng.normal(size=(40, 40))
+    for _, vec in eig_smallest(m + m.T, k=3):
+        assert vec.base is None
 
 
 def test_eig_input_validation():
@@ -146,15 +161,15 @@ def test_eig_input_validation():
     with pytest.raises(InputError):
         eig_smallest(m, k=5)
     with pytest.raises(InputError):
-        eig_smallest(LinearOperator(4, lambda v: v, hermitian=False), k=1)
+        eig_smallest(LinearOperator(m, hermitian=False), k=1)
 
 
 def test_hermiticity_defect():
     rng = np.random.default_rng(8)
     m = rng.normal(size=(20, 20)) + 1j * rng.normal(size=(20, 20))
     h = m + m.conj().T
-    assert LinearOperator.from_matrix(h).hermiticity_defect() < 1e-10
-    assert LinearOperator.from_matrix(m).hermiticity_defect() > 1e-3
+    assert LinearOperator(h).hermiticity_defect() < 1e-10
+    assert LinearOperator(m).hermiticity_defect() > 1e-3
 
 
 # ------------------------------------------------------------- minimize_scalar
