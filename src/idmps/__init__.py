@@ -17,7 +17,7 @@ from .special import (ModularParam, modular_residual, prime_form,
                       theta_nu_log, weierstrass_nu, weierstrass_nu_log)
 from .hilbert import (SectorIndex, StateVector, apply_site_unitary,
                       embed_sector, enumerate_sector, fidelity_per_site,
-                      fidelity_per_site_subspace, project_sector,
+                      fidelity_per_site_subspace,
                       spin_matrices, total_spin_quantum, translate)
 from .numerics import (AntisymMatrix, LinearOperator, eig_smallest,
                        minimize_scalar, pfaffian, pfaffian_log)
@@ -51,7 +51,7 @@ __all__ = [
     "limit_convergence", "marshall_sign", "mg_combination",
     "minimize_scalar", "modular_residual", "momentum_eigenvalue",
     "mps_trace_state", "parent_annihilation_check", "pfaffian",
-    "pfaffian_log", "prime_form", "prime_form_log", "project_sector",
+    "pfaffian_log", "prime_form", "prime_form_log",
     "qbq_family", "scan_radius", "singlet_pair", "spin1_dimer_combinations",
     "spin_matrices", "sweep_csv", "sweep_phase_diagram", "theta_char",
     "theta_char_log", "theta_nu", "theta_nu_log", "total_spin_quantum",

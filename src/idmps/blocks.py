@@ -17,8 +17,9 @@ Both models run on one path: a kernel table per model (_kernel_table), one
 row evaluator (_config_logs) and one builder (_build). The geometry argument
 is a torus ModularParam, or None for the cylinder tau -> i infinity, where
 the kernels reduce to sin/tan forms (the infinite-dimensional MPS limit).
-build_state, build_cylinder_state and the single-amplitude functions share
-that path; only build_record adds the thin-torus pairing metadata.
+build_state, build_record, build_cylinder_state and the single-amplitude
+functions share that path. The module only builds amplitudes: which
+reference state a thin-torus block approaches is reported by the CLI.
 Everything is accumulated in log-magnitude/phase form: at small R the raw
 amplitudes overflow doubles, so the builder subtracts the maximum log before
 exponentiating and records the discarded global scale.
@@ -33,12 +34,9 @@ from .logcomplex import LogComplex
 from .numerics import pfaffian_log
 from .special import ModularParam, prime_form_log, theta_char_log, \
     weierstrass_nu_log
-from . import refstates
 
 SU2_1 = "su2_1"
 SU2_2 = "su2_2"
-# thin-torus pairing metadata is resolved only where the limit is meaningful
-PAIRING_R_MAX = 0.2
 
 _K_ALIASES = {0: 0.0, 0.0: 0.0, "0": 0.0,
               0.5: 0.5, "0.5": 0.5, "half": 0.5, "1/2": 0.5}
@@ -205,7 +203,7 @@ def _build(spec, geom):
     amps[ranks[live]] = np.exp(logs[live] - m + 1j * args[live])
     nrm = np.linalg.norm(amps)
     state = StateVector(spec.N, spec.d, amps / nrm, normalized=True)
-    return state, m + math.log(nrm)
+    return state, float(m + math.log(nrm))
 
 
 def _geometry(geom):
@@ -246,56 +244,16 @@ def amplitude_su2_2(spec, geom, config):
     return _amplitude(spec, geom, s)
 
 
-class BuildRecord:
-    """A built block state plus the bookkeeping the CLI serializes."""
-
-    def __init__(self, state, log_scale, pairing=None):
-        self.state = state
-        self.log_scale = float(log_scale)
-        self.pairing = pairing
-
-
-def _resolve_pairing(spec, state):
-    if spec.model == SU2_1:
-        makers = {"mg+": lambda: refstates.mg_combination(spec.N, +1),
-                  "mg-": lambda: refstates.mg_combination(spec.N, -1)}
-    elif spec.label == 4:
-        makers = {"aklt-circ":
-                  lambda: refstates.aklt_state(spec.N, basis="circular")}
-    else:
-        makers = {"s1dimer+":
-                  lambda: refstates.spin1_dimer_combinations(spec.N, +1),
-                  "s1dimer-":
-                  lambda: refstates.spin1_dimer_combinations(spec.N, -1)}
-    best, fid = None, -1.0
-    from .hilbert import fidelity_per_site
-    for name, make in makers.items():
-        try:
-            ref = make()
-        except InputError:
-            # the minus combination vanishes identically at N=2
-            continue
-        f = fidelity_per_site(state, ref)
-        if f > fid:
-            best, fid = name, f
-    return {"thin_torus_target": best, "fidelity_per_site": fid}
-
-
 def build_record(spec, geom):
-    """Evaluate all amplitudes of a block; normalized state plus the
-    discarded log scale and (at small torus R) the thin-torus pairing.
-    geom=None is the cylinder, which has no pairing."""
-    geom = _geometry(geom)
-    state, scale = _build(spec, geom)
-    thin = geom is not None and geom.R <= PAIRING_R_MAX
-    pairing = _resolve_pairing(spec, state) if thin else None
-    return BuildRecord(state, scale, pairing)
+    """Evaluate all amplitudes of a block: (state, log_scale), the
+    normalized state and the discarded global log scale. geom is a torus
+    radius (a float or a ModularParam), or None for the cylinder."""
+    return _build(spec, _geometry(geom))
 
 
 def build_state(spec, geom):
     """Normalized StateVector of the block at torus radius R (a float or a
-    ModularParam), or on the cylinder for geom=None. Unlike build_record it
-    resolves no thin-torus pairing."""
+    ModularParam), or on the cylinder for geom=None."""
     return _build(spec, _geometry(geom))[0]
 
 

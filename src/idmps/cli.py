@@ -4,10 +4,16 @@ Five subcommand groups: `special eval` (torus function values), `state
 build`/`state reference` (wavefunction files), `ed ground` (exact
 diagonalization), `scan radius`/`scan phase` (variational scans), and
 `check suite`/`check limits` (consistency checks). Every file-writing run
-drops a manifest next to its outputs echoing the fully resolved
-configuration; feeding that manifest back through --config reproduces the
-outputs bit-identically (explicit flags still win). Exit codes: 0 success,
-1 bad input, 2 numerical failure, 3 a consistency check failed.
+goes through one writer (_write_outputs), which drops a manifest next to its
+outputs echoing the fully resolved configuration; feeding that manifest back
+through --config reproduces the outputs bit-identically (explicit flags still
+win). Exit codes: 0 success, 1 bad input, 2 numerical failure, 3 a
+consistency check failed.
+
+The reference states live in one table (REFERENCES): `state reference`
+writes them, `check limits` scores blocks against them, and `state build`
+reports at small radius (R <= PAIRING_R_MAX) which thin-torus reference the
+block is closest to.
 """
 import argparse
 import json
@@ -17,7 +23,7 @@ import time
 
 import numpy as np
 
-from . import __version__, blocks, hamiltonians, refstates
+from . import __version__, blocks, hamiltonians, hilbert, refstates
 from .blocks import BlockSpec
 from .errors import ConsistencyError, DomainError, Error, InputError
 from .experiments import (identity_suite, j1j2_family, limit_convergence,
@@ -31,8 +37,32 @@ EXIT_OK, EXIT_INPUT, EXIT_NUMERICAL, EXIT_CHECK = 0, 1, 2, 3
 
 SPECIAL_FNS = ("theta1", "theta2", "theta3", "theta4",
                "prime", "wp2", "wp3", "wp4")
-REFERENCES = ("mg+", "mg-", "aklt", "aklt-circ", "dimer0", "dimer1",
-              "s1dimer+", "s1dimer-", "hs", "hs-exc")
+
+# reference name -> (constructor of N, basis of its labels); each constructor
+# looks its refstates function up at call time
+REFERENCES = {
+    "mg+": (lambda N: refstates.mg_combination(N, +1), "spin"),
+    "mg-": (lambda N: refstates.mg_combination(N, -1), "spin"),
+    "aklt": (lambda N: refstates.aklt_state(N), "spin"),
+    "aklt-circ": (lambda N: refstates.aklt_state(N, basis="circular"),
+                  "circular"),
+    "dimer0": (lambda N: refstates.dimer_state(N, offset=0), "spin"),
+    "dimer1": (lambda N: refstates.dimer_state(N, offset=1), "spin"),
+    "s1dimer+": (lambda N: refstates.spin1_dimer_combinations(N, +1),
+                 "circular"),
+    "s1dimer-": (lambda N: refstates.spin1_dimer_combinations(N, -1),
+                 "circular"),
+    "hs": (lambda N: blocks.build_cylinder_state(BlockSpec("su2_1", 0, N)),
+           "spin"),
+    "hs-exc": (lambda N: blocks.build_cylinder_state(
+        BlockSpec("su2_1", "half", N)), "spin"),
+}
+# thin-torus targets: the references a block family approaches as R -> 0,
+# in the order the pairing tries them
+THIN_TORUS = {"mg": ("mg+", "mg-"), "s1dimer": ("s1dimer+", "s1dimer-"),
+              "aklt-circ": ("aklt-circ",)}
+# the thin-torus pairing is reported only where the limit is meaningful
+PAIRING_R_MAX = 0.2
 
 
 class _UsageError(Exception):
@@ -107,30 +137,29 @@ def _ham_spec(args):
     return HamiltonianSpec(args.ham, args.N, **kw)
 
 
-def _write_text(path, text):
-    with open(path, "w") as fh:
-        fh.write(text)
+def _write_outputs(args, dests, t0, files, anchor=None):
+    """Write each (path, text or bytes) file in order, then the run's one
+    manifest: resolved config, artifact version, outputs and wall time.
 
-
-def _write_manifest(args, dests, outputs, t0, anchor=None):
-    """One manifest per run: resolved config, artifact version, wall time."""
-    cfg = {}
-    for key in dests:
-        if key == "config":
-            continue
-        val = getattr(args, key, None)
-        cfg[key] = val
+    The manifest goes to anchor + ".manifest.json", or without an anchor to
+    manifest.json in --out-dir, which is created first.
+    """
+    if anchor is None:
+        os.makedirs(args.out_dir, exist_ok=True)
+        manifest = os.path.join(args.out_dir, "manifest.json")
+    else:
+        manifest = anchor + ".manifest.json"
+    for path, data in files:
+        with open(path, "wb" if isinstance(data, bytes) else "w") as fh:
+            fh.write(data)
+    cfg = {key: getattr(args, key, None) for key in dests if key != "config"}
     doc = {"artifact": "idmps", "version": __version__,
            "command": [args.group, args.verb],
            "resolved_config": cfg,
-           "outputs": [os.path.basename(p) for p in outputs],
+           "outputs": [os.path.basename(p) for p, _ in files],
            "wall_time_s": time.perf_counter() - t0}
-    if anchor is None:
-        path = os.path.join(args.out_dir, "manifest.json")
-    else:
-        path = anchor + ".manifest.json"
-    _write_text(path, _dump_json(doc))
-    return path
+    with open(manifest, "w") as fh:
+        fh.write(_dump_json(doc))
 
 
 def _load_config(path):
@@ -157,29 +186,40 @@ def _cmd_special_eval(args, dests):
     text = _dump_json(doc)
     sys.stdout.write(text)
     if args.out:
-        _write_text(args.out, text)
-        _write_manifest(args, dests, [args.out], t0, anchor=args.out)
+        _write_outputs(args, dests, t0, [(args.out, text)], anchor=args.out)
     return EXIT_OK
 
 
-def _state_doc(state, meta):
+def _state_files(path, state, meta):
+    """The binary state file and its JSON twin (meta plus amplitudes)."""
     doc = dict(meta)
     doc.update(json.loads(state.to_json()))
-    return doc
+    return [(path, state.to_bytes()), (path + ".json", _dump_json(doc))]
 
 
-def _physical_total_spin(state, circular):
-    if circular:
+def _physical_total_spin(state, basis):
+    if basis == "circular":
         state = apply_site_unitary(state, refstates.U_CIRC_TO_SPIN)
     s, sz = total_spin_quantum(state)
     return [s, sz]
 
 
-def _write_state_files(out, state, meta, args, dests, t0):
-    with open(out, "wb") as fh:
-        fh.write(state.to_bytes())
-    _write_text(out + ".json", _dump_json(_state_doc(state, meta)))
-    _write_manifest(args, dests, [out, out + ".json"], t0, anchor=out)
+def _thin_torus_pairing(spec, state):
+    """The thin-torus reference closest to the state by fidelity per site;
+    a later candidate wins only if strictly closer."""
+    family = ("mg" if spec.model == "su2_1"
+              else "aklt-circ" if spec.label == 4 else "s1dimer")
+    best, fid = None, -1.0
+    for name in THIN_TORUS[family]:
+        try:
+            ref = REFERENCES[name][0](spec.N)
+        except InputError:
+            # one of the two dimer combinations vanishes identically at N=2
+            continue
+        f = hilbert.fidelity_per_site(state, ref)
+        if f > fid:
+            best, fid = name, f
+    return {"thin_torus_target": best, "fidelity_per_site": fid}
 
 
 def _cmd_state_build(args, dests):
@@ -191,45 +231,32 @@ def _cmd_state_build(args, dests):
     else:
         if args.R is None:
             raise InputError("state build needs --R (or --cylinder)")
-        rec = blocks.build_record(spec, args.R)
-        state, scale, pairing, radius = (rec.state, rec.log_scale,
-                                         rec.pairing, args.R)
+        state, scale = blocks.build_record(spec, args.R)
+        pairing = (_thin_torus_pairing(spec, state)
+                   if args.R <= PAIRING_R_MAX else None)
+        radius = args.R
     mom = blocks.momentum_eigenvalue(spec)
+    basis = "circular" if spec.d == 3 else "spin"
     meta = {"spec": {"model": spec.model, "label": spec.label,
                      "name": spec.name, "N": spec.N},
             "R": radius, "cylinder": bool(args.cylinder),
-            "basis": "circular" if spec.d == 3 else "spin",
+            "basis": basis,
             "momentum_eigenvalue": [mom.real, mom.imag],
-            "total_spin": _physical_total_spin(state, spec.d == 3),
+            "total_spin": _physical_total_spin(state, basis),
             "global_log_scale": scale, "pairing": pairing}
-    _write_state_files(args.out, state, meta, args, dests, t0)
+    _write_outputs(args, dests, t0, _state_files(args.out, state, meta),
+                   anchor=args.out)
     return EXIT_OK
-
-
-def _reference_state(which, N):
-    if which in ("mg+", "mg-"):
-        return refstates.mg_combination(N, +1 if which == "mg+" else -1)
-    if which == "aklt":
-        return refstates.aklt_state(N)
-    if which == "aklt-circ":
-        return refstates.aklt_state(N, basis="circular")
-    if which in ("dimer0", "dimer1"):
-        return refstates.dimer_state(N, offset=int(which[-1]))
-    if which in ("s1dimer+", "s1dimer-"):
-        return refstates.spin1_dimer_combinations(
-            N, +1 if which == "s1dimer+" else -1)
-    label = 0 if which == "hs" else "half"
-    return blocks.build_cylinder_state(BlockSpec("su2_1", label, N))
 
 
 def _cmd_state_reference(args, dests):
     t0 = time.perf_counter()
-    state = _reference_state(args.which, args.N)
-    circ = args.which in ("aklt-circ", "s1dimer+", "s1dimer-")
-    meta = {"which": args.which, "N": args.N,
-            "basis": "circular" if circ else "spin",
-            "total_spin": _physical_total_spin(state, circ)}
-    _write_state_files(args.out, state, meta, args, dests, t0)
+    make, basis = REFERENCES[args.which]
+    state = make(args.N)
+    meta = {"which": args.which, "N": args.N, "basis": basis,
+            "total_spin": _physical_total_spin(state, basis)}
+    _write_outputs(args, dests, t0, _state_files(args.out, state, meta),
+                   anchor=args.out)
     return EXIT_OK
 
 
@@ -240,19 +267,14 @@ def _cmd_ed_ground(args, dests):
     doc = {"ham": spec.kind, "N": spec.N, "d": spec.d, "k": args.k,
            "J1": spec.J1, "J2": spec.J2, "theta": spec.theta,
            "energies": [e for e, _ in levels]}
-    _write_text(args.out, _dump_json(doc))
-    outputs = [args.out]
+    files = [(args.out, _dump_json(doc))]
     if args.vectors:
         stem = os.path.splitext(args.out)[0]
         for i, (energy, vec) in enumerate(levels):
-            path = f"{stem}_vec{i}.state"
-            with open(path, "wb") as fh:
-                fh.write(vec.to_bytes())
             meta = {"ham": spec.kind, "N": spec.N, "index": i,
                     "energy": energy}
-            _write_text(path + ".json", _dump_json(_state_doc(vec, meta)))
-            outputs += [path, path + ".json"]
-    _write_manifest(args, dests, outputs, t0, anchor=args.out)
+            files += _state_files(f"{stem}_vec{i}.state", vec, meta)
+    _write_outputs(args, dests, t0, files, anchor=args.out)
     return EXIT_OK
 
 
@@ -263,12 +285,11 @@ def _cmd_scan_radius(args, dests):
                       objective=args.objective, workers=args.threads)
     lines = ["R,energy,fidelity_per_site"]
     lines += [",".join(_fmt(x) for x in row) for row in res.rows]
-    os.makedirs(args.out_dir, exist_ok=True)
-    csv_path = os.path.join(args.out_dir, "radius_scan.csv")
-    json_path = os.path.join(args.out_dir, "radius_scan.json")
-    _write_text(csv_path, "\n".join(lines) + "\n")
-    _write_text(json_path, _dump_json(res.to_dict()))
-    _write_manifest(args, dests, [csv_path, json_path], t0)
+    _write_outputs(args, dests, t0, [
+        (os.path.join(args.out_dir, "radius_scan.csv"),
+         "\n".join(lines) + "\n"),
+        (os.path.join(args.out_dir, "radius_scan.json"),
+         _dump_json(res.to_dict()))])
     return EXIT_OK
 
 
@@ -288,12 +309,9 @@ def _cmd_scan_phase(args, dests):
     doc = [{"param": p["param"], "error": p["error"],
             "scan": None if p["scan"] is None else p["scan"].to_dict()}
            for p in points]
-    os.makedirs(args.out_dir, exist_ok=True)
-    csv_path = os.path.join(args.out_dir, "phase_sweep.csv")
-    json_path = os.path.join(args.out_dir, "phase_sweep.json")
-    _write_text(csv_path, sweep_csv(points))
-    _write_text(json_path, _dump_json(doc))
-    _write_manifest(args, dests, [csv_path, json_path], t0)
+    _write_outputs(args, dests, t0, [
+        (os.path.join(args.out_dir, "phase_sweep.csv"), sweep_csv(points)),
+        (os.path.join(args.out_dir, "phase_sweep.json"), _dump_json(doc))])
     return EXIT_OK
 
 
@@ -304,24 +322,19 @@ def _cmd_check_suite(args, dests):
     text = _dump_json(report)
     sys.stdout.write(text)
     if args.out_dir is not None:
-        os.makedirs(args.out_dir, exist_ok=True)
-        path = os.path.join(args.out_dir, "suite.json")
-        _write_text(path, text)
-        _write_manifest(args, dests, [path], t0)
+        _write_outputs(args, dests, t0,
+                       [(os.path.join(args.out_dir, "suite.json"), text)])
     return EXIT_OK if report["pass"] else EXIT_CHECK
 
 
-def _limit_target(args):
-    if args.target == "mg":
-        return [refstates.mg_combination(args.N, +1),
-                refstates.mg_combination(args.N, -1)]
-    if args.target == "s1dimer":
-        return [refstates.spin1_dimer_combinations(args.N, +1),
-                refstates.spin1_dimer_combinations(args.N, -1)]
-    if args.target == "aklt-circ":
-        return refstates.aklt_state(args.N, basis="circular")
-    _, ground = hamiltonians.ground_states(HamiltonianSpec("hs", args.N))
-    return ground
+def _limit_target(target, N):
+    """The 1/sin^2 chain's exact ground space for hs; otherwise the
+    thin-torus references, as one state when there is only one."""
+    if target == "hs":
+        _, ground = hamiltonians.ground_states(HamiltonianSpec("hs", N))
+        return ground
+    states = [REFERENCES[name][0](N) for name in THIN_TORUS[target]]
+    return states if len(states) > 1 else states[0]
 
 
 def _cmd_check_limits(args, dests):
@@ -329,7 +342,8 @@ def _cmd_check_limits(args, dests):
     spec = BlockSpec(args.model, _parse_label(args.label), args.N)
     radii = _parse_floats(args.radii, "--radii")
     try:
-        rows = limit_convergence(spec, _limit_target(args), radii)
+        rows = limit_convergence(spec, _limit_target(args.target, args.N),
+                                 radii)
         failure = None
     except ConsistencyError as exc:
         rows, failure = [], str(exc)
@@ -339,14 +353,12 @@ def _cmd_check_limits(args, dests):
     text = _dump_json(doc)
     sys.stdout.write(text)
     if args.out_dir is not None:
-        os.makedirs(args.out_dir, exist_ok=True)
-        json_path = os.path.join(args.out_dir, "limits.json")
-        csv_path = os.path.join(args.out_dir, "limits.csv")
         lines = ["R,infidelity_per_site"]
         lines += [f"{_fmt(r)},{_fmt(e)}" for r, e in rows]
-        _write_text(csv_path, "\n".join(lines) + "\n")
-        _write_text(json_path, text)
-        _write_manifest(args, dests, [csv_path, json_path], t0)
+        _write_outputs(args, dests, t0, [
+            (os.path.join(args.out_dir, "limits.csv"),
+             "\n".join(lines) + "\n"),
+            (os.path.join(args.out_dir, "limits.json"), text)])
     return EXIT_OK if failure is None else EXIT_CHECK
 
 
@@ -438,8 +450,7 @@ def _build_parser():
     opt("--model", required=True, choices=("su2_1", "su2_2"))
     opt("--label", required=True)
     opt("--N", type=int, required=True)
-    opt("--target", required=True,
-        choices=("mg", "s1dimer", "aklt-circ", "hs"))
+    opt("--target", required=True, choices=(*THIN_TORUS, "hs"))
     opt("--radii", required=True, help="monotone comma-separated schedule")
     opt("--out-dir")
 

@@ -29,6 +29,9 @@ _KINDS = (HS, J1J2, QBQ, PARENT)
 
 DEGENERACY_TOL = 1e-9
 IMAG_TOL = 1e-12
+# levels ground_states requests first; the count doubles while all are
+# degenerate with the ground state
+GROUND_K0 = 4
 
 
 class HamiltonianSpec:
@@ -262,10 +265,10 @@ def ground_subspace(spec, k=1):
     return out
 
 
-def ground_states(spec, k0=4):
+def ground_states(spec):
     """(E0, [states]) with every state within 1e-9 of the ground energy."""
     dim = spec.d ** spec.N
-    k = min(k0, dim)
+    k = min(GROUND_K0, dim)
     while True:
         pairs = ground_subspace(spec, k)
         e0 = pairs[0][0]

@@ -274,11 +274,6 @@ def fidelity_per_site_subspace(a, basis):
     return float(np.linalg.norm(w) ** (2.0 / a.N))
 
 
-def project_sector(v, sector):
-    """Amplitudes of v restricted to a SectorIndex, as a plain array."""
-    return v.amplitudes[sector.ranks]
-
-
 def embed_sector(reduced, sector, normalized=False):
     """StateVector with the reduced amplitudes placed at the sector ranks."""
     amps = np.zeros(sector.d ** sector.N, dtype=complex)

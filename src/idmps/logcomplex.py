@@ -66,34 +66,10 @@ class LogComplex:
             return LogComplex.zero()
         return LogComplex(self.log - other.log, self.arg - other.arg)
 
-    def __pow__(self, n):
-        n = int(n)
-        if self.is_zero:
-            return LogComplex.zero() if n > 0 else LogComplex.one()
-        return LogComplex(n * self.log, n * self.arg)
-
     def __neg__(self):
         if self.is_zero:
             return LogComplex.zero()
         return LogComplex(self.log, self.arg + math.pi)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        m = max(self.log, other.log)
-        s = (cmath.exp(complex(self.log - m, self.arg))
-             + cmath.exp(complex(other.log - m, other.arg)))
-        # below phase roundoff the difference is noise: call it an exact zero
-        tot = math.exp(self.log - m) + math.exp(other.log - m)
-        if abs(s) <= 1e-15 * tot:
-            return LogComplex.zero()
-        return LogComplex(m + math.log(abs(s)), cmath.phase(s))
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
 
     @staticmethod
     def _coerce(x):

@@ -6,8 +6,9 @@ of LU) with partial pivoting; the pivot product is accumulated as a LogComplex
 because block amplitudes at small torus radius overflow doubles.
 
 A LinearOperator holds one matrix, usually scipy sparse (every Hamiltonian
-is). eig_smallest is the only place that densifies it: dense eigh up to
-DENSE_DIM_MAX, Lanczos on the sparse matvec above.
+is). eig_smallest checks that it is Hermitian and is the only place that
+densifies it: dense eigh up to DENSE_DIM_MAX, Lanczos on the sparse matvec
+above.
 """
 import math
 
@@ -19,9 +20,17 @@ import scipy.sparse.linalg
 from .errors import AccuracyError, InputError, NumericalError
 from .logcomplex import LogComplex
 
-ANTISYM_TOL = 1e-12
+# relative bound of the A = -A^T and H = H^dagger checks
+SYMMETRY_TOL = 1e-12
 DENSE_DIM_MAX = 4096
 EIG_RESIDUAL_TOL = 1e-8
+
+
+def _breaks_symmetry(defect, a):
+    """True if the largest entry of defect (A + A^T, or H - H^dagger)
+    exceeds SYMMETRY_TOL times max(max |a_ij|, 1). Dense or sparse; a
+    sparse matrix is never densified."""
+    return abs(defect).max() > SYMMETRY_TOL * max(abs(a).max(), 1.0)
 
 
 class AntisymMatrix:
@@ -31,10 +40,8 @@ class AntisymMatrix:
         a = np.asarray(entries, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise InputError(f"expected a square matrix, got shape {a.shape}")
-        if a.size:
-            scale = max(np.abs(a).max(), 1.0)
-            if np.abs(a + a.T).max() > ANTISYM_TOL * scale:
-                raise InputError("matrix is not antisymmetric within 1e-12")
+        if a.size and _breaks_symmetry(a + a.T, a):
+            raise InputError("matrix is not antisymmetric within 1e-12")
         self.n = a.shape[0]
         self.entries = a
 
@@ -91,19 +98,17 @@ def pfaffian(entries):
 
 
 class LinearOperator:
-    """Hermitian (or general) operator held as one matrix: an ndarray or a
-    scipy sparse matrix.
+    """Operator held as one matrix: an ndarray or a scipy sparse matrix.
 
     apply(v) is matrix @ v; to_dense() densifies a sparse matrix, which only
     eig_smallest does, and only up to DENSE_DIM_MAX.
     """
 
-    def __init__(self, matrix, hermitian=True):
+    def __init__(self, matrix):
         if not scipy.sparse.issparse(matrix):
             matrix = np.asarray(matrix)
         self.matrix = matrix
         self.dim = matrix.shape[0]
-        self.hermitian = bool(hermitian)
 
     def apply(self, v):
         return self.matrix @ v
@@ -113,35 +118,25 @@ class LinearOperator:
             return self.matrix.toarray()
         return self.matrix
 
-    def hermiticity_defect(self, probes=3, seed=0):
-        """max |<u|Av> - conj(<v|Au>)| over random normalized probe pairs."""
-        rng = np.random.default_rng(seed)
-        worst = 0.0
-        for _ in range(probes):
-            u = rng.normal(size=self.dim) + 1j * rng.normal(size=self.dim)
-            v = rng.normal(size=self.dim) + 1j * rng.normal(size=self.dim)
-            u /= np.linalg.norm(u)
-            v /= np.linalg.norm(v)
-            lhs = np.vdot(u, self.apply(v))
-            rhs = np.conj(np.vdot(v, self.apply(u)))
-            worst = max(worst, abs(lhs - rhs))
-        return worst
-
 
 def eig_smallest(h, k=1):
     """k algebraically smallest eigenpairs of a Hermitian LinearOperator.
 
-    Dense diagonalization up to dim 4096, implicitly-restarted Lanczos above.
-    Returns [(eigenvalue, eigenvector), ...] sorted ascending; each vector
-    owns its data (no view into the full eigenvector matrix), and each
-    residual ||Hv - lambda v|| is verified against 1e-8.
+    The matrix must equal its conjugate transpose within SYMMETRY_TOL
+    (relative), else InputError; a sparse matrix is checked before it is
+    densified. Dense diagonalization up to dim 4096, implicitly-restarted
+    Lanczos above. Returns [(eigenvalue, eigenvector), ...] sorted
+    ascending; each vector owns its data (no view into the full eigenvector
+    matrix), and each residual ||Hv - lambda v|| is verified against 1e-8.
     """
     if not isinstance(h, LinearOperator):
         h = LinearOperator(h)
-    if not h.hermitian:
-        raise InputError("eig_smallest requires a hermitian operator")
     if not 1 <= k <= h.dim:
         raise InputError(f"need 1 <= k <= dim, got k={k}, dim={h.dim}")
+    m = h.matrix
+    if _breaks_symmetry(m - m.conj().T, m):
+        raise InputError("eig_smallest requires a hermitian operator "
+                         "(H = H^dagger within 1e-12)")
     if h.dim <= DENSE_DIM_MAX or k >= h.dim - 1:
         m = h.to_dense()
         vals, vecs = np.linalg.eigh(m)

@@ -129,13 +129,11 @@ def mps_trace_state(tensors, N):
     return StateVector(N, d, amps / nrm, normalized=True)
 
 
-def _pair_tensor(pair_state, d=None):
+def _pair_tensor(pair_state):
     pair = np.asarray(getattr(pair_state, "amplitudes", pair_state),
                       dtype=complex)
     for dim in (2, 3):
         if pair.shape == (dim * dim,):
-            if d is not None and dim != d:
-                break
             return pair.reshape(dim, dim), dim
     raise InputError(f"pair state must have length 4 or 9, got {pair.shape}")
 

@@ -71,8 +71,8 @@ def assert_matches_oracle(spec, geom, amplitude, oracle, configs):
         # the cylinder builder keeps no scale: match the first amplitude
         built = built * (want[0] / built[0])
     else:
-        rec = build_record(spec, geom)
-        built = rec.state.amplitudes[ranks] * math.exp(rec.log_scale)
+        state, log_scale = build_record(spec, geom)
+        built = state.amplitudes[ranks] * math.exp(log_scale)
     np.testing.assert_allclose(built, want, **tol)
 
 
@@ -271,17 +271,6 @@ def test_su2_1_states_are_singlets():
         assert s == pytest.approx(0.0, abs=1e-8)
 
 
-def test_thin_torus_pairing_metadata():
-    rec = build_record(BlockSpec("su2_1", 0, 8), ModularParam(0.05))
-    assert rec.pairing["thin_torus_target"] == "mg+"
-    assert rec.pairing["fidelity_per_site"] > 1 - 1e-4
-    rec2 = build_record(BlockSpec("su2_1", 0.5, 8), ModularParam(0.05))
-    assert rec2.pairing["thin_torus_target"] == "mg-"
-    # away from the thin-torus regime no pairing is recorded
-    assert build_record(BlockSpec("su2_1", 0, 6), ModularParam(1.0)).pairing \
-        is None
-
-
 def test_float_radius_and_cylinder_geometry():
     # a float radius means ModularParam(R) everywhere, None the cylinder
     one = BlockSpec("su2_1", 0, 4)
@@ -292,18 +281,9 @@ def test_float_radius_and_cylinder_geometry():
         assert amplitude_su2_2(two, R, [1, 1, 0, 0]) \
             == amplitude_su2_2(two, ModularParam(R), [1, 1, 0, 0])
     for spec in (one, two):
-        rec = build_record(spec, None)
-        assert rec.pairing is None
-        assert np.array_equal(rec.state.amplitudes,
+        state, _ = build_record(spec, None)
+        assert np.array_equal(state.amplitudes,
                               build_cylinder_state(spec).amplitudes)
-
-
-def test_thin_torus_pairing_su2_2():
-    want = {2: "s1dimer-", 3: "s1dimer+", 4: "aklt-circ"}
-    for label, target in want.items():
-        rec = build_record(BlockSpec("su2_2", label, 6), ModularParam(0.05))
-        assert rec.pairing["thin_torus_target"] == target
-        assert rec.pairing["fidelity_per_site"] > 1 - 1e-4
 
 
 def test_continuity_in_radius():

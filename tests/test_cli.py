@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from idmps import blocks, cli, hamiltonians, special
+from idmps import blocks, cli, hamiltonians, hilbert, refstates, special
 from idmps.blocks import BlockSpec
 from idmps.hamiltonians import HamiltonianSpec
 from idmps.hilbert import StateVector
@@ -96,6 +96,50 @@ def test_state_build_torus_records_scale_but_no_pairing_at_large_R(tmp_path):
     assert doc["basis"] == "circular" and doc["pairing"] is None
     assert isinstance(doc["global_log_scale"], float)
     assert abs(doc["total_spin"][0]) < 1e-8
+
+
+def build_pairing(tmp_path, model, label, N, R):
+    """The pairing record that `state build` writes into the state JSON."""
+    out = str(tmp_path / f"{model}_{label}_{N}.state")
+    assert run("state", "build", "--model", model, "--label", str(label),
+               "--N", str(N), "--R", str(R), "--out", out) == 0
+    return json.loads(open(out + ".json").read())["pairing"]
+
+
+def test_thin_torus_pairing_metadata(tmp_path, monkeypatch):
+    # the pairing looks its constructors and the fidelity up at call time
+    calls = []
+
+    def logged(module, attr):
+        fn = getattr(module, attr)
+
+        def call(*args):
+            calls.append(attr)
+            return fn(*args)
+        monkeypatch.setattr(module, attr, call)
+
+    logged(refstates, "mg_combination")
+    logged(hilbert, "fidelity_per_site")
+    p = build_pairing(tmp_path, "su2_1", 0, 8, 0.05)
+    assert p["thin_torus_target"] == "mg+"
+    assert p["fidelity_per_site"] > 1 - 1e-4
+    assert calls == ["mg_combination", "fidelity_per_site"] * 2
+    assert build_pairing(tmp_path, "su2_1", "half", 8, 0.05)[
+        "thin_torus_target"] == "mg-"
+    # mg+ vanishes identically at N=2, so mg- is the only candidate left
+    p = build_pairing(tmp_path, "su2_1", 0, 2, 0.05)
+    assert p["thin_torus_target"] == "mg-"
+    assert p["fidelity_per_site"] > 1 - 1e-4
+    # away from the thin-torus regime no pairing is recorded
+    assert build_pairing(tmp_path, "su2_1", 0, 6, 1.0) is None
+
+
+def test_thin_torus_pairing_su2_2(tmp_path):
+    want = {2: "s1dimer-", 3: "s1dimer+", 4: "aklt-circ"}
+    for label, target in want.items():
+        p = build_pairing(tmp_path, "su2_2", label, 6, 0.05)
+        assert p["thin_torus_target"] == target
+        assert p["fidelity_per_site"] > 1 - 1e-4
 
 
 @pytest.mark.parametrize("which,d", [

@@ -206,7 +206,11 @@ ALL_KINDS = [HamiltonianSpec("hs", 6), HamiltonianSpec("j1j2", 6, J2=0.4),
 
 @pytest.mark.parametrize("spec", ALL_KINDS, ids=repr)
 def test_operators_are_hermitian(spec):
-    assert build(spec).hermiticity_defect(probes=3, seed=1) < 1e-12
+    # exactly, on the full space and in every Sz sector
+    for sector in [None] + [enumerate_sector(spec.N, spec.d, sz)
+                            for sz in (0.0, 1.0)]:
+        m = build(spec, sector=sector).matrix
+        assert abs(m - m.conj().T).max() == 0.0
 
 
 @pytest.mark.parametrize("spec", [HamiltonianSpec("hs", 6),

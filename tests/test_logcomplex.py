@@ -27,32 +27,9 @@ def test_mul_div_pow_neg():
     b = LogComplex.from_value(-0.3 + 0.8j)
     assert close(a * b, (2 + 1j) * (-0.3 + 0.8j))
     assert close(a / b, (2 + 1j) / (-0.3 + 0.8j))
-    assert close(a ** 3, (2 + 1j) ** 3)
     assert close(-a, -(2 + 1j))
     assert close(a * 2.0, 2 * (2 + 1j))
     assert close(3.0 * a, 3 * (2 + 1j))
-
-
-def test_add_sub():
-    a = LogComplex.from_value(1.5 - 0.5j)
-    b = LogComplex.from_value(0.25 + 2.0j)
-    assert close(a + b, 1.75 + 1.5j)
-    assert close(a - b, 1.25 - 2.5j)
-
-
-def test_add_factors_out_large_logs():
-    # both addends overflow complex doubles; the sum must still carry the log
-    a = LogComplex(800.0, 0.0)
-    b = LogComplex(800.0, math.pi)
-    c = LogComplex(799.0, 0.0)
-    s = a + b + c
-    assert s.log == pytest.approx(799.0, abs=1e-12)
-
-
-def test_exact_cancellation_returns_zero():
-    a = LogComplex.from_value(1.0)
-    s = a + (-a)
-    assert s.is_zero
 
 
 def test_zero_propagation():
@@ -60,7 +37,6 @@ def test_zero_propagation():
     a = LogComplex.from_value(3.0)
     assert (z * a).is_zero
     assert (z / a).is_zero
-    assert close(z + a, 3.0)
     with pytest.raises(ZeroDivisionError):
         a / z
 

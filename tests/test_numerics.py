@@ -160,16 +160,22 @@ def test_eig_input_validation():
         eig_smallest(m, k=0)
     with pytest.raises(InputError):
         eig_smallest(m, k=5)
-    with pytest.raises(InputError):
-        eig_smallest(LinearOperator(m, hermitian=False), k=1)
 
-
-def test_hermiticity_defect():
+    # the Hermiticity check: H = H^dagger within 1e-12 relative, dense or
+    # sparse, before anything is densified
     rng = np.random.default_rng(8)
-    m = rng.normal(size=(20, 20)) + 1j * rng.normal(size=(20, 20))
-    h = m + m.conj().T
-    assert LinearOperator(h).hermiticity_defect() < 1e-10
-    assert LinearOperator(m).hermiticity_defect() > 1e-3
+    a = rng.normal(size=(20, 20)) + 1j * rng.normal(size=(20, 20))
+    h = a + a.conj().T
+    tilt = np.zeros((20, 20))
+    tilt[0, 1] = 1e-9
+    for operand in (a, h + tilt, 1j * h):
+        with pytest.raises(InputError):
+            eig_smallest(operand, k=1)
+        with pytest.raises(InputError):
+            eig_smallest(LinearOperator(scipy.sparse.csr_matrix(operand)),
+                         k=1)
+    # roundoff below the bound passes
+    assert len(eig_smallest(h + 1e-3 * tilt, k=1)) == 1
 
 
 # ------------------------------------------------------------- minimize_scalar
