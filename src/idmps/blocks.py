@@ -14,15 +14,17 @@ with labels read as fermion flavors in the circular-polarization basis and
 K[i,j] = wp_nu(z_i - z_j) (i > j gives wp_nu((i - j)/N)).
 
 Both models run on one path: a kernel table per model (_kernel_table), one
-row evaluator (_config_logs) and one builder (_build). The geometry argument
-is a torus ModularParam, or None for the cylinder tau -> i infinity, where
-the kernels reduce to sin/tan forms (the infinite-dimensional MPS limit).
-build_state, build_record, build_cylinder_state and the single-amplitude
-functions share that path. The module only builds amplitudes: which
-reference state a thin-torus block approaches is reported by the CLI.
-Everything is accumulated in log-magnitude/phase form: at small R the raw
-amplitudes overflow doubles, so the builder subtracts the maximum log before
-exponentiating and records the discarded global scale.
+row evaluator (_config_logs) and one builder (_build), on a torus
+ModularParam or, for geom=None, on the cylinder tau -> i infinity (the
+infinite-dimensional MPS limit, with sin/tan/cos closed forms). Every kernel
+and theta factor is folded onto the half period by its parity and period
+(_fold): each function is evaluated once per r in [0, N/2], its zero at 1/2
+(theta2, wp_2) is exact by symmetry, and the su2_2 kernel is real (tau = iR),
+so its Pfaffians run in real arithmetic. Everything is accumulated in
+log-magnitude/phase form: at small R the raw amplitudes overflow doubles, so
+the builder subtracts the maximum log before exponentiating and records the
+discarded global scale. The CLI, not this module, reports which reference
+state a thin-torus block approaches.
 """
 import math
 
@@ -83,100 +85,109 @@ def insertion_points(N):
 
 
 def marshall_sign(config):
-    """Product of the labels on chain positions 1, 3, 5, ... (1-indexed)."""
+    """Product of the labels on chain positions 1, 3, 5, ... (1-indexed);
+    one sign per row of a 2-D array of configurations."""
     s = np.asarray(config, dtype=np.int64)
-    return int(np.prod(s[0::2]))
+    return np.prod(s[..., 0::2], axis=-1)
 
 
 # ---------------------------------------------------- kernels and amplitudes
 
+# |Im K| / |K| above which an su2_2 kernel value at tau = iR is not real
+REAL_TOL = 1e-12
+
+# fn: (parity, period, f(x, tau), cylinder f(x)), f(-x) = parity f(x) and
+# f(x + 1) = period f(x), for the prime form "E", wp_nu (nu = 2, 3, 4) and
+# theta[k;0](x|2 tau) (k = 0, 1/2; the cylinder drops theta2's scale). The
+# lambdas look the special functions up in this module at call time.
+_FUNCTIONS = {
+    "E": (-1, -1, lambda x, tau: prime_form_log(x, tau),
+          lambda x: math.sin(math.pi * x) / math.pi),
+    2: (-1, 1, lambda x, tau: weierstrass_nu_log(2, x, tau),
+        lambda x: math.pi / math.tan(math.pi * x)),
+    3: (-1, -1, lambda x, tau: weierstrass_nu_log(3, x, tau),
+        lambda x: math.pi / math.sin(math.pi * x)),
+    4: (-1, -1, lambda x, tau: weierstrass_nu_log(4, x, tau),
+        lambda x: math.pi / math.sin(math.pi * x)),
+    0.0: (1, 1, lambda x, tau: theta_char_log((0.0, 0.0), x, 2.0 * tau),
+          lambda x: 1.0),
+    0.5: (1, -1, lambda x, tau: theta_char_log((0.5, 0.0), x, 2.0 * tau),
+          lambda x: math.cos(math.pi * x)),
+}
+
+
+def _fold(n, N, parity, period):
+    """Reduce f(n/N) to sign * f(r/N) with r in [0, N/2] for integer n, by
+    f(-x) = parity f(x) and f(x + 1) = period f(x). Where parity * period =
+    -1, f(1/2) = -f(1/2) is an exact zero: r = N/2 gets sign 0."""
+    q, m = np.divmod(np.asarray(n, dtype=np.int64), N)
+    flip = 2 * m > N
+    r = np.where(flip, N - m, m)
+    sign = np.where(q % 2, period, 1) * np.where(flip, parity * period, 1)
+    if parity * period < 0:
+        sign = np.where(2 * r == N, 0, sign)
+    return r, sign
+
+
+def _folded(fn, geom, n, N):
+    """log|f(n/N)| and arg f(n/N) of _FUNCTIONS[fn] for an integer array n,
+    on the torus geom or the cylinder (None). f is evaluated once per
+    folded r, and log = -inf marks an exact zero."""
+    parity, period, torus, cylinder = _FUNCTIONS[fn]
+    r, sign = _fold(n, N, parity, period)
+    live = sign != 0
+    rs, inv = np.unique(r[live], return_inverse=True)
+    vals = [LogComplex.from_value(cylinder(k / N)) if geom is None
+            else torus(k / N, geom.tau) for k in rs.tolist()]
+    logs = np.full(r.shape, -np.inf)
+    args = np.where(sign < 0, math.pi, 0.0)
+    logs[live] = np.array([v.log for v in vals])[inv]
+    args[live] += np.array([v.arg for v in vals])[inv]
+    # phases to [-pi, pi], so sums over many factors keep their precision
+    return logs, args - 2 * math.pi * np.round(args / (2 * math.pi))
+
+
 def _kernel_table(spec, geom):
-    """Pair kernels on the torus geom, or on the cylinder for geom=None.
-
-    su2_1: log|E(z_i - z_j)| and arg E(z_i - z_j), symmetric, with
-    E -> sin(pi z)/pi on the cylinder. su2_2: K[i,j] = wp_nu(z_i - z_j),
-    antisymmetric, with wp_2 -> pi/tan(pi z), wp_3, wp_4 -> pi/sin(pi z) on
-    the cylinder. Both have a zero diagonal.
-    """
+    """Pair kernels with a zero diagonal on the torus geom, or the cylinder
+    for geom=None: su2_1 the symmetric tables log|E| and arg E at
+    -|i - j|/N; su2_2 the real antisymmetric K[i,j] = wp_nu((i - j)/N)."""
     N = spec.N
+    diff = np.subtract.outer(np.arange(N), np.arange(N))
+    dist = np.abs(diff)
     if spec.model == SU2_1:
-        z = insertion_points(N)
-        logs = np.zeros((N, N))
-        args = np.zeros((N, N))
-        for i in range(N):
-            for j in range(i + 1, N):
-                dz = z[i] - z[j]
-                if geom is None:
-                    lc = LogComplex.from_value(math.sin(math.pi * dz) / math.pi)
-                else:
-                    lc = prime_form_log(dz, geom.tau)
-                logs[i, j] = logs[j, i] = lc.log
-                args[i, j] = args[j, i] = lc.arg
-        return logs, args
-    # wp_nu is odd and depends on i - j only: one value per distance
-    vals = np.zeros(N, dtype=complex)
-    for k in range(1, N):
-        dz = k / N
-        if geom is None:
-            trig = math.tan if spec.label == 2 else math.sin
-            vals[k] = math.pi / trig(math.pi * dz)
-        else:
-            vals[k] = weierstrass_nu_log(spec.label, dz, geom.tau).value
-    idx = np.arange(N)
-    lower = np.where(idx[:, None] > idx[None, :],
-                     vals[np.abs(idx[:, None] - idx[None, :])], 0j)
-    return lower - lower.T
-
-
-def _theta_factor(spec, geom, n):
-    """theta[k;0](n/N | 2 tau) for n = sum_j s_j j, or its cylinder limit:
-    theta3 -> 1, and theta2 with its vanishing scale dropped -> cos(pi n/N)."""
-    N = spec.N
-    if geom is not None:
-        return theta_char_log((spec.label, 0.0), n / N, 2.0 * geom.tau)
-    if spec.label == 0.0:
-        return LogComplex.one()
-    if (2 * n + N) % (2 * N) == 0:
-        # cos(pi n/N) vanishes identically when n/N = +-1/2 mod 1
-        return LogComplex.zero()
-    return LogComplex.from_value(math.cos(math.pi * n / N))
+        logs, args = _folded("E", geom, -np.arange(1, N), N)
+        return np.append(0.0, logs)[dist], np.append(0.0, args)[dist]
+    logs, args = _folded(spec.label, geom, np.arange(1, N), N)
+    if np.any(np.abs(np.sin(args)) > REAL_TOL):
+        raise ConsistencyError(
+            f"wp_{spec.label} kernel of {spec!r} is not real within {REAL_TOL}")
+    vals = np.exp(logs) * np.cos(args)
+    return np.sign(diff) * np.append(0.0, vals)[dist]
 
 
 def _config_logs(spec, geom, labels):
-    """log|psi|, arg psi and an exact-zero mask for each row of labels.
+    """log|psi| and arg psi for each row of labels; log = -inf marks an
+    exact zero.
 
     su2_1 rows must be charge neutral.
     """
     N = spec.N
     if spec.model == SU2_1:
-        plog, parg = _kernel_table(spec, geom)
         s = labels.astype(float)
-        # sum_{i<j,[s_i=s_j]} X_ij = 1/2 sum_{i<j} X_ij + 1/4 s^T X s
-        triu = np.triu_indices(N, 1)
-        logs = (0.5 * plog[triu].sum()
-                + 0.25 * np.einsum("mi,ij,mj->m", s, plog, s))
-        args = (0.5 * parg[triu].sum()
-                + 0.25 * np.einsum("mi,ij,mj->m", s, parg, s))
-        signs = np.array([marshall_sign(c) for c in labels])
-        args = args + np.where(signs < 0, math.pi, 0.0)
-        # the theta factor sees a configuration only through n
-        nums = [int(n) for n in labels @ np.arange(1, N + 1)]
-        thetas = {n: _theta_factor(spec, geom, n) for n in dict.fromkeys(nums)}
-        factors = (thetas[n] for n in nums)
-    else:
-        kernel = _kernel_table(spec, geom)
-        logs = np.zeros(len(labels))
-        args = np.zeros(len(labels))
-        factors = (pfaffian_log(kernel * (row[:, None] == row[None, :]))
-                   for row in labels)
-    zero = np.zeros(len(labels), dtype=bool)
-    for m, lc in enumerate(factors):
-        if lc.is_zero:
-            zero[m] = True
-        else:
-            logs[m] += lc.log
-            args[m] += lc.arg
-    return logs, args, zero
+        # sum_{i<j,[s_i=s_j]} X_ij = 1/4 (sum_ij X_ij + s^T X s) for the
+        # symmetric, zero-diagonal tables X = log|E| and arg E
+        table = np.stack(_kernel_table(spec, geom))
+        logs, args = 0.25 * (table.sum(axis=(1, 2))[:, None]
+                             + np.einsum("mi,kij,mj->km", s, table, s))
+        args += np.where(marshall_sign(labels) < 0, math.pi, 0.0)
+        # the theta factor sees a configuration only through n = sum s_j j
+        tlogs, targs = _folded(spec.label, geom, labels @ np.arange(1, N + 1),
+                               N)
+        return logs + tlogs, args + targs
+    kernel = _kernel_table(spec, geom)
+    pfs = [pfaffian_log(kernel * (row[:, None] == row[None, :]))
+           for row in labels]
+    return np.array([pf.log for pf in pfs]), np.array([pf.arg for pf in pfs])
 
 
 def _build(spec, geom):
@@ -193,11 +204,12 @@ def _build(spec, geom):
             even &= (configs == lab).sum(axis=1) % 2 == 0
         ranks = np.nonzero(even)[0]
         labels = configs[ranks]
-    logs, args, zero = _config_logs(spec, geom, labels)
-    live = ~zero
+    logs, args = _config_logs(spec, geom, labels)
+    live = logs > -np.inf
     if not np.any(live):
-        raise ConsistencyError(
-            f"all amplitudes of {spec!r} vanish identically")
+        raise InputError(
+            f"all amplitudes of {spec.model} label {spec.label} at "
+            f"N={spec.N} vanish identically")
     m = logs[live].max()
     amps = np.zeros(spec.d ** spec.N, dtype=complex)
     amps[ranks[live]] = np.exp(logs[live] - m + 1j * args[live])
@@ -213,9 +225,19 @@ def _geometry(geom):
     return ModularParam(geom)
 
 
-def _amplitude(spec, geom, s):
-    logs, args, zero = _config_logs(spec, _geometry(geom), s[None, :])
-    return 0j if zero[0] else LogComplex(logs[0], args[0]).value
+def _amplitude(spec, model, geom, config):
+    """One amplitude as a plain complex number; su2_1 labels are +-1, su2_2
+    labels 1, 0, -1."""
+    if spec.model != model:
+        raise InputError(f"expected an {model} spec, got {spec.model}")
+    s = np.asarray(config, dtype=np.int64)
+    allowed = {1, -1} if model == SU2_1 else {1, 0, -1}
+    if len(s) != spec.N or not set(np.unique(s)) <= allowed:
+        raise InputError(f"bad {model} configuration {config!r}")
+    if model == SU2_1 and s.sum() != 0:
+        return 0j
+    logs, args = _config_logs(spec, _geometry(geom), s[None, :])
+    return LogComplex(logs[0], args[0]).value
 
 
 # ----------------------------------------------------------------- public API
@@ -223,25 +245,13 @@ def _amplitude(spec, geom, s):
 def amplitude_su2_1(spec, geom, config):
     """Single SU(2)_1 amplitude as a plain complex number at torus radius R
     (a float or a ModularParam); geom=None is the cylinder."""
-    if spec.model != SU2_1:
-        raise InputError(f"expected an su2_1 spec, got {spec.model}")
-    s = np.asarray(config, dtype=np.int64)
-    if len(s) != spec.N or not set(np.unique(s)) <= {1, -1}:
-        raise InputError(f"bad su2_1 configuration {config!r}")
-    if s.sum() != 0:
-        return 0j
-    return _amplitude(spec, geom, s)
+    return _amplitude(spec, SU2_1, geom, config)
 
 
 def amplitude_su2_2(spec, geom, config):
     """Single SU(2)_2 amplitude (Pfaffian of the masked kernel matrix) at
     torus radius R (a float or a ModularParam); geom=None is the cylinder."""
-    if spec.model != SU2_2:
-        raise InputError(f"expected an su2_2 spec, got {spec.model}")
-    s = np.asarray(config, dtype=np.int64)
-    if len(s) != spec.N or not set(np.unique(s)) <= {1, 0, -1}:
-        raise InputError(f"bad su2_2 configuration {config!r}")
-    return _amplitude(spec, geom, s)
+    return _amplitude(spec, SU2_2, geom, config)
 
 
 def build_record(spec, geom):
@@ -270,10 +280,6 @@ def momentum_eigenvalue(spec):
 
 
 def build_cylinder_state(spec):
-    """The closed-form R -> infinity limit of build_state.
-
-    SU(2)_1 kernels: E -> sin(pi z)/pi; theta3(.|2 tau) -> 1 and theta2's
-    vanishing scale is dropped, keeping the z-dependent cos(pi sum s_j z_j).
-    SU(2)_2 kernels: wp_2 -> pi/tan(pi z), wp_3 and wp_4 -> pi/sin(pi z).
-    """
+    """The closed-form R -> infinity limit of build_state: build_state(spec,
+    None), with the cylinder forms of _FUNCTIONS."""
     return _build(spec, None)[0]

@@ -293,7 +293,7 @@ def _block_residuals(name, sizes, radii, measure):
         for R in radii:
             try:
                 res = measure(spec, R)
-            except ConsistencyError:
+            except (ConsistencyError, InputError):
                 if spec.N == 2:
                     skipped.append(f"{spec.name} N=2 R={R}")
                     continue

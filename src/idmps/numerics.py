@@ -2,8 +2,9 @@
 bracketed scalar minimizer.
 
 The Pfaffian is computed by Parlett-Reid elimination (skew-symmetric analogue
-of LU) with partial pivoting; the pivot product is accumulated as a LogComplex
-because block amplitudes at small torus radius overflow doubles.
+of LU) with partial pivoting, in real arithmetic for a real matrix; the pivot
+product is accumulated as a LogComplex because block amplitudes at small
+torus radius overflow doubles.
 
 A LinearOperator holds one matrix, usually scipy sparse (every Hamiltonian
 is). eig_smallest checks that it is Hermitian and is the only place that
@@ -34,10 +35,11 @@ def _breaks_symmetry(defect, a):
 
 
 class AntisymMatrix:
-    """Complex antisymmetric matrix; validates A = -A^T on construction."""
+    """Real or complex antisymmetric matrix; validates A = -A^T."""
 
     def __init__(self, entries):
-        a = np.asarray(entries, dtype=complex)
+        a = np.asarray(entries)
+        a = np.asarray(a, dtype=complex if np.iscomplexobj(a) else float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise InputError(f"expected a square matrix, got shape {a.shape}")
         if a.size and _breaks_symmetry(a + a.T, a):
@@ -64,8 +66,9 @@ def _pfaffian_eliminate(a):
         acc = acc * LogComplex.from_value(pivot)
         if k + 2 < n:
             t = a[k, k + 2:] / pivot
-            c = a[k + 2:, k + 1]
-            a[k + 2:, k + 2:] += np.outer(t, c) - np.outer(c, t)
+            u = np.outer(t, a[k + 2:, k + 1])
+            # u - u^T keeps the trailing block exactly antisymmetric
+            a[k + 2:, k + 2:] += u - u.T
     return acc
 
 

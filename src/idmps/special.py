@@ -48,7 +48,7 @@ _CHAR_NU = {(0.5, 0.5): (1, -1.0), (0.5, 0.0): (2, 1.0),
 
 
 class ModularParam:
-    """Torus geometry tau = iR with the nomes the block formulas need.
+    """Torus geometry tau = iR.
 
     Attributes
     ----------
@@ -56,10 +56,6 @@ class ModularParam:
         Torus radius, R > 0.
     tau : complex
         Modular parameter iR.
-    q1 : float
-        Nome exp(i pi tau) = exp(-pi R).
-    q2 : float
-        Nome of the doubled parameter, exp(2 pi i tau) = exp(-2 pi R).
     """
 
     def __init__(self, R):
@@ -68,12 +64,6 @@ class ModularParam:
             raise DomainError(f"torus radius must be positive, got {R}")
         self.R = R
         self.tau = complex(0.0, R)
-        self.q1 = math.exp(-math.pi * R)
-        self.q2 = math.exp(-2.0 * math.pi * R)
-
-    def q_sew(self, n):
-        """Sewing nome exp(-2 pi / (n R)) of the inverted frame."""
-        return math.exp(-2.0 * math.pi / (n * self.R))
 
     def __repr__(self):
         return f"ModularParam(R={self.R!r})"

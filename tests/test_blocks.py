@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from idmps import blocks
 from idmps.blocks import (BlockSpec, amplitude_su2_1, amplitude_su2_2, momentum_eigenvalue,
                           build_cylinder_state, build_record, build_state,
                           insertion_points, marshall_sign)
-from idmps.errors import ConsistencyError, InputError
+from idmps.errors import InputError
 from idmps.hilbert import (all_configs, apply_site_unitary, config_rank,
                            enumerate_sector, fidelity_per_site,
                            total_spin_quantum, total_sz_table, translate)
@@ -16,6 +19,88 @@ from idmps.numerics import pfaffian
 from idmps.refstates import U_CIRC_TO_SPIN
 from idmps.special import (ModularParam, prime_form_log, theta_char_log,
                            weierstrass_nu, weierstrass_nu_log)
+
+
+# ------------------------------------------------------------ symmetry fold
+# Each block function evaluated directly at x on the torus tau, and its
+# closed form on the cylinder.
+
+def _wp_direct(nu):
+    trig = math.tan if nu == 2 else math.sin
+    return (lambda x, tau: weierstrass_nu_log(nu, x, tau),
+            lambda x: math.pi / trig(math.pi * x))
+
+
+# keyed as blocks._FUNCTIONS: the prime form, wp_nu, theta[k;0](.|2 tau)
+DIRECT = {
+    "E": (prime_form_log, lambda x: math.sin(math.pi * x) / math.pi),
+    2: _wp_direct(2),
+    3: _wp_direct(3),
+    4: _wp_direct(4),
+    0.0: (lambda x, tau: theta_char_log((0.0, 0.0), x, 2 * tau),
+          lambda x: 1.0),
+    0.5: (lambda x, tau: theta_char_log((0.5, 0.0), x, 2 * tau),
+          lambda x: math.cos(math.pi * x)),
+}
+
+
+def direct_value(fn, x, R):
+    torus, cylinder = DIRECT[fn]
+    if R is None:
+        return LogComplex.from_value(cylinder(x))
+    return torus(x, 1j * R)
+
+
+# (N, n) with N even in 2..16 and x = n/N in [-2, 2]
+SITES_AND_ARGS = st.integers(1, 8).flatmap(
+    lambda h: st.tuples(st.just(2 * h), st.integers(-4 * h, 4 * h)))
+
+
+@pytest.mark.parametrize("fn", list(DIRECT), ids=["E", "wp2", "wp3", "wp4",
+                                                   "theta3", "theta2"])
+@settings(max_examples=40, deadline=None)
+@given(Nn=SITES_AND_ARGS, R=st.one_of(st.none(), st.floats(0.02, 30.0)))
+def test_fold_matches_direct_evaluation(fn, Nn, R):
+    N, n = Nn
+    parity, period = blocks._FUNCTIONS[fn][:2]
+    # odd functions vanish (E) or have a pole (wp) on the lattice
+    assume(parity > 0 or n % N)
+    geom = None if R is None else ModularParam(R)
+    logs, args = blocks._folded(fn, geom, np.array([n]), N)
+    want = direct_value(fn, n / N, R)
+    if parity * period < 0 and (2 * n) % (2 * N) == N:
+        # f(1/2) = -f(1/2): the fold makes the midpoint an exact zero, where
+        # direct evaluation leaves at most roundoff
+        assert logs[0] == -math.inf
+        ref = direct_value(fn, 0.25, R)
+        assert want.is_zero or want.log - ref.log < math.log(1e-12)
+        return
+    got = LogComplex(logs[0], args[0])
+    gap = LogComplex(got.log - want.log, got.arg - want.arg).value - 1
+    assert abs(gap) <= 1e-12, (got, want)
+
+
+def test_fold_evaluates_once_per_half_period_distance(monkeypatch):
+    calls = {"prime_form_log": 0, "theta_char_log": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(blocks, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(blocks, name, counted)
+    build_state(BlockSpec("su2_1", 0, 12), ModularParam(0.9))
+    # distances 1..11 fold to 1..6; n = sum_j s_j j folds to 0..6
+    assert calls["prime_form_log"] == 6
+    assert calls["theta_char_log"] <= 7
+
+
+def test_wp2_kernel_vanishes_at_half_chain():
+    for N in (2, 4, 6, 8):
+        for geom in (None, ModularParam(0.9)):
+            kernel = blocks._kernel_table(BlockSpec("su2_2", 2, N), geom)
+            assert kernel.dtype == float
+            half = np.arange(N // 2)
+            assert np.all(kernel[half, half + N // 2] == 0)
+            assert np.all(kernel[half + N // 2, half] == 0)
 
 
 # ------------------------------------------------- single-amplitude oracles
@@ -173,6 +258,13 @@ def test_su2_2_odd_flavor_count_vanishes():
     assert amplitude_su2_2(spec, geom, [0, 1, 1, 1]) == 0
 
 
+def test_su2_2_pfaffian_cancels_exactly():
+    # Pf = a^2 - a^2: wp_2(3/4) = -wp_2(1/4) and wp_2(1/2) = 0
+    spec = BlockSpec("su2_2", 2, 4)
+    assert amplitude_su2_2(spec, 0.9, [0, 0, 0, 0]) == 0
+    assert amplitude_su2_2(spec, None, [0, 0, 0, 0]) == 0
+
+
 def test_su2_2_amplitude_matches_builder():
     configs = {4: ([1, 1, 0, 0], [1, 0, 0, 1], [0, 0, 0, 0],
                    [-1, 1, 1, -1]),
@@ -212,11 +304,13 @@ def test_build_two_site_singlet():
 
 
 def test_build_identically_zero_blocks_raise():
-    # theta2(+-1/2|2tau) = 0 kills k=1/2 at N=2; wp_2(1/2) = 0 kills nu=2
-    with pytest.raises(ConsistencyError):
-        build_state(BlockSpec("su2_1", 0.5, 2), ModularParam(1.0))
-    with pytest.raises(ConsistencyError):
-        build_state(BlockSpec("su2_2", 2, 2), ModularParam(1.0))
+    # theta2(+-1/2|2tau) = 0 kills k=1/2 at N=2; wp_2(1/2) = 0 kills nu=2,
+    # on the torus and on the cylinder alike
+    for spec in (BlockSpec("su2_1", 0.5, 2), BlockSpec("su2_2", 2, 2)):
+        for geom in (ModularParam(1.0), None):
+            with pytest.raises(InputError, match=f"{spec.model} label "
+                               f"{spec.label} at N=2 vanish"):
+                build_state(spec, geom)
 
 
 def test_build_states_sz_neutral():

@@ -1,5 +1,6 @@
 """Pfaffian, eigensolver, and scalar-minimizer kernels."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -70,6 +71,29 @@ def test_pfaffian_congruence_invariance():
         lhs = pfaffian(b.T @ a @ b)
         rhs = np.linalg.det(b) * pfaffian(a)
         assert abs(lhs - rhs) <= 1e-9 * abs(rhs)
+
+
+def test_pfaffian_schur_update_stays_antisymmetric():
+    # an update that is not exactly antisymmetric leaves a[k, k+1] = 0
+    # opposite a pivot candidate a[k+1, k] ~ 1e-48 and divides by it
+    v1, v2 = 3.76821684 + 3.69440283e-30j, 0.61954085
+    a = np.zeros((6, 6), dtype=complex)
+    a[0, 1] = a[1, 2] = -v1
+    a[0, 2] = a[2, 4] = a[3, 5] = -v2
+    a[0, 4] = v2
+    a = a - a.T
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert abs(pfaffian(a)) <= 1e-30
+
+
+def test_real_matrix_eliminates_in_real_arithmetic():
+    rng = np.random.default_rng(5)
+    m = rng.normal(size=(6, 6))
+    a = m - m.T
+    assert AntisymMatrix(a).entries.dtype == float
+    assert pfaffian(a) == pytest.approx(pf_recursive(a), rel=1e-12)
+    assert AntisymMatrix(a + 0j).entries.dtype == complex
 
 
 def test_pfaffian_odd_dimension_is_zero():

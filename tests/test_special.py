@@ -43,9 +43,7 @@ def rel(a, b):
 def test_modular_param_fields():
     p = ModularParam(2.5)
     assert p.tau == 2.5j
-    assert p.q1 == pytest.approx(math.exp(-math.pi * 2.5), rel=1e-15)
-    assert p.q2 == pytest.approx(math.exp(-2 * math.pi * 2.5), rel=1e-15)
-    assert p.q_sew(2) == pytest.approx(math.exp(-math.pi / 2.5), rel=1e-15)
+    assert p.R == 2.5
 
 
 def test_modular_param_rejects_nonpositive():
