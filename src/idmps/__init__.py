@@ -25,25 +25,25 @@ from .refstates import (MPSTensor, U_CIRC_TO_SPIN, aklt_state, cvo_tensor,
                         dimer_state, flavor_pair, mg_combination,
                         mps_trace_state, singlet_pair,
                         spin1_dimer_combinations)
-from .blocks import (BlockSpec, amplitude_su2_1, amplitude_su2_2,
-                     build_cylinder_state, build_record, build_state,
-                     insertion_points, marshall_sign, momentum_eigenvalue)
+from .blocks import (BlockSpec, amplitude, build_cylinder_state,
+                     build_record, build_state, insertion_points,
+                     marshall_sign, momentum_eigenvalue)
 from .hamiltonians import (HamiltonianSpec, build, eigenstate_residual,
                            ground_states, ground_subspace,
                            parent_annihilation_check)
 from .experiments import (ScanResult, block_state_spin_basis, default_grid,
                           identity_suite, j1j2_family, limit_convergence,
                           qbq_family, scan_radius, sweep_csv,
-                          sweep_phase_diagram, worker_count)
+                          sweep_phase_diagram)
 
 __all__ = [
     "AccuracyError", "AntisymMatrix", "BlockSpec", "ConsistencyError",
     "DomainError", "Error", "HamiltonianSpec", "InputError", "LinearOperator",
     "LogComplex", "MPSTensor", "ModularParam", "NumericalError", "PoleError",
     "ScanResult", "SectorIndex", "StateVector", "U_CIRC_TO_SPIN",
-    "aklt_state", "amplitude_su2_1", "amplitude_su2_2",
-    "apply_site_unitary", "block_state_spin_basis", "build",
-    "build_cylinder_state", "build_record", "build_state", "cvo_tensor",
+    "aklt_state", "amplitude", "apply_site_unitary",
+    "block_state_spin_basis", "build", "build_cylinder_state",
+    "build_record", "build_state", "cvo_tensor",
     "default_grid", "dimer_state", "eig_smallest", "eigenstate_residual",
     "embed_sector", "enumerate_sector", "fidelity_per_site",
     "fidelity_per_site_subspace", "flavor_pair", "ground_states",
@@ -55,5 +55,5 @@ __all__ = [
     "qbq_family", "scan_radius", "singlet_pair", "spin1_dimer_combinations",
     "spin_matrices", "sweep_csv", "sweep_phase_diagram", "theta_char",
     "theta_char_log", "theta_nu", "theta_nu_log", "total_spin_quantum",
-    "translate", "weierstrass_nu", "weierstrass_nu_log", "worker_count",
+    "translate", "weierstrass_nu", "weierstrass_nu_log",
 ]

@@ -20,18 +20,19 @@ infinite-dimensional MPS limit, with sin/tan/cos closed forms). Every kernel
 and theta factor is folded onto the half period by its parity and period
 (_fold): each function is evaluated once per r in [0, N/2], its zero at 1/2
 (theta2, wp_2) is exact by symmetry, and the su2_2 kernel is real (tau = iR),
-so its Pfaffians run in real arithmetic. Everything is accumulated in
-log-magnitude/phase form: at small R the raw amplitudes overflow doubles, so
-the builder subtracts the maximum log before exponentiating and records the
-discarded global scale. The CLI, not this module, reports which reference
-state a thin-torus block approaches.
+so its Pfaffians run in real arithmetic. A configuration that the block's
+translation eigenvalue forbids is an exact zero too (_translation_zeros).
+Everything is accumulated in log-magnitude/phase form: at small R the raw
+amplitudes overflow doubles, so the builder subtracts the maximum log before
+exponentiating and records the discarded global scale. The CLI, not this
+module, reports which reference state a thin-torus block approaches.
 """
 import math
 
 import numpy as np
 
 from .errors import ConsistencyError, InputError
-from .hilbert import StateVector, all_configs, enumerate_sector
+from .hilbert import LABELS, StateVector, all_configs, enumerate_sector
 from .logcomplex import LogComplex
 from .numerics import pfaffian_log
 from .special import ModularParam, prime_form_log, theta_char_log, \
@@ -129,6 +130,25 @@ def _fold(n, N, parity, period):
     return r, sign
 
 
+def _translation_zeros(spec, labels):
+    """Rows of labels on which the block vanishes by translation symmetry.
+
+    The block is a T-eigenstate, T psi = lam psi with lam =
+    momentum_eigenvalue(spec). A configuration with orbit period q (the
+    smallest q with T^q s = s, a divisor of N) then has psi(s) = lam^q
+    psi(s), an exact zero unless lam^q = 1. The shifts that fix s are the
+    multiples of q, so marking the rows fixed by a divisor p of N with
+    lam^p != 1 finds exactly these zeros; lam is +-1 for every block here,
+    so rounding lam^p decides exactly.
+    """
+    lam = momentum_eigenvalue(spec)
+    zero = np.zeros(len(labels), dtype=bool)
+    for p in range(1, spec.N):
+        if spec.N % p == 0 and np.round(lam ** p) != 1:
+            zero |= np.all(labels == np.roll(labels, p, axis=1), axis=1)
+    return zero
+
+
 def _folded(fn, geom, n, N):
     """log|f(n/N)| and arg f(n/N) of _FUNCTIONS[fn] for an integer array n,
     on the torus geom or the cylinder (None). f is evaluated once per
@@ -167,7 +187,7 @@ def _kernel_table(spec, geom):
 
 def _config_logs(spec, geom, labels):
     """log|psi| and arg psi for each row of labels; log = -inf marks an
-    exact zero.
+    exact zero, including the translation zeros.
 
     su2_1 rows must be charge neutral.
     """
@@ -183,11 +203,14 @@ def _config_logs(spec, geom, labels):
         # the theta factor sees a configuration only through n = sum s_j j
         tlogs, targs = _folded(spec.label, geom, labels @ np.arange(1, N + 1),
                                N)
-        return logs + tlogs, args + targs
-    kernel = _kernel_table(spec, geom)
-    pfs = [pfaffian_log(kernel * (row[:, None] == row[None, :]))
-           for row in labels]
-    return np.array([pf.log for pf in pfs]), np.array([pf.arg for pf in pfs])
+        logs, args = logs + tlogs, args + targs
+    else:
+        kernel = _kernel_table(spec, geom)
+        pfs = [pfaffian_log(kernel * (row[:, None] == row[None, :]))
+               for row in labels]
+        logs, args = (np.array([pf.log for pf in pfs]),
+                      np.array([pf.arg for pf in pfs]))
+    return np.where(_translation_zeros(spec, labels), -np.inf, logs), args
 
 
 def _build(spec, geom):
@@ -225,33 +248,19 @@ def _geometry(geom):
     return ModularParam(geom)
 
 
-def _amplitude(spec, model, geom, config):
-    """One amplitude as a plain complex number; su2_1 labels are +-1, su2_2
-    labels 1, 0, -1."""
-    if spec.model != model:
-        raise InputError(f"expected an {model} spec, got {spec.model}")
+# ----------------------------------------------------------------- public API
+
+def amplitude(spec, geom, config):
+    """One amplitude of the block as a plain complex number at torus radius
+    R (a float or a ModularParam), or on the cylinder for geom=None; labels
+    are +-1 for su2_1 and the flavors 1, 0, -1 for su2_2."""
     s = np.asarray(config, dtype=np.int64)
-    allowed = {1, -1} if model == SU2_1 else {1, 0, -1}
-    if len(s) != spec.N or not set(np.unique(s)) <= allowed:
-        raise InputError(f"bad {model} configuration {config!r}")
-    if model == SU2_1 and s.sum() != 0:
+    if len(s) != spec.N or not set(np.unique(s)) <= set(LABELS[spec.d]):
+        raise InputError(f"bad {spec.model} configuration {config!r}")
+    if spec.model == SU2_1 and s.sum() != 0:
         return 0j
     logs, args = _config_logs(spec, _geometry(geom), s[None, :])
     return LogComplex(logs[0], args[0]).value
-
-
-# ----------------------------------------------------------------- public API
-
-def amplitude_su2_1(spec, geom, config):
-    """Single SU(2)_1 amplitude as a plain complex number at torus radius R
-    (a float or a ModularParam); geom=None is the cylinder."""
-    return _amplitude(spec, SU2_1, geom, config)
-
-
-def amplitude_su2_2(spec, geom, config):
-    """Single SU(2)_2 amplitude (Pfaffian of the masked kernel matrix) at
-    torus radius R (a float or a ModularParam); geom=None is the cylinder."""
-    return _amplitude(spec, SU2_2, geom, config)
 
 
 def build_record(spec, geom):

@@ -282,7 +282,7 @@ def _cmd_scan_radius(args, dests):
     t0 = time.perf_counter()
     spec = BlockSpec(args.model, _parse_label(args.label), args.N)
     res = scan_radius(spec, _ham_spec(args), R_grid=_parse_grid(args.grid),
-                      objective=args.objective, workers=args.threads)
+                      objective=args.objective)
     lines = ["R,energy,fidelity_per_site"]
     lines += [",".join(_fmt(x) for x in row) for row in res.rows]
     _write_outputs(args, dests, t0, [
@@ -304,8 +304,7 @@ def _cmd_scan_phase(args, dests):
     else:
         raise InputError(f"scan phase supports j1j2 or qbq, got {args.ham!r}")
     points = sweep_phase_diagram(spec, family, R_grid=_parse_grid(args.grid),
-                                 objective=args.objective,
-                                 workers=args.threads)
+                                 objective=args.objective)
     doc = [{"param": p["param"], "error": p["error"],
             "scan": None if p["scan"] is None else p["scan"].to_dict()}
            for p in points]
@@ -434,7 +433,6 @@ def _build_parser():
         opt("--theta", type=float)
         opt("--grid", help="lo,hi,count geometric radius grid")
         opt("--objective", default="energy", choices=("energy", "fidelity"))
-        opt("--threads", type=int)
         opt("--out-dir", default=".")
         if name == "phase":
             opt("--param-grid", required=True,

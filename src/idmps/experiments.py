@@ -10,8 +10,6 @@ flavor basis and are rotated site-by-site into the spin basis before they
 meet a spin-basis chain.
 """
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -32,26 +30,6 @@ FLOOR = 1e-12
 
 SWEEP_COLUMNS = ("param", "R_opt", "energy_opt", "ground_energy",
                  "fidelity_per_site")
-
-
-def worker_count(workers=None):
-    """Resolve a worker count: explicit value, IDMPS_THREADS, or 1."""
-    if workers is None:
-        workers = os.environ.get("IDMPS_THREADS", "1")
-    try:
-        w = int(workers)
-    except (TypeError, ValueError):
-        raise InputError(f"worker count must be an integer, got {workers!r}")
-    if w < 1:
-        raise InputError(f"worker count must be >= 1, got {w}")
-    return w
-
-
-def _map_ordered(fn, items, workers):
-    if workers == 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def block_state_spin_basis(spec, geom=None):
@@ -116,15 +94,21 @@ def _check_compatible(spec, ham):
             f"({ham.N},d={ham.d})")
 
 
-def default_grid(n=GRID_POINTS):
-    return np.geomspace(R_MIN, R_MAX, n)
+def default_grid():
+    return np.geomspace(R_MIN, R_MAX, GRID_POINTS)
 
 
-def scan_radius(spec, ham, R_grid=None, objective="energy", workers=None):
+def scan_radius(spec, ham, R_grid=None, objective="energy", workers=1):
     """Scan torus radii against a chain; refine the best point by Brent.
 
     Energies are checked against the variational bound E >= E0 - 1e-9.
+    The grid points run serially. `workers` accepts only 1: the benchmark
+    workloads still pass workers=1, and the next benchmark-upkeep change
+    removes the keyword.
     """
+    if workers != 1:
+        raise InputError(f"scan_radius runs serially: workers must be 1, "
+                         f"got {workers!r}")
     _check_compatible(spec, ham)
     if objective not in ("energy", "fidelity"):
         raise InputError(f"objective must be energy or fidelity, "
@@ -135,7 +119,6 @@ def scan_radius(spec, ham, R_grid=None, objective="energy", workers=None):
         raise InputError("need at least two grid radii")
     if grid[0] < R_MIN or grid[-1] > R_MAX:
         raise InputError(f"grid must lie within [{R_MIN}, {R_MAX}]")
-    workers = worker_count(workers)
     h = hamiltonians.build(ham)
     e0, ground = hamiltonians.ground_states(ham)
 
@@ -146,7 +129,7 @@ def scan_radius(spec, ham, R_grid=None, objective="energy", workers=None):
         fid = fidelity_per_site_subspace(state, ground)
         return float(R), energy, fid
 
-    rows = _map_ordered(point, grid, workers)
+    rows = [point(R) for R in grid]
     score = (lambda row: row[1]) if objective == "energy" \
         else (lambda row: -row[2])
     best = min(range(len(rows)), key=lambda i: score(rows[i]))
@@ -169,8 +152,7 @@ def scan_radius(spec, ham, R_grid=None, objective="energy", workers=None):
                       objective, at_lower_edge, unbounded)
 
 
-def sweep_phase_diagram(spec, ham_family, R_grid=None, objective="energy",
-                        workers=None):
+def sweep_phase_diagram(spec, ham_family, R_grid=None, objective="energy"):
     """One radius scan per (parameter, chain) pair.
 
     Returns [{"param", "scan", "error"}]; a failing point records its error
@@ -184,7 +166,7 @@ def sweep_phase_diagram(spec, ham_family, R_grid=None, objective="energy",
         entry = {"param": float(param), "scan": None, "error": None}
         try:
             entry["scan"] = scan_radius(spec, ham, R_grid=R_grid,
-                                        objective=objective, workers=workers)
+                                        objective=objective)
         except Error as exc:
             entry["error"] = f"{type(exc).__name__}: {exc}"
         out.append(entry)

@@ -165,10 +165,16 @@ class StateVector:
     def from_bytes(cls, blob):
         if blob[:6] != MAGIC:
             raise InputError("bad magic: not an IDMPS1 state file")
+        if len(blob) < 12:
+            raise InputError("truncated IDMPS1 state file header")
         d, normalized, N = struct.unpack("<BBI", blob[6:12])
-        pairs = np.frombuffer(blob[12:], dtype="<f8")
-        if len(pairs) != 2 * d ** N:
+        _check_dim(d)
+        # d^N <= the amplitude count needs N <= its bit length (d >= 2); a
+        # corrupt header must fail here, before d ** N is computed
+        count, rest = divmod(len(blob) - 12, 16)
+        if rest or N > count.bit_length() or count != d ** N:
             raise InputError("truncated IDMPS1 state file")
+        pairs = np.frombuffer(blob[12:], dtype="<f8")
         amps = pairs[0::2] + 1j * pairs[1::2]
         return cls(N, d, amps, normalized=bool(normalized))
 
@@ -189,20 +195,16 @@ def translate(v):
     return StateVector(v.N, v.d, t.reshape(-1), normalized=v.normalized)
 
 
-def apply_site_unitary(v, u, sites=None):
-    """Apply a d x d unitary on the selected sites (0-based; default all)."""
+def apply_site_unitary(v, u):
+    """Apply a d x d unitary on every site."""
     u = np.asarray(u, dtype=complex)
     if u.shape != (v.d, v.d):
         raise InputError(f"unitary must be {v.d}x{v.d}, got {u.shape}")
     if np.abs(u.conj().T @ u - np.eye(v.d)).max() > 1e-12:
         raise InputError("matrix is not unitary within 1e-12")
-    if sites is None:
-        sites = range(v.N)
-    t = v.tensor().copy()
-    for i in sites:
-        if not 0 <= i < v.N:
-            raise InputError(f"site {i} out of range for N={v.N}")
-        t = np.moveaxis(np.tensordot(u, t, axes=([1], [i])), 0, i)
+    t = v.tensor()
+    for i in range(v.N):
+        t = _apply_one_site(t, u, i)
     return StateVector(v.N, v.d, t.reshape(-1), normalized=v.normalized)
 
 

@@ -5,7 +5,6 @@ orders of magnitude at small torus radius, so products are accumulated as
 (log|x|, arg x) pairs and only exponentiated after a global scale has been
 split off.
 """
-import cmath
 import math
 
 
@@ -23,7 +22,8 @@ class LogComplex:
         z = complex(z)
         if z == 0:
             return cls.zero()
-        return cls(math.log(abs(z)), cmath.phase(z))
+        # atan2, not cmath.phase, which raises when the phase underflows
+        return cls(math.log(abs(z)), math.atan2(z.imag, z.real))
 
     @classmethod
     def zero(cls):

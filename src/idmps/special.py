@@ -39,6 +39,10 @@ SERIES_RTOL = 1e-16
 CANCEL_EPS = 1e-13
 MAX_TERMS = 100_000
 NOME_SPLIT = 0.5
+# torus radii accepted by ModularParam, bounds included: below and above,
+# block states drift from their thin-torus and cylinder limits without an
+# error, and at R = 1e-300 the theta1' prefactor divides by zero
+RADIUS_RANGE = (1e-8, 1e8)
 
 _NU_CHAR = {1: (0.5, 0.5), 2: (0.5, 0.0), 3: (0.0, 0.0), 4: (0.0, 0.5)}
 # S-transform permutation: theta_nu(z/tau|-1/tau) maps to theta_{swap(nu)}(z|tau)
@@ -53,15 +57,17 @@ class ModularParam:
     Attributes
     ----------
     R : float
-        Torus radius, R > 0.
+        Torus radius, finite and within RADIUS_RANGE.
     tau : complex
         Modular parameter iR.
     """
 
     def __init__(self, R):
         R = float(R)
-        if not R > 0:
-            raise DomainError(f"torus radius must be positive, got {R}")
+        lo, hi = RADIUS_RANGE
+        if not lo <= R <= hi:
+            raise DomainError(
+                f"torus radius must lie in [{lo:g}, {hi:g}], got {R}")
         self.R = R
         self.tau = complex(0.0, R)
 
@@ -106,7 +112,7 @@ def _series_log(a, b, z, tau, order=0):
     s = complex(math.fsum(terms.real), math.fsum(terms.imag))
     if abs(s) <= CANCEL_EPS * tmax:
         return LogComplex.zero()
-    return LogComplex(m + math.log(abs(s)), cmath.phase(s))
+    return LogComplex(m + math.log(abs(s)), math.atan2(s.imag, s.real))
 
 
 def _validate_char(c):

@@ -7,9 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from idmps import blocks
-from idmps.blocks import (BlockSpec, amplitude_su2_1, amplitude_su2_2, momentum_eigenvalue,
-                          build_cylinder_state, build_record, build_state,
-                          insertion_points, marshall_sign)
+from idmps.blocks import (BlockSpec, amplitude, build_cylinder_state,
+                          build_record, build_state, insertion_points,
+                          marshall_sign, momentum_eigenvalue)
 from idmps.errors import InputError
 from idmps.hilbert import (all_configs, apply_site_unitary, config_rank,
                            enumerate_sector, fidelity_per_site,
@@ -144,7 +144,7 @@ def oracle_su2_2(spec, geom, labels):
     return pfaffian(c)
 
 
-def assert_matches_oracle(spec, geom, amplitude, oracle, configs):
+def assert_matches_oracle(spec, geom, oracle, configs):
     """Single amplitudes and the built state against the oracle."""
     want = np.array([oracle(spec, geom, c) for c in configs])
     got = np.array([amplitude(spec, geom, c) for c in configs])
@@ -193,14 +193,14 @@ def test_marshall_sign():
 def test_su2_1_charge_neutrality():
     spec = BlockSpec("su2_1", 0, 4)
     geom = ModularParam(1.0)
-    assert amplitude_su2_1(spec, geom, [1, 1, 1, -1]) == 0
+    assert amplitude(spec, geom, [1, 1, 1, -1]) == 0
 
 
 def test_su2_1_two_site_singlet_amplitudes():
     spec = BlockSpec("su2_1", 0, 2)
     geom = ModularParam(0.7)
-    a = amplitude_su2_1(spec, geom, [1, -1])
-    b = amplitude_su2_1(spec, geom, [-1, 1])
+    a = amplitude(spec, geom, [1, -1])
+    b = amplitude(spec, geom, [-1, 1])
     assert a == pytest.approx(-b, rel=1e-12)
     assert abs(a) > 0
 
@@ -211,8 +211,7 @@ def test_su2_1_amplitude_matches_builder():
     for label in (0, 0.5):
         spec = BlockSpec("su2_1", label, 6)
         for geom in (ModularParam(1.3), None):
-            assert_matches_oracle(spec, geom, amplitude_su2_1, oracle_su2_1,
-                                  configs)
+            assert_matches_oracle(spec, geom, oracle_su2_1, configs)
 
 
 def test_su2_1_cylinder_amplitude_exact_zero():
@@ -224,14 +223,14 @@ def test_su2_1_cylinder_amplitude_exact_zero():
     assert [1, -1, 1, -1, 1, -1] in [list(c) for c in zeros]
     cyl = build_cylinder_state(spec)
     for c in zeros:
-        assert amplitude_su2_1(spec, None, c) == 0
+        assert amplitude(spec, None, c) == 0
         assert cyl.amplitudes[config_rank(c, 2)] == 0
 
 
 def test_su2_1_rejects_bad_config():
     spec = BlockSpec("su2_1", 0, 4)
     with pytest.raises(InputError):
-        amplitude_su2_1(spec, ModularParam(1.0), [1, 0, -1, 1])
+        amplitude(spec, ModularParam(1.0), [1, 0, -1, 1])
 
 
 # ------------------------------------------------------------- su2_2 amplitude
@@ -239,7 +238,7 @@ def test_su2_1_rejects_bad_config():
 def test_su2_2_two_site_is_kernel_value():
     geom = ModularParam(0.9)
     spec = BlockSpec("su2_2", 3, 2)
-    got = amplitude_su2_2(spec, geom, [0, 0])
+    got = amplitude(spec, geom, [0, 0])
     want = weierstrass_nu(3, 0.5 - 1.0, geom.tau)
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -247,7 +246,7 @@ def test_su2_2_two_site_is_kernel_value():
 def test_su2_2_two_site_flavor_degeneracy():
     geom = ModularParam(1.1)
     spec = BlockSpec("su2_2", 4, 2)
-    vals = [amplitude_su2_2(spec, geom, [s, s]) for s in (1, 0, -1)]
+    vals = [amplitude(spec, geom, [s, s]) for s in (1, 0, -1)]
     assert vals[0] == pytest.approx(vals[1], rel=1e-12)
     assert vals[1] == pytest.approx(vals[2], rel=1e-12)
 
@@ -255,14 +254,44 @@ def test_su2_2_two_site_flavor_degeneracy():
 def test_su2_2_odd_flavor_count_vanishes():
     geom = ModularParam(1.0)
     spec = BlockSpec("su2_2", 4, 4)
-    assert amplitude_su2_2(spec, geom, [0, 1, 1, 1]) == 0
+    assert amplitude(spec, geom, [0, 1, 1, 1]) == 0
 
 
 def test_su2_2_pfaffian_cancels_exactly():
     # Pf = a^2 - a^2: wp_2(3/4) = -wp_2(1/4) and wp_2(1/2) = 0
     spec = BlockSpec("su2_2", 2, 4)
-    assert amplitude_su2_2(spec, 0.9, [0, 0, 0, 0]) == 0
-    assert amplitude_su2_2(spec, None, [0, 0, 0, 0]) == 0
+    assert amplitude(spec, 0.9, [0, 0, 0, 0]) == 0
+    assert amplitude(spec, None, [0, 0, 0, 0]) == 0
+
+
+def test_translation_zeros_are_exact():
+    # nu=2 has momentum -1, so a one-flavor configuration (orbit period 1)
+    # vanishes; the Pfaffians alone leave ~1e-17 here
+    spec = BlockSpec("su2_2", 2, 8)
+    for geom in (0.05, 0.9, None):
+        state, _ = build_record(spec, geom)
+        for s in (1, 0, -1):
+            assert amplitude(spec, geom, [s] * 8) == 0
+            assert state.amplitudes[config_rank([s] * 8, 3)] == 0
+
+
+def test_translation_rule_only_adds_exact_zeros(monkeypatch):
+    # against the builder without the rule: its exact zeros stay exact, the
+    # rule zeroes only roundoff, and every other amplitude keeps its bits
+    specs = (BlockSpec("su2_1", 0, 6), BlockSpec("su2_1", 0, 10),
+             BlockSpec("su2_1", 0.5, 8), BlockSpec("su2_2", 2, 6),
+             BlockSpec("su2_2", 2, 8))
+    for spec in specs:
+        for geom in (0.05, 0.2, 0.9, None):
+            on = build_state(spec, geom).amplitudes
+            with monkeypatch.context() as m:
+                m.setattr(blocks, "_translation_zeros",
+                          lambda spec, labels: np.zeros(len(labels), bool))
+                off = build_state(spec, geom).amplitudes
+            added = (on == 0) & (off != 0)
+            assert np.all(on[off == 0] == 0)
+            assert np.all(np.abs(off[added]) < 1e-16)
+            assert np.array_equal(on[~added], off[~added])
 
 
 def test_su2_2_amplitude_matches_builder():
@@ -274,8 +303,7 @@ def test_su2_2_amplitude_matches_builder():
         for label in (2, 3, 4):
             spec = BlockSpec("su2_2", label, N)
             for geom in (ModularParam(0.9), None):
-                assert_matches_oracle(spec, geom, amplitude_su2_2,
-                                      oracle_su2_2, cfgs)
+                assert_matches_oracle(spec, geom, oracle_su2_2, cfgs)
 
 
 def test_su2_2_matches_direct_pfaffian():
@@ -288,7 +316,7 @@ def test_su2_2_matches_direct_pfaffian():
         for j in range(4):
             if i != j and labels[i] == labels[j]:
                 c[i, j] = weierstrass_nu(2, z[i] - z[j], geom.tau)
-    assert amplitude_su2_2(spec, geom, labels) == pytest.approx(
+    assert amplitude(spec, geom, labels) == pytest.approx(
         pfaffian(c), rel=1e-11)
 
 
@@ -370,10 +398,10 @@ def test_float_radius_and_cylinder_geometry():
     one = BlockSpec("su2_1", 0, 4)
     two = BlockSpec("su2_2", 3, 4)
     for R in (0.1, 1.0):
-        assert amplitude_su2_1(one, R, [1, -1, 1, -1]) \
-            == amplitude_su2_1(one, ModularParam(R), [1, -1, 1, -1])
-        assert amplitude_su2_2(two, R, [1, 1, 0, 0]) \
-            == amplitude_su2_2(two, ModularParam(R), [1, 1, 0, 0])
+        assert amplitude(one, R, [1, -1, 1, -1]) \
+            == amplitude(one, ModularParam(R), [1, -1, 1, -1])
+        assert amplitude(two, R, [1, 1, 0, 0]) \
+            == amplitude(two, ModularParam(R), [1, 1, 0, 0])
     for spec in (one, two):
         state, _ = build_record(spec, None)
         assert np.array_equal(state.amplitudes,

@@ -196,17 +196,6 @@ def test_scan_radius_cli_outputs_and_manifest_replay(tmp_path):
             open(f"{b}/{name}", "rb").read()
 
 
-def test_scan_radius_threads_flag_does_not_change_output(tmp_path):
-    base = ["scan", "radius", "--model", "su2_1", "--label", "0",
-            "--N", "4", "--ham", "j1j2", "--J2", "0.5",
-            "--grid", "0.02,1,4"]
-    a, b = str(tmp_path / "t1"), str(tmp_path / "t2")
-    assert cli.run(base + ["--threads", "1", "--out-dir", a]) == 0
-    assert cli.run(base + ["--threads", "3", "--out-dir", b]) == 0
-    assert open(a + "/radius_scan.csv").read() == \
-        open(b + "/radius_scan.csv").read()
-
-
 def test_scan_phase_cli(tmp_path):
     out = str(tmp_path / "sweep")
     assert run("scan", "phase", "--model", "su2_1", "--label", "0",
@@ -249,6 +238,43 @@ def test_check_limits_exit_codes(tmp_path, capsys):
     assert run("check", "limits", "--model", "su2_1", "--label", "0",
                "--N", "4", "--target", "mg", "--radii", "0.4,0.1,0.2") == 1
     capsys.readouterr()
+
+
+def test_radius_outside_range_exits_one(tmp_path, capsys):
+    # ModularParam rejects the radius as a DomainError: bad input, exit 1
+    out = str(tmp_path / "x.state")
+    for R in ("1e-300", "inf", "nan", "1e16"):
+        assert run("state", "build", "--model", "su2_1", "--label", "0",
+                   "--N", "4", "--R", R, "--out", out) == 1
+    assert run("check", "limits", "--model", "su2_1", "--label", "0",
+               "--N", "4", "--target", "mg",
+               "--radii", "1e-6,1e-8,1e-10") == 1
+    assert "torus radius" in capsys.readouterr().err
+
+
+# every subcommand's options, as the manifest's resolved_config keys; a new
+# option or knob has to be added here on purpose
+OPTIONS = {
+    ("special", "eval"): ["config", "fn", "z", "R", "out"],
+    ("state", "build"): ["config", "model", "label", "N", "R", "cylinder",
+                         "out"],
+    ("state", "reference"): ["config", "which", "N", "out"],
+    ("ed", "ground"): ["config", "ham", "N", "J1", "J2", "theta", "k",
+                       "vectors", "out"],
+    ("scan", "radius"): ["config", "model", "label", "N", "ham", "J1", "J2",
+                         "theta", "grid", "objective", "out_dir"],
+    ("scan", "phase"): ["config", "model", "label", "N", "ham", "J1", "J2",
+                        "theta", "grid", "objective", "out_dir",
+                        "param_grid"],
+    ("check", "suite"): ["config", "N", "radii", "out_dir"],
+    ("check", "limits"): ["config", "model", "label", "N", "target", "radii",
+                          "out_dir"],
+}
+
+
+def test_subcommand_options_are_frozen():
+    _, registry = cli._build_parser()
+    assert {key: dests for key, (_, dests, _) in registry.items()} == OPTIONS
 
 
 def test_usage_errors_exit_one(capsys):

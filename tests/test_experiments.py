@@ -10,8 +10,7 @@ from idmps.blocks import BlockSpec
 from idmps.errors import ConsistencyError, InputError
 from idmps.experiments import (block_state_spin_basis, identity_suite,
                                j1j2_family, limit_convergence, qbq_family,
-                               scan_radius, sweep_csv, sweep_phase_diagram,
-                               worker_count)
+                               scan_radius, sweep_csv, sweep_phase_diagram)
 from idmps.hamiltonians import HamiltonianSpec, ground_states
 
 GRID = np.geomspace(0.02, 30, 10)
@@ -72,26 +71,16 @@ def test_fidelity_objective_is_available():
     assert res.optimum[2] >= 1 - 1e-6
 
 
-def test_scan_runs_identically_across_worker_counts():
-    spec = BlockSpec("su2_1", 0, 6)
-    ham = HamiltonianSpec("j1j2", 6, J2=0.5)
-    grid = np.geomspace(0.02, 1.0, 6)
-    a = scan_radius(spec, ham, R_grid=grid, workers=1)
-    b = scan_radius(spec, ham, R_grid=grid, workers=3)
-    assert a.rows == b.rows
-    assert a.optimum == b.optimum
-
-
-def test_worker_count_resolution(monkeypatch):
-    assert worker_count(4) == 4
-    monkeypatch.setenv("IDMPS_THREADS", "2")
-    assert worker_count() == 2
-    monkeypatch.delenv("IDMPS_THREADS")
-    assert worker_count() == 1
-    with pytest.raises(InputError):
-        worker_count(0)
-    with pytest.raises(InputError):
-        worker_count("many")
+def test_scan_radius_runs_serially_only():
+    # workers=1 is the benchmark's call; any other count is refused
+    spec = BlockSpec("su2_1", 0, 4)
+    ham = HamiltonianSpec("j1j2", 4, J2=0.5)
+    grid = np.geomspace(0.02, 1.0, 3)
+    assert scan_radius(spec, ham, R_grid=grid, workers=1).rows == \
+        scan_radius(spec, ham, R_grid=grid).rows
+    for workers in (2, 0, None):
+        with pytest.raises(InputError):
+            scan_radius(spec, ham, R_grid=grid, workers=workers)
 
 
 def test_singleton_sweep_matches_direct_scan():

@@ -1,5 +1,7 @@
 """Configuration indexing, symmetry operators, fidelity, serialization."""
 import math
+import struct
+import time
 
 import numpy as np
 import pytest
@@ -122,13 +124,6 @@ def test_translate_commutes_with_uniform_unitary():
     assert np.allclose(a.amplitudes, b.amplitudes, atol=1e-13)
 
 
-def test_single_site_selection():
-    v = basis_state(2, 2, [1, 1])
-    x = np.array([[0, 1], [1, 0]])
-    w = apply_site_unitary(v, x, sites=[1])
-    assert w.amplitudes[config_rank([1, -1], 2)] == 1.0
-
-
 # ------------------------------------------------------------------ total spin
 
 def test_total_spin_singlet():
@@ -214,6 +209,20 @@ def test_binary_rejects_garbage():
     v = random_state(2, 2, seed=8)
     with pytest.raises(InputError):
         StateVector.from_bytes(v.to_bytes()[:-8])
+
+
+def test_binary_header_checked_before_allocation():
+    # a 6-byte blob and a header claiming N = 2^32 - 1 (with d = 2 and d = 7)
+    # fail fast with InputError; the header is never trusted to size d^N
+    blobs = [b"IDMPS1",
+             b"IDMPS1" + struct.pack("<BBI", 2, 1, 2 ** 32 - 1),
+             b"IDMPS1" + struct.pack("<BBI", 2, 1, 2 ** 32 - 1) + b"\x00" * 16,
+             b"IDMPS1" + struct.pack("<BBI", 7, 1, 1) + b"\x00" * 112]
+    for blob in blobs:
+        t0 = time.perf_counter()
+        with pytest.raises(InputError):
+            StateVector.from_bytes(blob)
+        assert time.perf_counter() - t0 < 0.1
 
 
 def test_state_vector_validation():

@@ -49,3 +49,9 @@ def test_huge_log_value_is_inf():
 def test_phase_reduction():
     a = LogComplex(0.0, 2 * math.pi * 1e6 + 0.25)
     assert cmath.phase(a.value) == pytest.approx(0.25, abs=1e-8)
+
+
+def test_phase_underflow_is_zero_not_an_error():
+    # cmath.phase raises OverflowError when atan2 underflows to 0
+    x = LogComplex.from_value(complex(2.0, 5e-324))
+    assert x.arg == 0.0 and x.log == math.log(2.0)

@@ -5,12 +5,14 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from idmps.errors import AccuracyError, DomainError, PoleError
 from idmps.special import (
-    ModularParam, modular_residual, prime_form, prime_form_log, theta1_prime0,
-    theta_char, theta_char_log, theta_nu, theta_nu_log, weierstrass_nu,
-    weierstrass_nu_log,
+    NOME_SPLIT, RADIUS_RANGE, ModularParam, modular_residual, prime_form,
+    prime_form_log, theta1_prime0, theta_char, theta_char_log, theta_nu,
+    theta_nu_log, weierstrass_nu, weierstrass_nu_log,
 )
 
 mp.mp.dps = 30
@@ -51,6 +53,17 @@ def test_modular_param_rejects_nonpositive():
         ModularParam(0.0)
     with pytest.raises(DomainError):
         ModularParam(-1.0)
+
+
+def test_modular_param_radius_range():
+    # both bounds are accepted; non-finite radii and radii beyond them are not
+    lo, hi = RADIUS_RANGE
+    assert (lo, hi) == (1e-8, 1e8)
+    assert ModularParam(lo).R == lo and ModularParam(hi).R == hi
+    for R in (math.inf, -math.inf, math.nan, 1e-300, 1e16,
+              math.nextafter(lo, 0.0), math.nextafter(hi, math.inf)):
+        with pytest.raises(DomainError):
+            ModularParam(R)
 
 
 # ------------------------------------------------------------- theta functions
@@ -142,6 +155,42 @@ def test_theta_rejects_bad_input():
         theta_nu(3, 0.1, -1j)
     with pytest.raises(DomainError):
         theta_char_log((0.0, 0.0), 0.1, 1j, path="sideways")
+
+
+CHARS = ((0.0, 0.0), (0.5, 0.0), (0.0, 0.5), (0.5, 0.5))
+# the direct series sums terms up to M in magnitude, so rounding leaves
+# about 1e-16 M / |theta| in log|theta|; where that ratio is larger (near a
+# zero, or far out along Re z on a thin torus) no double-precision series
+# can hold 1e-9, and such points are left out
+DIRECT_COND_MAX = 1e5
+
+
+def _log_max_term(c, z, R):
+    """log of the largest term magnitude in the direct series at tau = iR."""
+    n = np.arange(-100, 101) + c[0]
+    return float((-math.pi * R * n * n - 2 * math.pi * n * z.imag).max())
+
+
+@settings(max_examples=200, deadline=None)
+@given(c=st.sampled_from(CHARS), R=st.floats(0.05, 3.0),
+       x=st.floats(-1.0, 1.0), y=st.floats(-0.5, 0.5))
+def test_theta_paths_agree(c, R, x, y):
+    # the radii span NOME_SPLIT (R = ln 2 / pi), where auto switches paths
+    assert 0.05 < -math.log(NOME_SPLIT) / math.pi < 3.0
+    z = complex(x, y * R)
+    i = theta_char_log(c, z, 1j * R, path="inverted")
+    assume(_log_max_term(c, z, R) - i.log <= math.log(DIRECT_COND_MAX))
+    d = theta_char_log(c, z, 1j * R, path="direct")
+    assert abs(d.log - i.log) <= 1e-9
+    assert abs(cmath.phase(cmath.exp(1j * (d.arg - i.arg)))) <= 1e-9
+
+
+def test_theta_series_phase_underflow():
+    # the inverted theta4 series at this z sums to 2.06 + 5e-324j
+    z = complex(2.220446049250313e-16, 3.8938793525875054e-309)
+    d = theta_char_log((0.0, 0.5), z, 1.75j, path="direct")
+    i = theta_char_log((0.0, 0.5), z, 1.75j, path="inverted")
+    assert abs(d.log - i.log) < 1e-13 and abs(i.arg) < 1e-300
 
 
 def test_theta_unconvergent_series_raises():
