@@ -8,8 +8,8 @@ how the torus radius interpolates between two solvable limits.
 
 import numpy as np
 
-from idmps.blocks import (BlockSpec, build_cylinder_state, build_record,
-                          build_state, momentum_eigenvalue)
+from idmps.blocks import (BlockSpec, build_record, build_state,
+                          momentum_eigenvalue)
 from idmps.hilbert import (apply_site_unitary, fidelity_per_site,
                            total_spin_quantum, translate)
 from idmps.refstates import U_CIRC_TO_SPIN, mg_combination
@@ -44,5 +44,5 @@ for R in (0.2, 0.1, 0.05):
 
 # the opposite limit has a closed form: sin / tan kernels on the cylinder
 psi = build_state(BlockSpec("su2_1", 0, 6), 30.0)
-cyl = build_cylinder_state(BlockSpec("su2_1", 0, 6))
+cyl = build_state(BlockSpec("su2_1", 0, 6), None)
 print(f"\n|<psi0(R=30)|psi0_cyl>| = {abs(psi.overlap(cyl)):.12f}")

@@ -8,7 +8,7 @@ cot-coupling parent chain annihilates the k = 0 cylinder state.
 
 import math
 
-from idmps.blocks import BlockSpec, build_cylinder_state
+from idmps.blocks import BlockSpec, build_state
 from idmps.hamiltonians import (HamiltonianSpec, build, eigenstate_residual,
                                 ground_states, parent_annihilation_check)
 
@@ -18,7 +18,7 @@ for N in (4, 6, 8):
     e0, _ = ground_states(HamiltonianSpec("hs", N))
     formula = -(N ** 3 + 5 * N) / 24
     h = build(HamiltonianSpec("hs", N))
-    psi = build_cylinder_state(BlockSpec("su2_1", "half", N))
+    psi = build_state(BlockSpec("su2_1", "half", N), None)
     res = eigenstate_residual(h, psi, formula + N / 2)
     print(f"N={N}: E0 = {e0:+.10f} (formula {formula:+.10f}), "
           f"psi_half residual at E0+N/2: {res:.2e}")

@@ -19,15 +19,14 @@ from .hilbert import (SectorIndex, StateVector, apply_site_unitary,
                       embed_sector, enumerate_sector, fidelity_per_site,
                       fidelity_per_site_subspace,
                       spin_matrices, total_spin_quantum, translate)
-from .numerics import (AntisymMatrix, LinearOperator, eig_smallest,
-                       minimize_scalar, pfaffian, pfaffian_log)
+from .numerics import (LinearOperator, eig_smallest, minimize_scalar,
+                       pfaffian, pfaffian_log)
 from .refstates import (MPSTensor, U_CIRC_TO_SPIN, aklt_state, cvo_tensor,
                         dimer_state, flavor_pair, mg_combination,
                         mps_trace_state, singlet_pair,
                         spin1_dimer_combinations)
-from .blocks import (BlockSpec, amplitude, build_cylinder_state,
-                     build_record, build_state, insertion_points,
-                     marshall_sign, momentum_eigenvalue)
+from .blocks import (BlockSpec, amplitude, build_record, build_state,
+                     insertion_points, marshall_sign, momentum_eigenvalue)
 from .hamiltonians import (HamiltonianSpec, build, eigenstate_residual,
                            ground_states, ground_subspace,
                            parent_annihilation_check)
@@ -37,13 +36,13 @@ from .experiments import (ScanResult, block_state_spin_basis, default_grid,
                           sweep_phase_diagram)
 
 __all__ = [
-    "AccuracyError", "AntisymMatrix", "BlockSpec", "ConsistencyError",
+    "AccuracyError", "BlockSpec", "ConsistencyError",
     "DomainError", "Error", "HamiltonianSpec", "InputError", "LinearOperator",
     "LogComplex", "MPSTensor", "ModularParam", "NumericalError", "PoleError",
     "ScanResult", "SectorIndex", "StateVector", "U_CIRC_TO_SPIN",
     "aklt_state", "amplitude", "apply_site_unitary",
-    "block_state_spin_basis", "build", "build_cylinder_state",
-    "build_record", "build_state", "cvo_tensor",
+    "block_state_spin_basis", "build", "build_record", "build_state",
+    "cvo_tensor",
     "default_grid", "dimer_state", "eig_smallest", "eigenstate_residual",
     "embed_sector", "enumerate_sector", "fidelity_per_site",
     "fidelity_per_site_subspace", "flavor_pair", "ground_states",

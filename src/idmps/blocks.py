@@ -20,8 +20,10 @@ infinite-dimensional MPS limit, with sin/tan/cos closed forms). Every kernel
 and theta factor is folded onto the half period by its parity and period
 (_fold): each function is evaluated once per r in [0, N/2], its zero at 1/2
 (theta2, wp_2) is exact by symmetry, and the su2_2 kernel is real (tau = iR),
-so its Pfaffians run in real arithmetic. A configuration that the block's
-translation eigenvalue forbids is an exact zero too (_translation_zeros).
+so its Pfaffians run in real arithmetic. K is block-diagonal by flavor, so
+psi_nu(s) = sign(pi_s) prod_f Pf K[S_f] (pi_s sorts the sites by flavor):
+one Pfaffian per distinct even S_f, none where a ring symmetry zeroes it
+(_block_zeros).
 Everything is accumulated in log-magnitude/phase form: at small R the raw
 amplitudes overflow doubles, so the builder subtracts the maximum log before
 exponentiating and records the discarded global scale. The CLI, not this
@@ -130,25 +132,6 @@ def _fold(n, N, parity, period):
     return r, sign
 
 
-def _translation_zeros(spec, labels):
-    """Rows of labels on which the block vanishes by translation symmetry.
-
-    The block is a T-eigenstate, T psi = lam psi with lam =
-    momentum_eigenvalue(spec). A configuration with orbit period q (the
-    smallest q with T^q s = s, a divisor of N) then has psi(s) = lam^q
-    psi(s), an exact zero unless lam^q = 1. The shifts that fix s are the
-    multiples of q, so marking the rows fixed by a divisor p of N with
-    lam^p != 1 finds exactly these zeros; lam is +-1 for every block here,
-    so rounding lam^p decides exactly.
-    """
-    lam = momentum_eigenvalue(spec)
-    zero = np.zeros(len(labels), dtype=bool)
-    for p in range(1, spec.N):
-        if spec.N % p == 0 and np.round(lam ** p) != 1:
-            zero |= np.all(labels == np.roll(labels, p, axis=1), axis=1)
-    return zero
-
-
 def _folded(fn, geom, n, N):
     """log|f(n/N)| and arg f(n/N) of _FUNCTIONS[fn] for an integer array n,
     on the torus geom or the cylinder (None). f is evaluated once per
@@ -170,7 +153,8 @@ def _folded(fn, geom, n, N):
 def _kernel_table(spec, geom):
     """Pair kernels with a zero diagonal on the torus geom, or the cylinder
     for geom=None: su2_1 the symmetric tables log|E| and arg E at
-    -|i - j|/N; su2_2 the real antisymmetric K[i,j] = wp_nu((i - j)/N)."""
+    -|i - j|/N; su2_2 the real antisymmetric K[i,j] = wp_nu((i - j)/N)
+    / e^shift and shift = max log|wp_nu|, so no small R underflows K to 0."""
     N = spec.N
     diff = np.subtract.outer(np.arange(N), np.arange(N))
     dist = np.abs(diff)
@@ -181,13 +165,34 @@ def _kernel_table(spec, geom):
     if np.any(np.abs(np.sin(args)) > REAL_TOL):
         raise ConsistencyError(
             f"wp_{spec.label} kernel of {spec!r} is not real within {REAL_TOL}")
-    vals = np.exp(logs) * np.cos(args)
-    return np.sign(diff) * np.append(0.0, vals)[dist]
+    shift = logs.max() if np.isfinite(logs.max()) else 0.0
+    vals = np.exp(logs - shift) * np.cos(args)
+    return np.sign(diff) * np.append(0.0, vals)[dist], shift
+
+
+def _block_zeros(spec, members):
+    """Rows of members (boolean site subsets S, |S| even) on which Pf K[S]
+    vanishes by a rotation g a = a + t - N w_a or reflection g a = t - a +
+    N w_a of the ring with g(S) = S: K[ga, gb] = parity^[g reflects]
+    period^(w_a + w_b) K[a, b] and det(P_g|S) = (-1)^([g reflects] |S|/2 +
+    k), k the sites of S that g wraps, give Pf K[S] = (-period)^k Pf K[S] for
+    the odd wp_nu: zero for wp_2 (period +1) when k is odd."""
+    zero = np.zeros(len(members), dtype=bool)
+    if _FUNCTIONS[spec.label][1] < 0:
+        return zero
+    N = spec.N
+    a = np.arange(N)
+    for t in range(N):
+        for image, wrap in (((a + t) % N, a + t >= N), ((t - a) % N, a > t)):
+            fixed = np.all(members[:, image] == members, axis=1)
+            odd = np.count_nonzero(members & wrap, axis=1) % 2 == 1
+            zero |= fixed & odd
+    return zero
 
 
 def _config_logs(spec, geom, labels):
     """log|psi| and arg psi for each row of labels; log = -inf marks an
-    exact zero, including the translation zeros.
+    exact zero.
 
     su2_1 rows must be charge neutral.
     """
@@ -203,14 +208,24 @@ def _config_logs(spec, geom, labels):
         # the theta factor sees a configuration only through n = sum s_j j
         tlogs, targs = _folded(spec.label, geom, labels @ np.arange(1, N + 1),
                                N)
-        logs, args = logs + tlogs, args + targs
-    else:
-        kernel = _kernel_table(spec, geom)
-        pfs = [pfaffian_log(kernel * (row[:, None] == row[None, :]))
-               for row in labels]
-        logs, args = (np.array([pf.log for pf in pfs]),
-                      np.array([pf.arg for pf in pfs]))
-    return np.where(_translation_zeros(spec, labels), -np.inf, logs), args
+        return logs + tlogs, args + targs
+    kernel, shift = _kernel_table(spec, geom)
+    # the subsets S_f of flavors 1, 0, -1 keyed by bit mask: one Pfaffian each
+    bits = 1 << np.arange(N)
+    keys, inv = np.unique([(labels == f) @ bits for f in (1, 0, -1)],
+                          return_inverse=True)
+    members = (keys[:, None] & bits) != 0
+    live = (members.sum(axis=1) % 2 == 0) & ~_block_zeros(spec, members)
+    pfs = [pfaffian_log(kernel[np.ix_(m, m)]) if ok else LogComplex.zero()
+           for m, ok in zip(members, live)]
+    logs, args = np.array([(pf.log, pf.arg) for pf in pfs])[
+        inv.reshape(3, -1)].sum(axis=0).T
+    # sign(pi_s): parity of pairs i < j out of flavor order; Pf phases are k pi
+    swaps = sum(np.count_nonzero(labels[:, i:i + 1] < labels[:, i + 1:],
+                                 axis=1) for i in range(N))
+    args = math.pi * ((np.round(args / math.pi) + swaps) % 2)
+    # N/2 kernel factors, each scaled by e^-shift
+    return logs + N / 2 * shift, args
 
 
 def _build(spec, geom):
@@ -220,13 +235,8 @@ def _build(spec, geom):
         sector = enumerate_sector(spec.N, 2, 0.0)
         ranks, labels = sector.ranks, sector.configs()
     else:
-        configs = all_configs(spec.N, 3)
-        # an odd flavor count leaves an odd block with vanishing Pfaffian
-        even = np.ones(len(configs), dtype=bool)
-        for lab in (1, 0, -1):
-            even &= (configs == lab).sum(axis=1) % 2 == 0
-        ranks = np.nonzero(even)[0]
-        labels = configs[ranks]
+        labels = all_configs(spec.N, 3)
+        ranks = np.arange(len(labels))
     logs, args = _config_logs(spec, geom, labels)
     live = logs > -np.inf
     if not np.any(live):
@@ -286,9 +296,3 @@ def momentum_eigenvalue(spec):
         shift = 0.0 if spec.label == 0.0 else 1.0
         return complex(np.exp(1j * math.pi * (spec.N / 2 + shift)))
     return complex(-1.0 if spec.label == 2 else 1.0)
-
-
-def build_cylinder_state(spec):
-    """The closed-form R -> infinity limit of build_state: build_state(spec,
-    None), with the cylinder forms of _FUNCTIONS."""
-    return _build(spec, None)[0]

@@ -52,10 +52,10 @@ REFERENCES = {
                  "circular"),
     "s1dimer-": (lambda N: refstates.spin1_dimer_combinations(N, -1),
                  "circular"),
-    "hs": (lambda N: blocks.build_cylinder_state(BlockSpec("su2_1", 0, N)),
+    "hs": (lambda N: blocks.build_state(BlockSpec("su2_1", 0, N), None),
            "spin"),
-    "hs-exc": (lambda N: blocks.build_cylinder_state(
-        BlockSpec("su2_1", "half", N)), "spin"),
+    "hs-exc": (lambda N: blocks.build_state(BlockSpec("su2_1", "half", N),
+                                            None), "spin"),
 }
 # thin-torus targets: the references a block family approaches as R -> 0,
 # in the order the pairing tries them
@@ -226,7 +226,7 @@ def _cmd_state_build(args, dests):
     t0 = time.perf_counter()
     spec = BlockSpec(args.model, _parse_label(args.label), args.N)
     if args.cylinder:
-        state, scale, pairing, radius = (blocks.build_cylinder_state(spec),
+        state, scale, pairing, radius = (blocks.build_state(spec, None),
                                          None, None, None)
     else:
         if args.R is None:

@@ -222,7 +222,7 @@ def parent_annihilation_check(N):
     if N % 2 or not 2 <= N <= 12:
         raise InputError(f"need even N <= 12, got {N}")
     h = build(HamiltonianSpec(PARENT, N))
-    psi = blocks.build_cylinder_state(blocks.BlockSpec("su2_1", 0, N))
+    psi = blocks.build_state(blocks.BlockSpec("su2_1", 0, N), None)
     residual = eigenstate_residual(h, psi, 0.0)
     min_eig = eig_smallest(h, 1)[0][0]
     return residual, float(min_eig)

@@ -34,20 +34,6 @@ def _breaks_symmetry(defect, a):
     return abs(defect).max() > SYMMETRY_TOL * max(abs(a).max(), 1.0)
 
 
-class AntisymMatrix:
-    """Real or complex antisymmetric matrix; validates A = -A^T."""
-
-    def __init__(self, entries):
-        a = np.asarray(entries)
-        a = np.asarray(a, dtype=complex if np.iscomplexobj(a) else float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise InputError(f"expected a square matrix, got shape {a.shape}")
-        if a.size and _breaks_symmetry(a + a.T, a):
-            raise InputError("matrix is not antisymmetric within 1e-12")
-        self.n = a.shape[0]
-        self.entries = a
-
-
 def _pfaffian_eliminate(a):
     """Destructive Parlett-Reid sweep; returns Pf as LogComplex."""
     n = a.shape[0]
@@ -75,17 +61,21 @@ def _pfaffian_eliminate(a):
 def pfaffian_log(entries):
     """Pfaffian of an antisymmetric matrix as LogComplex.
 
-    Accepts an AntisymMatrix or a raw array (validated). Odd dimension has
-    Pfaffian exactly 0; 0x0 has Pfaffian 1.
+    The matrix must be square and equal -A^T within SYMMETRY_TOL
+    (relative), else InputError; a real matrix is eliminated in real
+    arithmetic. Odd dimension has Pfaffian exactly 0; 0x0 has Pfaffian 1.
     """
-    if not isinstance(entries, AntisymMatrix):
-        entries = AntisymMatrix(entries)
-    n = entries.n
+    a = np.asarray(entries)
+    a = np.array(a, dtype=complex if np.iscomplexobj(a) else float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise InputError(f"expected a square matrix, got shape {a.shape}")
+    if a.size and _breaks_symmetry(a + a.T, a):
+        raise InputError("matrix is not antisymmetric within 1e-12")
+    n = a.shape[0]
     if n % 2:
         return LogComplex.zero()
     if n == 0:
         return LogComplex.one()
-    a = entries.entries.copy()
     # scale to O(1) entries so the Schur updates stay inside double range
     scale = np.abs(a).max()
     if scale == 0:

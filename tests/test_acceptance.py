@@ -54,7 +54,7 @@ def test_02_hs_ground_state_endpoint():
     t0 = time.perf_counter()
     worst_infid, worst_de = 0.0, 0.0
     for N in (4, 6, 8):
-        psi = blocks.build_cylinder_state(BlockSpec("su2_1", 0, N))
+        psi = blocks.build_state(BlockSpec("su2_1", 0, N), None)
         (e0, ground), = hamiltonians.ground_subspace(
             HamiltonianSpec("hs", N), k=1)
         worst_infid = max(worst_infid, 1.0 - fidelity(psi, ground))
@@ -70,7 +70,7 @@ def test_03_hs_excited_state_claim():
     t0 = time.perf_counter()
     worst = 0.0
     for N in (4, 6, 8):
-        psi = blocks.build_cylinder_state(BlockSpec("su2_1", "half", N))
+        psi = blocks.build_state(BlockSpec("su2_1", "half", N), None)
         h = hamiltonians.build(HamiltonianSpec("hs", N))
         res = hamiltonians.eigenstate_residual(h, psi, HS_E0[N] + N / 2)
         worst = max(worst, res)
@@ -124,7 +124,7 @@ def test_06_cylinder_coincidence():
     N, R = 6, 20.0
     psi3 = blocks.build_state(BlockSpec("su2_2", 3, N), R)
     psi4 = blocks.build_state(BlockSpec("su2_2", 4, N), R)
-    closed = blocks.build_cylinder_state(BlockSpec("su2_2", 4, N))
+    closed = blocks.build_state(BlockSpec("su2_2", 4, N), None)
     infids = [1.0 - fidelity(psi3, psi4), 1.0 - fidelity(psi3, closed),
               1.0 - fidelity(psi4, closed)]
     dt = time.perf_counter() - t0

@@ -7,16 +7,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from idmps import blocks
-from idmps.blocks import (BlockSpec, amplitude, build_cylinder_state,
-                          build_record, build_state, insertion_points,
-                          marshall_sign, momentum_eigenvalue)
+from idmps.blocks import (BlockSpec, amplitude, build_record, build_state,
+                          insertion_points, marshall_sign, momentum_eigenvalue)
 from idmps.errors import InputError
 from idmps.hilbert import (all_configs, apply_site_unitary, config_rank,
                            enumerate_sector, fidelity_per_site,
-                           total_spin_quantum, total_sz_table, translate)
+                           fidelity_per_site_subspace, total_spin_quantum,
+                           total_sz_table, translate)
 from idmps.logcomplex import LogComplex
 from idmps.numerics import pfaffian
-from idmps.refstates import U_CIRC_TO_SPIN
+from idmps.refstates import U_CIRC_TO_SPIN, spin1_dimer_combinations
 from idmps.special import (ModularParam, prime_form_log, theta_char_log,
                            weierstrass_nu, weierstrass_nu_log)
 
@@ -96,7 +96,7 @@ def test_fold_evaluates_once_per_half_period_distance(monkeypatch):
 def test_wp2_kernel_vanishes_at_half_chain():
     for N in (2, 4, 6, 8):
         for geom in (None, ModularParam(0.9)):
-            kernel = blocks._kernel_table(BlockSpec("su2_2", 2, N), geom)
+            kernel, _ = blocks._kernel_table(BlockSpec("su2_2", 2, N), geom)
             assert kernel.dtype == float
             half = np.arange(N // 2)
             assert np.all(kernel[half, half + N // 2] == 0)
@@ -128,20 +128,26 @@ def oracle_su2_1(spec, geom, labels):
     return acc.value
 
 
-def oracle_su2_2(spec, geom, labels):
+def direct_kernel(spec, geom):
+    """K[i, j] = wp_nu(z_i - z_j), evaluated for every pair i != j."""
     z = insertion_points(spec.N)
-    c = np.zeros((spec.N, spec.N), dtype=complex)
+    k = np.zeros((spec.N, spec.N), dtype=complex)
     for i in range(spec.N):
         for j in range(spec.N):
-            if i != j and labels[i] == labels[j]:
+            if i != j:
                 dz = z[i] - z[j]
                 if geom is None:
                     trig = math.tan if spec.label == 2 else math.sin
-                    c[i, j] = math.pi / trig(math.pi * dz)
+                    k[i, j] = math.pi / trig(math.pi * dz)
                 else:
-                    c[i, j] = weierstrass_nu_log(spec.label, dz,
+                    k[i, j] = weierstrass_nu_log(spec.label, dz,
                                                  geom.tau).value
-    return pfaffian(c)
+    return k
+
+
+def oracle_su2_2(spec, geom, labels):
+    s = np.asarray(labels)
+    return pfaffian(direct_kernel(spec, geom) * (s[:, None] == s[None, :]))
 
 
 def assert_matches_oracle(spec, geom, oracle, configs):
@@ -151,13 +157,8 @@ def assert_matches_oracle(spec, geom, oracle, configs):
     tol = dict(rtol=1e-10, atol=1e-12 * np.abs(want).max())
     np.testing.assert_allclose(got, want, **tol)
     ranks = [config_rank(c, spec.d) for c in configs]
-    if geom is None:
-        built = build_cylinder_state(spec).amplitudes[ranks]
-        # the cylinder builder keeps no scale: match the first amplitude
-        built = built * (want[0] / built[0])
-    else:
-        state, log_scale = build_record(spec, geom)
-        built = state.amplitudes[ranks] * math.exp(log_scale)
+    state, log_scale = build_record(spec, geom)
+    built = state.amplitudes[ranks] * math.exp(log_scale)
     np.testing.assert_allclose(built, want, **tol)
 
 
@@ -221,7 +222,7 @@ def test_su2_1_cylinder_amplitude_exact_zero():
     zeros = [c for c in sector.configs()
              if (2 * int(c @ np.arange(1, 7)) + 6) % 12 == 0]
     assert [1, -1, 1, -1, 1, -1] in [list(c) for c in zeros]
-    cyl = build_cylinder_state(spec)
+    cyl = build_state(spec, None)
     for c in zeros:
         assert amplitude(spec, None, c) == 0
         assert cyl.amplitudes[config_rank(c, 2)] == 0
@@ -264,9 +265,9 @@ def test_su2_2_pfaffian_cancels_exactly():
     assert amplitude(spec, None, [0, 0, 0, 0]) == 0
 
 
-def test_translation_zeros_are_exact():
+def test_zeros_by_translation_are_exact():
     # nu=2 has momentum -1, so a one-flavor configuration (orbit period 1)
-    # vanishes; the Pfaffians alone leave ~1e-17 here
+    # vanishes; its Pfaffian alone leaves ~1e-17 here
     spec = BlockSpec("su2_2", 2, 8)
     for geom in (0.05, 0.9, None):
         state, _ = build_record(spec, geom)
@@ -275,23 +276,70 @@ def test_translation_zeros_are_exact():
             assert state.amplitudes[config_rank([s] * 8, 3)] == 0
 
 
-def test_translation_rule_only_adds_exact_zeros(monkeypatch):
+def test_block_rule_only_adds_exact_zeros(monkeypatch):
     # against the builder without the rule: its exact zeros stay exact, the
     # rule zeroes only roundoff, and every other amplitude keeps its bits
-    specs = (BlockSpec("su2_1", 0, 6), BlockSpec("su2_1", 0, 10),
-             BlockSpec("su2_1", 0.5, 8), BlockSpec("su2_2", 2, 6),
-             BlockSpec("su2_2", 2, 8))
-    for spec in specs:
+    for N in (4, 6, 8):
+        spec = BlockSpec("su2_2", 2, N)
         for geom in (0.05, 0.2, 0.9, None):
             on = build_state(spec, geom).amplitudes
             with monkeypatch.context() as m:
-                m.setattr(blocks, "_translation_zeros",
-                          lambda spec, labels: np.zeros(len(labels), bool))
+                m.setattr(blocks, "_block_zeros",
+                          lambda spec, members: np.zeros(len(members), bool))
                 off = build_state(spec, geom).amplitudes
             added = (on == 0) & (off != 0)
             assert np.all(on[off == 0] == 0)
             assert np.all(np.abs(off[added]) < 1e-16)
             assert np.array_equal(on[~added], off[~added])
+
+
+def _permutation_parity(seq):
+    return sum(a > b for i, a in enumerate(seq) for b in seq[i + 1:]) % 2
+
+
+def test_block_rule_matches_permutation_determinant():
+    # Pf K[S] = 0 where a rotation or reflection g with g(S) = S gives
+    # det(P_g|S) != parity^([g reflects] |S|/2) period^(wraps of S)
+    for N in range(4, 13, 2):
+        a = np.arange(N)
+        group = [(np.where(a + t >= N, a + t - N, a + t), a + t >= N, False)
+                 for t in range(N)]
+        group += [(np.where(a > t, t - a + N, t - a), a > t, True)
+                  for t in range(N)]
+        members = (np.arange(2 ** N)[:, None] >> a) % 2 == 1
+        members = members[members.sum(axis=1) % 2 == 0]
+        for nu in (2, 3, 4):
+            parity, period = blocks._FUNCTIONS[nu][:2]
+            want = np.zeros(len(members), dtype=bool)
+            for row, sites in enumerate(members):
+                S = list(np.flatnonzero(sites))
+                for image, wrap, reflects in group:
+                    if sorted(image[S]) != S:
+                        continue
+                    det = (-1) ** _permutation_parity(list(image[S]))
+                    sign = (parity ** (reflects * len(S) // 2)
+                            * period ** int(wrap[S].sum()))
+                    want[row] |= det != sign
+            got = blocks._block_zeros(BlockSpec("su2_2", nu, N), members)
+            assert np.array_equal(got, want), (N, nu)
+            assert np.any(got) == (nu == 2)
+
+
+def test_exact_zeros_are_closed_under_ring_symmetries():
+    # the exact-zero set of every block maps onto itself under the one-site
+    # translation and the reversal of the ring
+    for N in (4, 6, 8):
+        for model, label in (("su2_1", 0), ("su2_1", 0.5), ("su2_2", 2),
+                             ("su2_2", 3), ("su2_2", 4)):
+            spec = BlockSpec(model, label, N)
+            configs = all_configs(N, spec.d)
+            shifted = [np.roll(configs, 1, axis=1), configs[:, ::-1]]
+            images = [np.array([config_rank(c, spec.d) for c in cs])
+                      for cs in shifted]
+            for geom in (0.05, 0.2, 0.9, None):
+                zero = build_state(spec, geom).amplitudes == 0
+                for image in images:
+                    assert np.array_equal(zero[image], zero), (spec, geom)
 
 
 def test_su2_2_amplitude_matches_builder():
@@ -304,6 +352,55 @@ def test_su2_2_amplitude_matches_builder():
             spec = BlockSpec("su2_2", label, N)
             for geom in (ModularParam(0.9), None):
                 assert_matches_oracle(spec, geom, oracle_su2_2, cfgs)
+
+
+def test_su2_2_state_matches_masked_pfaffian_everywhere():
+    # the flavor-factorised builder against the Pfaffian of the full masked
+    # kernel matrix, on every configuration
+    configs = all_configs(6, 3)
+    for label in (2, 3, 4):
+        spec = BlockSpec("su2_2", label, 6)
+        for geom in (ModularParam(0.9), None):
+            kernel = direct_kernel(spec, geom)
+            want = np.array([pfaffian(kernel * (c[:, None] == c[None, :]))
+                             for c in configs])
+            state, log_scale = build_record(spec, geom)
+            np.testing.assert_allclose(
+                state.amplitudes * math.exp(log_scale), want, rtol=1e-10,
+                atol=1e-12 * np.abs(want).max())
+
+
+def test_su2_2_one_pfaffian_per_even_flavor_block(monkeypatch):
+    sizes = []
+    pfaffian_log = blocks.pfaffian_log
+
+    def counted(a):
+        sizes.append(len(a))
+        return pfaffian_log(a)
+
+    monkeypatch.setattr(blocks, "pfaffian_log", counted)
+    build_state(BlockSpec("su2_2", 4, 8), 0.9)
+    # the 2^7 even subsets of 8 sites, the empty one included
+    assert len(sizes) == 128 and all(n % 2 == 0 for n in sizes)
+    for config in ([1, 0, -1, 1, 0, -1, 1, 1], [1, 1, 0, 0, -1, -1, 0, 0],
+                   [0] * 8, [1, 0, 0, 0, 0, 0, 0, 0]):
+        sizes.clear()
+        amplitude(BlockSpec("su2_2", 4, 8), 0.9, config)
+        assert len(sizes) <= 3 and all(n % 2 == 0 for n in sizes)
+
+
+def test_su2_2_kernel_is_scaled_before_exponentiating():
+    # log|wp_nu(1/6)| = -5225 at R = 1e-4: unscaled, every kernel entry of
+    # nu = 2 and 3 underflows to 0 and the block seems to vanish
+    for N in (4, 6, 8):
+        dimers = [spin1_dimer_combinations(N, sign) for sign in (1, -1)]
+        for label in (2, 3):
+            for R in (1e-8, 1e-6, 1e-4, 1e-3):
+                state, log_scale = build_record(BlockSpec("su2_2", label, N),
+                                                R)
+                assert math.isfinite(log_scale)
+                fid = fidelity_per_site_subspace(state, dimers)
+                assert fid > 1 - 1e-12, (label, N, R)
 
 
 def test_su2_2_matches_direct_pfaffian():
@@ -402,10 +499,14 @@ def test_float_radius_and_cylinder_geometry():
             == amplitude(one, ModularParam(R), [1, -1, 1, -1])
         assert amplitude(two, R, [1, 1, 0, 0]) \
             == amplitude(two, ModularParam(R), [1, 1, 0, 0])
-    for spec in (one, two):
-        state, _ = build_record(spec, None)
-        assert np.array_equal(state.amplitudes,
-                              build_cylinder_state(spec).amplitudes)
+    for spec, config in ((one, [1, -1, 1, -1]), (two, [1, 1, 0, 0])):
+        assert np.array_equal(
+            build_state(spec, 0.5).amplitudes,
+            build_state(spec, ModularParam(0.5)).amplitudes)
+        state, log_scale = build_record(spec, None)
+        built = state.amplitudes[config_rank(config, spec.d)]
+        assert built * math.exp(log_scale) == pytest.approx(
+            amplitude(spec, None, config), rel=1e-12)
 
 
 def test_continuity_in_radius():
@@ -426,13 +527,13 @@ def test_cylinder_matches_large_radius():
                          ("su2_2", 3), ("su2_2", 4)):
         spec = BlockSpec(model, label, 6)
         far = build_state(spec, ModularParam(20.0))
-        cyl = build_cylinder_state(spec)
+        cyl = build_state(spec, None)
         assert fidelity_per_site(far, cyl) > 1 - 1e-6, (model, label)
 
 
 def test_cylinder_su2_2_is_pf_of_sin_kernel():
     spec = BlockSpec("su2_2", 3, 4)
-    v = build_cylinder_state(spec)
+    v = build_state(spec, None)
     z = insertion_points(4)
     # rebuild every flavor-even amplitude from the pi/sin kernel directly
     raw = np.zeros(3 ** 4, dtype=complex)
@@ -449,7 +550,7 @@ def test_cylinder_su2_2_is_pf_of_sin_kernel():
 
 
 def test_cylinder_su2_1_k0_is_pair_product():
-    v = build_cylinder_state(BlockSpec("su2_1", 0, 4))
+    v = build_state(BlockSpec("su2_1", 0, 4), None)
     z = insertion_points(4)
     sector = enumerate_sector(4, 2, 0.0)
     raw = np.zeros(16, dtype=complex)

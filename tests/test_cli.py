@@ -79,7 +79,7 @@ def test_state_build_cylinder_and_validation(tmp_path):
     doc = json.loads(open(out + ".json").read())
     assert doc["cylinder"] and doc["R"] is None
     assert doc["global_log_scale"] is None and doc["pairing"] is None
-    ref = blocks.build_cylinder_state(BlockSpec("su2_1", "half", 6))
+    ref = blocks.build_state(BlockSpec("su2_1", "half", 6), None)
     assert np.array_equal(read_state(out).amplitudes, ref.amplitudes)
     # odd N and a missing radius are validation failures
     assert run("state", "build", "--model", "su2_1", "--label", "0",

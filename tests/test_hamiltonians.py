@@ -150,8 +150,8 @@ def test_hs_cylinder_eigenstates():
     for N in (4, 6):
         h = build(HamiltonianSpec("hs", N))
         e0 = -(N ** 3 + 5 * N) / 24
-        psi0 = blocks.build_cylinder_state(blocks.BlockSpec("su2_1", 0, N))
-        half = blocks.build_cylinder_state(blocks.BlockSpec("su2_1", 0.5, N))
+        psi0 = blocks.build_state(blocks.BlockSpec("su2_1", 0, N), None)
+        half = blocks.build_state(blocks.BlockSpec("su2_1", 0.5, N), None)
         assert eigenstate_residual(h, psi0, e0) < 1e-8
         assert eigenstate_residual(h, half, e0 + N / 2) < 1e-8
 

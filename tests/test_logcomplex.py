@@ -3,6 +3,8 @@ import cmath
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idmps.logcomplex import LogComplex
 
@@ -55,3 +57,59 @@ def test_phase_underflow_is_zero_not_an_error():
     # cmath.phase raises OverflowError when atan2 underflows to 0
     x = LogComplex.from_value(complex(2.0, 5e-324))
     assert x.arg == 0.0 and x.log == math.log(2.0)
+
+
+# ---------------------------------------------------------- property tests
+# Values with |z| in [1e-100, 1e100]: their products and quotients stay in
+# double range, so plain complex arithmetic is the oracle.
+
+def _polar(exponent, angle):
+    return cmath.rect(10.0 ** exponent, angle)
+
+
+VALUES = st.builds(_polar, st.floats(-100, 100), st.floats(-math.pi, math.pi))
+
+
+def agrees(lc, z, rel=1e-12):
+    return abs(lc.value - z) <= rel * abs(z)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=VALUES, b=VALUES)
+def test_arithmetic_agrees_with_complex(a, b):
+    x, y = LogComplex.from_value(a), LogComplex.from_value(b)
+    assert agrees(x, a)
+    assert agrees(x * y, a * b)
+    assert agrees(x / y, a / b)
+    assert agrees(x * b, a * b) and agrees(b * x, a * b)
+    assert agrees(-x, -a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(log=st.floats(-300, 300), arg=st.floats(-1e8, 1e8))
+def test_value_reduces_any_phase(log, arg):
+    # value reduces by the double 2 pi, cmath.rect by 2 pi itself: they part
+    # by |arg| / 2 pi times the 2.4e-16 between the two
+    want = cmath.rect(math.exp(log), arg)
+    assert agrees(LogComplex(log, arg), want, rel=1e-15 + 1e-16 * abs(arg))
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=VALUES)
+def test_zero_propagates_through_every_operation(a):
+    z, x = LogComplex.zero(), LogComplex.from_value(a)
+    for out in (z * x, x * z, z * a, z / x, -z, LogComplex.from_value(0j)):
+        assert out.is_zero and out.value == 0
+    with pytest.raises(ZeroDivisionError):
+        x / z
+
+
+@settings(max_examples=100, deadline=None)
+@given(re=st.one_of(st.floats(1e-300, 1e300), st.floats(-1e300, -1e-300)),
+       im=st.sampled_from([5e-324, -5e-324, 1e-320, -2.2e-308]))
+def test_underflowing_phase(re, im):
+    # atan2(im, re) underflows or loses its subnormal digits, and no error
+    # is raised; exp(log) round-trips within |log| ulps
+    x = LogComplex.from_value(complex(re, im))
+    assert x.log == math.log(abs(complex(re, im)))
+    assert agrees(x, complex(re, im))

@@ -9,8 +9,7 @@ import scipy.sparse
 import idmps.numerics as numerics
 from idmps.errors import InputError, NumericalError
 from idmps.numerics import (
-    AntisymMatrix, LinearOperator, eig_smallest, minimize_scalar, pfaffian,
-    pfaffian_log,
+    LinearOperator, eig_smallest, minimize_scalar, pfaffian, pfaffian_log,
 )
 
 
@@ -87,13 +86,23 @@ def test_pfaffian_schur_update_stays_antisymmetric():
         assert abs(pfaffian(a)) <= 1e-30
 
 
-def test_real_matrix_eliminates_in_real_arithmetic():
+def test_real_matrix_eliminates_in_real_arithmetic(monkeypatch):
     rng = np.random.default_rng(5)
     m = rng.normal(size=(6, 6))
     a = m - m.T
-    assert AntisymMatrix(a).entries.dtype == float
+    dtypes = []
+    eliminate = numerics._pfaffian_eliminate
+
+    def recorded(entries):
+        dtypes.append(entries.dtype)
+        return eliminate(entries)
+
+    monkeypatch.setattr(numerics, "_pfaffian_eliminate", recorded)
     assert pfaffian(a) == pytest.approx(pf_recursive(a), rel=1e-12)
-    assert AntisymMatrix(a + 0j).entries.dtype == complex
+    assert pfaffian(a.astype(int)) == pytest.approx(
+        pf_recursive(a.astype(int)), rel=1e-12)
+    pfaffian(a + 0j)
+    assert dtypes == [float, float, complex]
 
 
 def test_pfaffian_odd_dimension_is_zero():
@@ -115,10 +124,16 @@ def test_pfaffian_log_handles_huge_scales():
 
 
 def test_antisym_validation():
-    with pytest.raises(InputError):
-        AntisymMatrix([[0, 1], [1, 0]])
-    with pytest.raises(InputError):
-        AntisymMatrix(np.ones((2, 3)))
+    with pytest.raises(InputError, match="not antisymmetric"):
+        pfaffian_log([[0, 1], [1, 0]])
+    with pytest.raises(InputError, match="square"):
+        pfaffian_log(np.ones((2, 3)))
+    with pytest.raises(InputError, match="square"):
+        pfaffian_log(np.zeros(4))
+    # within SYMMETRY_TOL (relative) passes, and the input is not modified
+    a = np.array([[0.0, 2.0], [-2.0 - 1e-13, 0.0]])
+    assert pfaffian(a) == pytest.approx(2.0, rel=1e-12)
+    assert a[1, 0] == -2.0 - 1e-13
 
 
 # ---------------------------------------------------------------- eig_smallest
