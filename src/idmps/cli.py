@@ -3,12 +3,14 @@
 Five subcommand groups: `special eval` (torus function values), `state
 build`/`state reference` (wavefunction files), `ed ground` (exact
 diagonalization), `scan radius`/`scan phase` (variational scans), and
-`check suite`/`check limits` (consistency checks). Every file-writing run
-goes through one writer (_write_outputs), which drops a manifest next to its
-outputs echoing the fully resolved configuration; feeding that manifest back
-through --config reproduces the outputs bit-identically (explicit flags still
-win). Exit codes: 0 success, 1 bad input, 2 numerical failure, 3 a
-consistency check failed.
+`check suite`/`check limits` (consistency checks). One table (COMMANDS)
+declares each subcommand's handler and options; the parser, the option
+registry and the dispatch are derived from it. A handler returns its
+artifacts, and `run` hands them to one writer (_write_outputs), which drops
+a manifest next to the outputs echoing the fully resolved configuration;
+feeding that manifest back through --config reproduces the outputs
+bit-identically (explicit flags still win). Exit codes: 0 success, 1 bad
+input, 2 numerical failure, 3 a consistency check failed.
 
 The reference states live in one table (REFERENCES): `state reference`
 writes them, `check limits` scores blocks against them, and `state build`
@@ -26,9 +28,9 @@ import numpy as np
 from . import __version__, blocks, hamiltonians, hilbert, refstates
 from .blocks import BlockSpec
 from .errors import ConsistencyError, DomainError, Error, InputError
-from .experiments import (identity_suite, j1j2_family, limit_convergence,
-                          qbq_family, scan_radius, sweep_csv,
-                          sweep_phase_diagram)
+from .experiments import (csv_text, identity_suite, j1j2_family,
+                          limit_convergence, qbq_family, scan_radius,
+                          sweep_csv, sweep_phase_diagram)
 from .hamiltonians import HamiltonianSpec
 from .hilbert import apply_site_unitary, total_spin_quantum
 from .special import ModularParam, prime_form, theta_nu, weierstrass_nu
@@ -63,6 +65,8 @@ THIN_TORUS = {"mg": ("mg+", "mg-"), "s1dimer": ("s1dimer+", "s1dimer-"),
               "aklt-circ": ("aklt-circ",)}
 # the thin-torus pairing is reported only where the limit is meaningful
 PAIRING_R_MAX = 0.2
+# the chain families `scan phase` sweeps, by --ham
+PHASE_FAMILIES = {"j1j2": j1j2_family, "qbq": qbq_family}
 
 
 class _UsageError(Exception):
@@ -75,10 +79,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         raise _UsageError(message)
-
-
-def _fmt(x):
-    return f"{float(x):.17g}"
 
 
 def _dump_json(obj):
@@ -126,18 +126,7 @@ def _parse_grid(text):
     return np.geomspace(lo, hi, int(count))
 
 
-def _ham_spec(args):
-    kw = {}
-    if args.J1 is not None:
-        kw["J1"] = args.J1
-    if args.J2 is not None:
-        kw["J2"] = args.J2
-    if args.theta is not None:
-        kw["theta"] = args.theta
-    return HamiltonianSpec(args.ham, args.N, **kw)
-
-
-def _write_outputs(args, dests, t0, files, anchor=None):
+def _write_outputs(args, dests, t0, files, anchor):
     """Write each (path, text or bytes) file in order, then the run's one
     manifest: resolved config, artifact version, outputs and wall time.
 
@@ -169,9 +158,10 @@ def _load_config(path):
 
 
 # ---------------------------------------------------------------- subcommands
+# Each handler maps the parsed args to (exit code, [(path, text or bytes)],
+# manifest anchor); an anchor of None puts the manifest in --out-dir.
 
-def _cmd_special_eval(args, dests):
-    t0 = time.perf_counter()
+def _cmd_special_eval(args):
     z = _parse_z(args.z)
     tau = ModularParam(args.R).tau
     fn = args.fn
@@ -185,9 +175,7 @@ def _cmd_special_eval(args, dests):
            "value_re": val.real, "value_im": val.imag}
     text = _dump_json(doc)
     sys.stdout.write(text)
-    if args.out:
-        _write_outputs(args, dests, t0, [(args.out, text)], anchor=args.out)
-    return EXIT_OK
+    return EXIT_OK, [(args.out, text)] if args.out else [], args.out
 
 
 def _state_files(path, state, meta):
@@ -222,47 +210,39 @@ def _thin_torus_pairing(spec, state):
     return {"thin_torus_target": best, "fidelity_per_site": fid}
 
 
-def _cmd_state_build(args, dests):
-    t0 = time.perf_counter()
+def _cmd_state_build(args):
     spec = BlockSpec(args.model, _parse_label(args.label), args.N)
+    if args.cylinder == (args.R is not None):
+        raise InputError("state build takes exactly one of --R and "
+                         "--cylinder")
     if args.cylinder:
-        state, scale, pairing, radius = (blocks.build_state(spec, None),
-                                         None, None, None)
+        state, scale, pairing = blocks.build_state(spec, None), None, None
     else:
-        if args.R is None:
-            raise InputError("state build needs --R (or --cylinder)")
         state, scale = blocks.build_record(spec, args.R)
         pairing = (_thin_torus_pairing(spec, state)
                    if args.R <= PAIRING_R_MAX else None)
-        radius = args.R
     mom = blocks.momentum_eigenvalue(spec)
     basis = "circular" if spec.d == 3 else "spin"
     meta = {"spec": {"model": spec.model, "label": spec.label,
                      "name": spec.name, "N": spec.N},
-            "R": radius, "cylinder": bool(args.cylinder),
+            "R": args.R, "cylinder": bool(args.cylinder),
             "basis": basis,
             "momentum_eigenvalue": [mom.real, mom.imag],
             "total_spin": _physical_total_spin(state, basis),
             "global_log_scale": scale, "pairing": pairing}
-    _write_outputs(args, dests, t0, _state_files(args.out, state, meta),
-                   anchor=args.out)
-    return EXIT_OK
+    return EXIT_OK, _state_files(args.out, state, meta), args.out
 
 
-def _cmd_state_reference(args, dests):
-    t0 = time.perf_counter()
+def _cmd_state_reference(args):
     make, basis = REFERENCES[args.which]
     state = make(args.N)
     meta = {"which": args.which, "N": args.N, "basis": basis,
             "total_spin": _physical_total_spin(state, basis)}
-    _write_outputs(args, dests, t0, _state_files(args.out, state, meta),
-                   anchor=args.out)
-    return EXIT_OK
+    return EXIT_OK, _state_files(args.out, state, meta), args.out
 
 
-def _cmd_ed_ground(args, dests):
-    t0 = time.perf_counter()
-    spec = _ham_spec(args)
+def _cmd_ed_ground(args):
+    spec = HamiltonianSpec(args.ham, args.N, args.J1, args.J2, args.theta)
     levels = hamiltonians.ground_subspace(spec, k=args.k)
     doc = {"ham": spec.kind, "N": spec.N, "d": spec.d, "k": args.k,
            "J1": spec.J1, "J2": spec.J2, "theta": spec.theta,
@@ -274,56 +254,44 @@ def _cmd_ed_ground(args, dests):
             meta = {"ham": spec.kind, "N": spec.N, "index": i,
                     "energy": energy}
             files += _state_files(f"{stem}_vec{i}.state", vec, meta)
-    _write_outputs(args, dests, t0, files, anchor=args.out)
-    return EXIT_OK
+    return EXIT_OK, files, args.out
 
 
-def _cmd_scan_radius(args, dests):
-    t0 = time.perf_counter()
+def _cmd_scan_radius(args):
     spec = BlockSpec(args.model, _parse_label(args.label), args.N)
-    res = scan_radius(spec, _ham_spec(args), R_grid=_parse_grid(args.grid),
+    ham = HamiltonianSpec(args.ham, args.N, args.J1, args.J2, args.theta)
+    res = scan_radius(spec, ham, R_grid=_parse_grid(args.grid),
                       objective=args.objective)
-    lines = ["R,energy,fidelity_per_site"]
-    lines += [",".join(_fmt(x) for x in row) for row in res.rows]
-    _write_outputs(args, dests, t0, [
+    return EXIT_OK, [
         (os.path.join(args.out_dir, "radius_scan.csv"),
-         "\n".join(lines) + "\n"),
+         csv_text(("R", "energy", "fidelity_per_site"), res.rows)),
         (os.path.join(args.out_dir, "radius_scan.json"),
-         _dump_json(res.to_dict()))])
-    return EXIT_OK
+         _dump_json(res.to_dict()))], None
 
 
-def _cmd_scan_phase(args, dests):
-    t0 = time.perf_counter()
+def _cmd_scan_phase(args):
     spec = BlockSpec(args.model, _parse_label(args.label), args.N)
-    values = _parse_floats(args.param_grid, "--param-grid")
-    if args.ham == "j1j2":
-        family = j1j2_family(args.N, values)
-    elif args.ham == "qbq":
-        family = qbq_family(args.N, values)
-    else:
-        raise InputError(f"scan phase supports j1j2 or qbq, got {args.ham!r}")
+    family = PHASE_FAMILIES[args.ham](
+        args.N, _parse_floats(args.param_grid, "--param-grid"))
     points = sweep_phase_diagram(spec, family, R_grid=_parse_grid(args.grid),
                                  objective=args.objective)
     doc = [{"param": p["param"], "error": p["error"],
             "scan": None if p["scan"] is None else p["scan"].to_dict()}
            for p in points]
-    _write_outputs(args, dests, t0, [
+    return EXIT_OK, [
         (os.path.join(args.out_dir, "phase_sweep.csv"), sweep_csv(points)),
-        (os.path.join(args.out_dir, "phase_sweep.json"), _dump_json(doc))])
-    return EXIT_OK
+        (os.path.join(args.out_dir, "phase_sweep.json"), _dump_json(doc))
+    ], None
 
 
-def _cmd_check_suite(args, dests):
-    t0 = time.perf_counter()
+def _cmd_check_suite(args):
     report = identity_suite(sizes=_parse_sizes(args.N),
                             radii=tuple(_parse_floats(args.radii, "--radii")))
     text = _dump_json(report)
     sys.stdout.write(text)
-    if args.out_dir is not None:
-        _write_outputs(args, dests, t0,
-                       [(os.path.join(args.out_dir, "suite.json"), text)])
-    return EXIT_OK if report["pass"] else EXIT_CHECK
+    files = ([] if args.out_dir is None
+             else [(os.path.join(args.out_dir, "suite.json"), text)])
+    return EXIT_OK if report["pass"] else EXIT_CHECK, files, None
 
 
 def _limit_target(target, N):
@@ -336,8 +304,7 @@ def _limit_target(target, N):
     return states if len(states) > 1 else states[0]
 
 
-def _cmd_check_limits(args, dests):
-    t0 = time.perf_counter()
+def _cmd_check_limits(args):
     spec = BlockSpec(args.model, _parse_label(args.label), args.N)
     radii = _parse_floats(args.radii, "--radii")
     try:
@@ -351,118 +318,91 @@ def _cmd_check_limits(args, dests):
            "pass": failure is None, "failure": failure}
     text = _dump_json(doc)
     sys.stdout.write(text)
-    if args.out_dir is not None:
-        lines = ["R,infidelity_per_site"]
-        lines += [f"{_fmt(r)},{_fmt(e)}" for r, e in rows]
-        _write_outputs(args, dests, t0, [
-            (os.path.join(args.out_dir, "limits.csv"),
-             "\n".join(lines) + "\n"),
-            (os.path.join(args.out_dir, "limits.json"), text)])
-    return EXIT_OK if failure is None else EXIT_CHECK
+    files = [] if args.out_dir is None else [
+        (os.path.join(args.out_dir, "limits.csv"),
+         csv_text(("R", "infidelity_per_site"), rows)),
+        (os.path.join(args.out_dir, "limits.json"), text)]
+    return EXIT_OK if failure is None else EXIT_CHECK, files, None
 
 
 # --------------------------------------------------------------------- parser
+# Options are (flag, argparse keywords). A required flag is checked after
+# the config merge, so a manifest replay can supply it without the flag.
+
+_N = ("--N", dict(type=int, required=True))
+_BLOCK = (("--model", dict(required=True, choices=("su2_1", "su2_2"))),
+          ("--label", dict(required=True)), _N)
+_COUPLINGS = (("--J1", dict(type=float)), ("--J2", dict(type=float)),
+              ("--theta", dict(type=float)))
+_SCAN = (("--grid", dict(help="lo,hi,count geometric radius grid")),
+         ("--objective", dict(default="energy",
+                              choices=("energy", "fidelity"))),
+         ("--out-dir", dict(default=".")))
+_CHAINS = ("hs", "j1j2", "qbq", "parent")
+
+# (group, verb) -> (handler, options in manifest order); every subcommand
+# also takes --config first
+COMMANDS = {
+    ("special", "eval"): (_cmd_special_eval, (
+        ("--fn", dict(required=True, choices=SPECIAL_FNS)),
+        ("--z", dict(required=True, help="re,im")),
+        ("--R", dict(type=float, required=True)),
+        ("--out", {}))),
+    ("state", "build"): (_cmd_state_build, (
+        *_BLOCK, ("--R", dict(type=float)),
+        ("--cylinder", dict(action="store_true")),
+        ("--out", dict(required=True)))),
+    ("state", "reference"): (_cmd_state_reference, (
+        ("--which", dict(required=True, choices=REFERENCES)), _N,
+        ("--out", dict(required=True)))),
+    ("ed", "ground"): (_cmd_ed_ground, (
+        ("--ham", dict(required=True, choices=_CHAINS)), _N, *_COUPLINGS,
+        ("--k", dict(type=int, default=1)),
+        ("--vectors", dict(action="store_true")),
+        ("--out", dict(required=True)))),
+    ("scan", "radius"): (_cmd_scan_radius, (
+        *_BLOCK, ("--ham", dict(required=True, choices=_CHAINS)),
+        *_COUPLINGS, *_SCAN)),
+    ("scan", "phase"): (_cmd_scan_phase, (
+        *_BLOCK, ("--ham", dict(required=True, choices=PHASE_FAMILIES)),
+        *_SCAN, ("--param-grid", dict(
+            required=True, help="comma-separated J2 or theta values")))),
+    ("check", "suite"): (_cmd_check_suite, (
+        ("--N", dict(default="4,6", help="comma-separated sizes")),
+        ("--radii", dict(default="0.1,1,10")),
+        ("--out-dir", {}))),
+    ("check", "limits"): (_cmd_check_limits, (
+        *_BLOCK, ("--target", dict(required=True,
+                                   choices=(*THIN_TORUS, "hs"))),
+        ("--radii", dict(required=True,
+                         help="monotone comma-separated schedule")),
+        ("--out-dir", {}))),
+}
+
 
 def _build_parser():
+    """The parser and, per (group, verb), (subparser, dests, required)."""
     parser = _Parser(prog="idmps", description=__doc__.splitlines()[0])
     parser.set_defaults(group=None, verb=None)
     groups = parser.add_subparsers(dest="group", parser_class=_Parser)
-    registry = {}
-
-    def verb(group_sub, group, name):
-        p = group_sub.add_parser(name)
-        p.set_defaults(group=group, verb=name)
+    verbs, registry = {}, {}
+    config = ("--config",
+              dict(help="JSON config or manifest; explicit flags win"))
+    for (group, verb), (_, options) in COMMANDS.items():
+        if group not in verbs:
+            verbs[group] = groups.add_parser(group).add_subparsers(
+                dest="verb", parser_class=_Parser)
+        p = verbs[group].add_parser(verb)
+        p.set_defaults(group=group, verb=verb)
         dests, required = [], []
-        registry[(group, name)] = (p, dests, required)
-
-        def opt(*flags, **okw):
-            # required flags are checked after the config merge, so a
-            # manifest replay can supply them without repeating each flag
-            if okw.pop("required", False):
-                required.append(flags[0].lstrip("-").replace("-", "_"))
-            action = p.add_argument(*flags, **okw)
+        for flag, kw in (config, *options):
+            action = p.add_argument(
+                flag, **{k: v for k, v in kw.items() if k != "required"})
             dests.append(action.dest)
-
-        opt("--config", help="JSON config or manifest; explicit flags win")
-        return opt
-
-    special = groups.add_parser("special").add_subparsers(
-        dest="verb", parser_class=_Parser)
-    opt = verb(special, "special", "eval")
-    opt("--fn", required=True, choices=SPECIAL_FNS)
-    opt("--z", required=True, help="re,im")
-    opt("--R", type=float, required=True)
-    opt("--out")
-
-    state = groups.add_parser("state").add_subparsers(
-        dest="verb", parser_class=_Parser)
-    opt = verb(state, "state", "build")
-    opt("--model", required=True, choices=("su2_1", "su2_2"))
-    opt("--label", required=True)
-    opt("--N", type=int, required=True)
-    opt("--R", type=float)
-    opt("--cylinder", action="store_true")
-    opt("--out", required=True)
-    opt = verb(state, "state", "reference")
-    opt("--which", required=True, choices=REFERENCES)
-    opt("--N", type=int, required=True)
-    opt("--out", required=True)
-
-    ed = groups.add_parser("ed").add_subparsers(
-        dest="verb", parser_class=_Parser)
-    opt = verb(ed, "ed", "ground")
-    opt("--ham", required=True, choices=("hs", "j1j2", "qbq", "parent"))
-    opt("--N", type=int, required=True)
-    opt("--J1", type=float)
-    opt("--J2", type=float)
-    opt("--theta", type=float)
-    opt("--k", type=int, default=1)
-    opt("--vectors", action="store_true")
-    opt("--out", required=True)
-
-    scan = groups.add_parser("scan").add_subparsers(
-        dest="verb", parser_class=_Parser)
-    for name in ("radius", "phase"):
-        opt = verb(scan, "scan", name)
-        opt("--model", required=True, choices=("su2_1", "su2_2"))
-        opt("--label", required=True)
-        opt("--N", type=int, required=True)
-        opt("--ham", required=True, choices=("hs", "j1j2", "qbq", "parent"))
-        opt("--J1", type=float)
-        opt("--J2", type=float)
-        opt("--theta", type=float)
-        opt("--grid", help="lo,hi,count geometric radius grid")
-        opt("--objective", default="energy", choices=("energy", "fidelity"))
-        opt("--out-dir", default=".")
-        if name == "phase":
-            opt("--param-grid", required=True,
-                help="comma-separated J2 or theta values")
-
-    check = groups.add_parser("check").add_subparsers(
-        dest="verb", parser_class=_Parser)
-    opt = verb(check, "check", "suite")
-    opt("--N", default="4,6", help="comma-separated sizes")
-    opt("--radii", default="0.1,1,10")
-    opt("--out-dir")
-    opt = verb(check, "check", "limits")
-    opt("--model", required=True, choices=("su2_1", "su2_2"))
-    opt("--label", required=True)
-    opt("--N", type=int, required=True)
-    opt("--target", required=True, choices=(*THIN_TORUS, "hs"))
-    opt("--radii", required=True, help="monotone comma-separated schedule")
-    opt("--out-dir")
-
+            if kw.get("required"):
+                required.append(action.dest)
+        registry[(group, verb)] = (p, dests, required)
     return parser, registry
-
-
-_HANDLERS = {("special", "eval"): _cmd_special_eval,
-             ("state", "build"): _cmd_state_build,
-             ("state", "reference"): _cmd_state_reference,
-             ("ed", "ground"): _cmd_ed_ground,
-             ("scan", "radius"): _cmd_scan_radius,
-             ("scan", "phase"): _cmd_scan_phase,
-             ("check", "suite"): _cmd_check_suite,
-             ("check", "limits"): _cmd_check_limits}
 
 
 def run(argv=None):
@@ -473,7 +413,7 @@ def run(argv=None):
     try:
         args = parser.parse_args(argv)
         key = (args.group, args.verb)
-        if key not in _HANDLERS:
+        if key not in registry:
             parser.print_usage(sys.stderr)
             return EXIT_INPUT
         sub, dests, required = registry[key]
@@ -481,12 +421,24 @@ def run(argv=None):
             cfg = _load_config(args.config)
             sub.set_defaults(**{k: v for k, v in cfg.items() if k in dests})
             args = parser.parse_args(argv)
+            # argparse checks choices on the command line, not on defaults
+            for action in sub._actions:
+                value = getattr(args, action.dest, None)
+                if (action.choices and value is not None
+                        and value not in action.choices):
+                    raise InputError(f"{action.option_strings[0]} must be "
+                                     f"one of {list(action.choices)}, got "
+                                     f"{value!r}")
         missing = [k for k in required if getattr(args, k) is None]
         if missing:
             raise InputError("missing required flags: "
                              + ", ".join("--" + k.replace("_", "-")
                                          for k in missing))
-        return _HANDLERS[key](args, dests)
+        t0 = time.perf_counter()
+        code, files, anchor = COMMANDS[key][0](args)
+        if files:
+            _write_outputs(args, dests, t0, files, anchor)
+        return code
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -173,23 +173,25 @@ def sweep_phase_diagram(spec, ham_family, R_grid=None, objective="energy"):
     return out
 
 
-def _fmt(x):
-    return f"{x:.17g}"
+def csv_text(columns, rows):
+    """CSV with a header line; numbers printed with 17 significant digits."""
+    lines = [",".join(columns)]
+    lines += [",".join(f"{x:.17g}" for x in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def sweep_csv(points):
     """CSV for a sweep, one row per parameter; failed points carry nan."""
-    lines = [",".join(SWEEP_COLUMNS)]
+    rows = []
     for entry in points:
         scan = entry["scan"]
         if scan is None:
-            lines.append(",".join([_fmt(entry["param"])] + ["nan"] * 4))
-            continue
-        r_opt, e_opt, f_opt = scan.optimum
-        lines.append(",".join(_fmt(x) for x in
-                              (entry["param"], r_opt, e_opt,
-                               scan.ground_energy, f_opt)))
-    return "\n".join(lines) + "\n"
+            rows.append([entry["param"]] + [math.nan] * 4)
+        else:
+            r_opt, e_opt, f_opt = scan.optimum
+            rows.append([entry["param"], r_opt, e_opt, scan.ground_energy,
+                         f_opt])
+    return csv_text(SWEEP_COLUMNS, rows)
 
 
 def j1j2_family(N, j2_grid):

@@ -37,22 +37,28 @@ GROUND_K0 = 4
 class HamiltonianSpec:
     """Chain kind (hs, j1j2, qbq, parent), site count, and couplings.
 
-    J1/J2 apply to the j1j2 kind, theta to qbq; the others take no
-    parameters. All chains are periodic.
+    J1/J2 (default 1, 0) apply to the j1j2 kind, theta (default 0) to
+    qbq; the others take no parameters, and a coupling given to a kind that
+    does not take it is an InputError. All chains are periodic.
     """
 
-    def __init__(self, kind, N, J1=1.0, J2=0.0, theta=0.0):
+    def __init__(self, kind, N, J1=None, J2=None, theta=None):
         kind = str(kind).lower()
         if kind not in _KINDS:
             raise InputError(f"kind must be one of {_KINDS}, got {kind!r}")
         N = int(N)
         if N < 2:
             raise InputError(f"N must be >= 2, got {N}")
+        takes = {J1J2: ("J1", "J2"), QBQ: ("theta",)}.get(kind, ())
+        extra = [name for name, v in (("J1", J1), ("J2", J2), ("theta", theta))
+                 if v is not None and name not in takes]
+        if extra:
+            raise InputError(f"the {kind} chain takes no {', '.join(extra)}")
         self.kind = kind
         self.N = N
-        self.J1 = float(J1)
-        self.J2 = float(J2)
-        self.theta = float(theta)
+        self.J1 = 1.0 if J1 is None else float(J1)
+        self.J2 = 0.0 if J2 is None else float(J2)
+        self.theta = 0.0 if theta is None else float(theta)
 
     @property
     def d(self):

@@ -42,13 +42,11 @@ class LogComplex:
         """The plain complex value; overflows to inf beyond double range."""
         if self.is_zero:
             return 0j
-        # reduce the accumulated phase exactly before exponentiating
-        ph = math.remainder(self.arg, 2.0 * math.pi)
         try:
             r = math.exp(self.log)
         except OverflowError:
             r = math.inf
-        return complex(r * math.cos(ph), r * math.sin(ph))
+        return complex(r * math.cos(self.arg), r * math.sin(self.arg))
 
     def __mul__(self, other):
         other = self._coerce(other)

@@ -8,8 +8,8 @@ torus radius overflow doubles.
 
 A LinearOperator holds one matrix, usually scipy sparse (every Hamiltonian
 is). eig_smallest checks that it is Hermitian and is the only place that
-densifies it: dense eigh up to DENSE_DIM_MAX, Lanczos on the sparse matvec
-above.
+densifies it: dense eigh up to DENSE_DIM_MAX, Lanczos on the matrix above,
+from one fixed start vector so that repeated solves agree bit for bit.
 """
 import math
 
@@ -93,8 +93,8 @@ def pfaffian(entries):
 class LinearOperator:
     """Operator held as one matrix: an ndarray or a scipy sparse matrix.
 
-    apply(v) is matrix @ v; to_dense() densifies a sparse matrix, which only
-    eig_smallest does, and only up to DENSE_DIM_MAX.
+    apply(v) is matrix @ v. Only eig_smallest densifies a sparse matrix, and
+    only up to DENSE_DIM_MAX.
     """
 
     def __init__(self, matrix):
@@ -106,11 +106,6 @@ class LinearOperator:
     def apply(self, v):
         return self.matrix @ v
 
-    def to_dense(self):
-        if scipy.sparse.issparse(self.matrix):
-            return self.matrix.toarray()
-        return self.matrix
-
 
 def eig_smallest(h, k=1):
     """k algebraically smallest eigenpairs of a Hermitian LinearOperator.
@@ -118,9 +113,11 @@ def eig_smallest(h, k=1):
     The matrix must equal its conjugate transpose within SYMMETRY_TOL
     (relative), else InputError; a sparse matrix is checked before it is
     densified. Dense diagonalization up to dim 4096, implicitly-restarted
-    Lanczos above. Returns [(eigenvalue, eigenvector), ...] sorted
-    ascending; each vector owns its data (no view into the full eigenvector
-    matrix), and each residual ||Hv - lambda v|| is verified against 1e-8.
+    Lanczos above, started from one seeded random vector (ARPACK's own
+    start is random per call). Returns [(eigenvalue, eigenvector), ...]
+    sorted ascending; each vector owns its data (no view into the full
+    eigenvector matrix), and each residual ||Hv - lambda v|| is verified
+    against 1e-8.
     """
     if not isinstance(h, LinearOperator):
         h = LinearOperator(h)
@@ -131,15 +128,15 @@ def eig_smallest(h, k=1):
         raise InputError("eig_smallest requires a hermitian operator "
                          "(H = H^dagger within 1e-12)")
     if h.dim <= DENSE_DIM_MAX or k >= h.dim - 1:
-        m = h.to_dense()
+        if scipy.sparse.issparse(m):
+            m = m.toarray()
         vals, vecs = np.linalg.eigh(m)
         pairs = [(float(vals[i]), vecs[:, i].copy()) for i in range(k)]
     else:
-        op = scipy.sparse.linalg.LinearOperator(
-            (h.dim, h.dim), matvec=h.apply, dtype=complex)
+        v0 = np.random.default_rng(0).standard_normal(h.dim)
         try:
             vals, vecs = scipy.sparse.linalg.eigsh(
-                op, k=k, which="SA", maxiter=100 * h.dim, tol=0.0)
+                m, k=k, which="SA", v0=v0, maxiter=100 * h.dim, tol=0.0)
         except scipy.sparse.linalg.ArpackNoConvergence as exc:
             raise NumericalError(
                 f"Lanczos did not converge for dim={h.dim}, k={k}: {exc}")

@@ -1,5 +1,8 @@
 """Command-line behavior: exit codes, file outputs, manifest replay."""
 import json
+import pathlib
+import re
+import shlex
 
 import numpy as np
 import pytest
@@ -263,9 +266,8 @@ OPTIONS = {
                        "vectors", "out"],
     ("scan", "radius"): ["config", "model", "label", "N", "ham", "J1", "J2",
                          "theta", "grid", "objective", "out_dir"],
-    ("scan", "phase"): ["config", "model", "label", "N", "ham", "J1", "J2",
-                        "theta", "grid", "objective", "out_dir",
-                        "param_grid"],
+    ("scan", "phase"): ["config", "model", "label", "N", "ham", "grid",
+                        "objective", "out_dir", "param_grid"],
     ("check", "suite"): ["config", "N", "radii", "out_dir"],
     ("check", "limits"): ["config", "model", "label", "N", "target", "radii",
                           "out_dir"],
@@ -275,6 +277,52 @@ OPTIONS = {
 def test_subcommand_options_are_frozen():
     _, registry = cli._build_parser()
     assert {key: dests for key, (_, dests, _) in registry.items()} == OPTIONS
+
+
+@pytest.mark.parametrize("argv", [
+    ["state", "build", "--model", "su2_1", "--label", "0", "--N", "4",
+     "--cylinder", "--R", "0.05", "--out", "{tmp}/x.state"],
+    ["ed", "ground", "--ham", "hs", "--N", "4", "--J2", "0.3",
+     "--theta", "1", "--out", "{tmp}/x.json"],
+    ["scan", "radius", "--model", "su2_1", "--label", "0", "--N", "4",
+     "--ham", "j1j2", "--J2", "0.5", "--theta", "0.2",
+     "--grid", "0.02,1,3", "--out-dir", "{tmp}/run"],
+], ids=["cylinder-with-R", "hs-with-couplings", "j1j2-with-theta"])
+def test_ignored_inputs_are_refused(tmp_path, capsys, argv):
+    assert cli.run([a.format(tmp=tmp_path) for a in argv]) == 1
+    assert "error" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv,cfg", [
+    (["scan", "phase", "--model", "su2_1", "--label", "0", "--N", "4",
+      "--param-grid", "0.5", "--out-dir", "{tmp}/run"], {"ham": "hs"}),
+    (["special", "eval", "--z", "0.1", "--R", "1"], {"fn": "nope"}),
+], ids=["scan-phase-ham", "special-eval-fn"])
+def test_config_values_outside_choices_exit_one(tmp_path, capsys, argv,
+                                                cfg):
+    # argparse checks choices on the command line only; run checks the
+    # values a config supplies the same way
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert cli.run(argv + ["--config", str(path)]) == 1
+    assert "must be one of" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_readme_commands_parse():
+    # every `idmps ...` line of the README's sh blocks, continuations joined
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", readme.read_text(), re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("idmps "):
+                commands.append(shlex.split(line)[1:])
+    parser, registry = cli._build_parser()
+    assert {tuple(argv[:2]) for argv in commands} == set(registry)
+    for argv in commands:
+        parser.parse_args(argv)
 
 
 def test_usage_errors_exit_one(capsys):

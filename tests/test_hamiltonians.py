@@ -84,7 +84,7 @@ def oracle_matrix(spec):
     HamiltonianSpec("parent", 6),
 ], ids=repr)
 def test_build_matches_kron_oracle(spec):
-    mine = build(spec).to_dense()
+    mine = build(spec).matrix.toarray()
     ref = oracle_matrix(spec)
     assert np.abs(mine - ref).max() < 1e-11
 
@@ -270,3 +270,15 @@ def test_spec_validation():
         ground_subspace(HamiltonianSpec("hs", 4), 0)
     with pytest.raises(InputError):
         build(HamiltonianSpec("hs", 4), sector=enumerate_sector(6, 2, 0.0))
+
+
+@pytest.mark.parametrize("kind,couplings", [
+    ("hs", {"J2": 0.3}), ("hs", {"theta": 1.0}), ("parent", {"J1": 1.0}),
+    ("j1j2", {"theta": 0.2}), ("qbq", {"J1": 1.0}), ("qbq", {"J2": 0.0}),
+])
+def test_spec_refuses_couplings_the_kind_does_not_take(kind, couplings):
+    with pytest.raises(InputError):
+        HamiltonianSpec(kind, 4, **couplings)
+    # the defaults stand for every kind, so outputs that echo them stay put
+    spec = HamiltonianSpec(kind, 4)
+    assert (spec.J1, spec.J2, spec.theta) == (1.0, 0.0, 0.0)

@@ -88,10 +88,8 @@ def test_arithmetic_agrees_with_complex(a, b):
 @settings(max_examples=200, deadline=None)
 @given(log=st.floats(-300, 300), arg=st.floats(-1e8, 1e8))
 def test_value_reduces_any_phase(log, arg):
-    # value reduces by the double 2 pi, cmath.rect by 2 pi itself: they part
-    # by |arg| / 2 pi times the 2.4e-16 between the two
     want = cmath.rect(math.exp(log), arg)
-    assert agrees(LogComplex(log, arg), want, rel=1e-15 + 1e-16 * abs(arg))
+    assert agrees(LogComplex(log, arg), want, rel=1e-15)
 
 
 @settings(max_examples=100, deadline=None)

@@ -7,7 +7,9 @@ import pytest
 import scipy.sparse
 
 import idmps.numerics as numerics
+from idmps import hamiltonians
 from idmps.errors import InputError, NumericalError
+from idmps.hamiltonians import HamiltonianSpec
 from idmps.numerics import (
     LinearOperator, eig_smallest, minimize_scalar, pfaffian, pfaffian_log,
 )
@@ -181,6 +183,16 @@ def test_eig_lanczos_agrees_with_dense(monkeypatch):
         lanczos = eig_smallest(LinearOperator(operand), k=2)
         for (a, _), (b, _) in zip(dense, lanczos):
             assert a == pytest.approx(b, abs=1e-8)
+
+
+def test_eig_lanczos_is_deterministic():
+    # the j1j2 chain at N=13 on its full 8192-dim space takes the Lanczos
+    # branch; ARPACK's own random start made repeated solves differ
+    h = hamiltonians.build(HamiltonianSpec("j1j2", 13, J2=0.3))
+    assert h.dim > numerics.DENSE_DIM_MAX
+    a, b = eig_smallest(h, k=2), eig_smallest(h, k=2)
+    for (ea, va), (eb, vb) in zip(a, b):
+        assert ea == eb and np.array_equal(va, vb)
 
 
 @pytest.mark.parametrize("dense_max", [4096, 10])
