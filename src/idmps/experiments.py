@@ -27,6 +27,16 @@ GRID_POINTS = 25
 # infidelities at or below this are converged; monotone checks and the
 # variational bound are enforced only above it
 FLOOR = 1e-12
+# a scan energy below E0 by more than this breaks the variational bound
+VARIATIONAL_TOL = 1e-9
+# the bottom grid point counts as the optimum when it scores within this
+# (relative, floor 1) of the refined optimum
+EDGE_TOL = 1e-9
+# an optimum at or above this share of the top grid radius is unbounded
+UNBOUNDED_SHARE = 0.99
+# the parent chain is positive semidefinite when its lowest level is at
+# least -PSD_TOL
+PSD_TOL = 1e-9
 
 SWEEP_COLUMNS = ("param", "R_opt", "energy_opt", "ground_energy",
                  "fidelity_per_site")
@@ -101,7 +111,8 @@ def default_grid():
 def scan_radius(spec, ham, R_grid=None, objective="energy", workers=1):
     """Scan torus radii against a chain; refine the best point by Brent.
 
-    Energies are checked against the variational bound E >= E0 - 1e-9.
+    Energies are checked against the variational bound
+    E >= E0 - VARIATIONAL_TOL.
     The grid points run serially. `workers` accepts only 1: the benchmark
     workloads still pass workers=1, and the next benchmark-upkeep change
     removes the keyword.
@@ -138,18 +149,27 @@ def scan_radius(spec, ham, R_grid=None, objective="energy", workers=1):
     r_opt, _ = minimize_scalar(lambda R: score(point(R)), (lo, hi), tol=1e-4)
     opt = point(r_opt)
     _, e_opt, f_opt = opt
-    # a flat basin can park the refinement anywhere inside it, so the lower
-    # edge also counts when the bottom grid point scores as well as r_opt
-    edge_tol = 1e-9 * max(1.0, abs(score(opt)))
-    at_lower_edge = (r_opt <= grid[1]
-                     or score(rows[0]) <= score(opt) + edge_tol)
-    unbounded = r_opt >= 0.99 * grid[-1]
+    at_lower_edge, unbounded = _edge_flags(grid, r_opt, score(rows[0]),
+                                           score(opt))
     for _, energy, _ in rows + [(r_opt, e_opt, f_opt)]:
-        if energy < e0 - 1e-9:
+        if energy < e0 - VARIATIONAL_TOL:
             raise ConsistencyError(
                 f"scan energy {energy!r} undercuts ground energy {e0!r}")
     return ScanResult(spec, ham, rows, (float(r_opt), e_opt, f_opt), e0,
                       objective, at_lower_edge, unbounded)
+
+
+def _edge_flags(grid, r_opt, first_score, opt_score):
+    """(at_lower_edge, unbounded) of the refined optimum r_opt on a sorted
+    grid, given the scores of the bottom grid point and of r_opt.
+
+    A flat basin can park the refinement anywhere inside it, so the lower
+    edge also counts when the bottom grid point scores within EDGE_TOL of
+    r_opt.
+    """
+    edge_tol = EDGE_TOL * max(1.0, abs(opt_score))
+    at_lower_edge = r_opt <= grid[1] or first_score <= opt_score + edge_tol
+    return at_lower_edge, r_opt >= UNBOUNDED_SHARE * grid[-1]
 
 
 def sweep_phase_diagram(spec, ham_family, R_grid=None, objective="energy"):
@@ -325,7 +345,7 @@ def _parent_check(sizes):
         worst_res = max(worst_res, residual)
         worst_eig = max(worst_eig, -min_eig)
     entry = _check("parent_annihilation", worst_res, 1e-8, details=details)
-    entry["pass"] = entry["pass"] and worst_eig <= 1e-9
+    entry["pass"] = entry["pass"] and worst_eig <= PSD_TOL
     entry["min_eigenvalue_defect"] = float(worst_eig)
     return entry
 

@@ -5,7 +5,10 @@ two-site terms (coupling, i, j, gate) where gate is a d^2 x d^2 matrix acting
 on sites i and j. Heisenberg exchange S_i.S_j and its square (S_i.S_j)^2 both
 conserve total Sz exactly, so operators restrict cleanly to Sz sectors.
 Every operator, full-space or sector, is one sparse matrix assembled by
-scattering gate entries over configuration ranks. The cotangent parent chain
+scattering gate entries over configuration ranks. Every chain also conserves
+total spin, so the ground energy lies in the sector of lowest |Sz|, which
+holds a member of every multiplet: ground_states solves that sector alone,
+while ground_subspace can still merge all of them. The cotangent parent chain
 carries long-range couplings built from w_jk = i cot(pi (z_j - z_k)) at
 uniform z_j = j/N; every w product is real there, which the build asserts
 rather than assumes.
@@ -17,8 +20,8 @@ import scipy.sparse
 
 from . import blocks
 from .errors import ConsistencyError, InputError
-from .hilbert import (StateVector, digits, embed_sector, enumerate_sector,
-                      spin_matrices)
+from .hilbert import (StateVector, check_size, digits, embed_sector,
+                      enumerate_sector, spin_matrices)
 from .numerics import LinearOperator, eig_smallest
 
 HS = "hs"
@@ -29,6 +32,8 @@ _KINDS = (HS, J1J2, QBQ, PARENT)
 
 DEGENERACY_TOL = 1e-9
 IMAG_TOL = 1e-12
+# gate entries at or below this magnitude are left out of the sparse matrix
+GATE_ENTRY_TOL = 1e-14
 # levels ground_states requests first; the count doubles while all are
 # degenerate with the ground state
 GROUND_K0 = 4
@@ -170,7 +175,7 @@ def _scatter_matrix(N, d, const, pairs, ranks):
         vals.append(np.full(m, const))
     for coupling, i, j, gate in pairs:
         g4 = gate.reshape(d, d, d, d)
-        for a2, b2, a, b in np.argwhere(np.abs(g4) > 1e-14):
+        for a2, b2, a, b in np.argwhere(np.abs(g4) > GATE_ENTRY_TOL):
             sel = np.nonzero((site_digits[:, i] == a)
                              & (site_digits[:, j] == b))[0]
             if not sel.size:
@@ -195,15 +200,15 @@ def build(spec, sector=None):
     The operator is always one sparse CSR matrix scattered over the basis
     ranks; only eig_smallest densifies it (up to DENSE_DIM_MAX).
     """
-    const, pairs = _terms(spec)
     N, d = spec.N, spec.d
     if sector is None:
-        ranks = np.arange(d ** N)
+        ranks = np.arange(check_size(N, d))
     elif (sector.N, sector.d) != (N, d):
         raise InputError(
             f"sector ({sector.N},{sector.d}) does not match spec ({N},{d})")
     else:
         ranks = sector.ranks
+    const, pairs = _terms(spec)
     return LinearOperator(_scatter_matrix(N, d, const, pairs, ranks))
 
 
@@ -239,25 +244,32 @@ def _sz_values(N, d):
     return np.arange(-smax, smax + 0.5)
 
 
-def ground_subspace(spec, k=1):
-    """k lowest eigenpairs over the full spectrum as (energy, StateVector).
+def ground_subspace(spec, k=1, sz=None):
+    """k lowest eigenpairs as (energy, StateVector).
 
-    Each Sz sector is diagonalized separately and the results are merged.
+    With sz=None over the full spectrum: each Sz sector is diagonalized
+    separately and the results are merged, and k is at most d^N. Given sz,
+    only that total-Sz sector is solved, and k is at most its size.
     Ordering is deterministic: energies agreeing within 1e-9 form one group,
     sorted inside by Sz and then by rank within the sector.
     """
     N, d = spec.N, spec.d
-    if not 1 <= k <= d ** N:
-        raise InputError(f"need 1 <= k <= {d ** N}, got {k}")
+    if sz is None:
+        sectors = [enumerate_sector(N, d, s) for s in _sz_values(N, d)]
+        dim = d ** N
+    else:
+        sectors = [enumerate_sector(N, d, sz)]
+        dim = sectors[0].size
+        if not dim:
+            raise InputError(f"no configuration of N={N}, d={d} has Sz={sz}")
+    if not 1 <= k <= dim:
+        raise InputError(f"need 1 <= k <= {dim}, got {k}")
     entries = []
-    for sz in _sz_values(N, d):
-        sector = enumerate_sector(N, d, sz)
-        if not sector.size:
-            continue
+    for sector in sectors:
         op = build(spec, sector=sector)
         for rank, (energy, vec) in enumerate(eig_smallest(op,
                                                           min(k, sector.size))):
-            entries.append((energy, sz, rank, vec, sector))
+            entries.append((energy, sector.Sz, rank, vec, sector))
     entries.sort(key=lambda t: t[0])
     group = [0]
     for prev, cur in zip(entries, entries[1:]):
@@ -272,11 +284,22 @@ def ground_subspace(spec, k=1):
 
 
 def ground_states(spec):
-    """(E0, [states]) with every state within 1e-9 of the ground energy."""
-    dim = spec.d ** spec.N
+    """(E0, [states]) with every state within 1e-9 of the ground energy.
+
+    Only the sector of lowest |Sz| is solved: (N (d-1) / 2) mod 1, so 0
+    for d=3 or even N and 1/2 for odd N at d=2. Every chain here conserves
+    total spin and every multiplet has a member in that sector, so E0 is
+    the exact ground energy; the states are the ground level's members in
+    that sector. For a singlet ground level that is the whole
+    ground space. For a multiplet ground level (the ferromagnetic qbq
+    chain, for one) only one member per multiplet comes back, which is
+    all that a projector onto it needs for an Sz = 0 block state.
+    """
+    sz = (spec.N * (spec.d - 1) / 2) % 1
+    dim = enumerate_sector(spec.N, spec.d, sz).size
     k = min(GROUND_K0, dim)
     while True:
-        pairs = ground_subspace(spec, k)
+        pairs = ground_subspace(spec, k, sz)
         e0 = pairs[0][0]
         kept = [sv for e, sv in pairs if e - e0 <= DEGENERACY_TOL]
         if len(kept) < k or k == dim:

@@ -20,11 +20,31 @@ MAGIC = b"IDMPS1"
 LABELS = {2: (1, -1), 3: (1, 0, -1)}
 # spin carried by each digit
 SPINS = {2: (0.5, -0.5), 3: (1.0, 0.0, -1.0)}
+# a configuration is in the sector Sz when its total spin is this close
+SZ_MATCH_TOL = 1e-9
+# largest configuration count d^N a table or state vector may span; the
+# digit tables alone take 8 N d^N bytes (168 MB at N=20, d=2)
+MAX_CONFIGS = 2 ** 20
+# a basis vector whose QR diagonal is below this share of the largest adds
+# no direction to a target subspace
+QR_RANK_TOL = 1e-12
 
 
 def _check_dim(d):
     if d not in LABELS:
         raise InputError(f"local dimension must be 2 or 3, got {d}")
+
+
+def check_size(N, d):
+    """d^N, or InputError stating MAX_CONFIGS when d^N exceeds it; checked
+    before anything of that size is allocated."""
+    _check_dim(d)
+    # d >= 2, so d^N <= MAX_CONFIGS needs N <= its bit length; a huge N
+    # fails here, before d ** N is computed
+    if N > MAX_CONFIGS.bit_length() or d ** N > MAX_CONFIGS:
+        raise InputError(f"N={N}, d={d} spans more than {MAX_CONFIGS} "
+                         f"configurations (hilbert.MAX_CONFIGS)")
+    return d ** N
 
 
 def config_rank(labels, d):
@@ -56,14 +76,13 @@ def rank_config(rank, N, d):
 
 def all_configs(N, d):
     """(d^N, N) array of labels; row index equals configuration rank."""
-    _check_dim(d)
-    return rank_config(np.arange(d ** N), N, d)
+    return rank_config(np.arange(check_size(N, d)), N, d)
 
 
 def total_sz_table(N, d):
     """Total spin-z for every configuration rank."""
-    _check_dim(d)
-    return np.array(SPINS[d])[digits(np.arange(d ** N), N, d)].sum(axis=1)
+    ranks = np.arange(check_size(N, d))
+    return np.array(SPINS[d])[digits(ranks, N, d)].sum(axis=1)
 
 
 class SectorIndex:
@@ -92,7 +111,7 @@ def enumerate_sector(N, d, Sz):
     if N < 2:
         raise InputError(f"need N >= 2, got {N}")
     table = total_sz_table(N, d)
-    ranks = np.nonzero(np.abs(table - Sz) < 1e-9)[0]
+    ranks = np.nonzero(np.abs(table - Sz) < SZ_MATCH_TOL)[0]
     return SectorIndex(N, d, Sz, ranks)
 
 
@@ -104,13 +123,13 @@ class StateVector:
     """
 
     def __init__(self, N, d, amplitudes, normalized=False):
-        _check_dim(d)
+        dim = check_size(N, d)
         self.N = int(N)
         self.d = int(d)
         amps = np.array(amplitudes, dtype=complex)
-        if amps.shape != (d ** N,):
+        if amps.shape != (dim,):
             raise InputError(
-                f"amplitudes must have length {d ** N}, got {amps.shape}")
+                f"amplitudes must have length {dim}, got {amps.shape}")
         if not np.all(np.isfinite(amps.view(float))):
             raise InputError("amplitudes contain non-finite entries")
         if normalized:
@@ -270,7 +289,7 @@ def fidelity_per_site_subspace(a, basis):
         raise InputError("fidelity of a zero state is undefined")
     cols = np.column_stack([b.amplitudes for b in basis])
     q, r = np.linalg.qr(cols)
-    keep = np.abs(np.diag(r)) > 1e-12 * np.abs(np.diag(r)).max()
+    keep = np.abs(np.diag(r)) > QR_RANK_TOL * np.abs(np.diag(r)).max()
     q = q[:, keep]
     w = q.conj().T @ (a.amplitudes / na)
     return float(np.linalg.norm(w) ** (2.0 / a.N))
@@ -278,6 +297,6 @@ def fidelity_per_site_subspace(a, basis):
 
 def embed_sector(reduced, sector, normalized=False):
     """StateVector with the reduced amplitudes placed at the sector ranks."""
-    amps = np.zeros(sector.d ** sector.N, dtype=complex)
+    amps = np.zeros(check_size(sector.N, sector.d), dtype=complex)
     amps[sector.ranks] = reduced
     return StateVector(sector.N, sector.d, amps, normalized=normalized)

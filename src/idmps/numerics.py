@@ -10,6 +10,10 @@ A LinearOperator holds one matrix, usually scipy sparse (every Hamiltonian
 is). eig_smallest checks that it is Hermitian and is the only place that
 densifies it: dense eigh up to DENSE_DIM_MAX, Lanczos on the matrix above,
 from one fixed start vector so that repeated solves agree bit for bit.
+Lanczos can return genuine eigenpairs yet skip a degenerate copy, which no
+residual check sees, so each Lanczos result is checked by deflation: the
+lowest level of H + sigma V V^dagger (V the returned vectors, sigma above
+the spectral width) must not lie below the highest returned level.
 """
 import math
 
@@ -23,8 +27,14 @@ from .logcomplex import LogComplex
 
 # relative bound of the A = -A^T and H = H^dagger checks
 SYMMETRY_TOL = 1e-12
-DENSE_DIM_MAX = 4096
+# dense eigh up to this dimension, guarded Lanczos above: the measured
+# break-even of the two for 4 levels of a chain's Sz sector
+DENSE_DIM_MAX = 350
 EIG_RESIDUAL_TOL = 1e-8
+# a deflated level this far below the highest returned one is a missed
+# copy; at most hamiltonians.DEGENERACY_TOL, so a missed ground copy cannot
+# hide inside the degeneracy grouping
+MISSED_LEVEL_TOL = 1e-10
 
 
 def _breaks_symmetry(defect, a):
@@ -107,17 +117,61 @@ class LinearOperator:
         return self.matrix @ v
 
 
+def _lanczos(m, k, v0):
+    """(values, vectors) of the k lowest eigenpairs of m by ARPACK."""
+    try:
+        return scipy.sparse.linalg.eigsh(
+            m, k=k, which="SA", v0=v0, maxiter=100 * m.shape[0], tol=0.0)
+    except scipy.sparse.linalg.ArpackNoConvergence as exc:
+        raise NumericalError(
+            f"Lanczos did not converge for dim={m.shape[0]}, k={k}: {exc}")
+
+
+def _guarded_lanczos(m, k):
+    """k lowest eigenpairs of m by Lanczos, with missed copies restored.
+
+    Each round solves for the lowest level mu of m + sigma V V^dagger: with
+    sigma above the spectral width the returned vectors V are lifted above
+    the spectrum, so mu is the lowest level orthogonal to them. mu below the
+    highest returned value by more than MISSED_LEVEL_TOL is a missed copy:
+    it is merged and the k lowest are kept. At most k + 1 rounds run: each
+    merge replaces a level outside the true k lowest, so k merges restore
+    any result.
+    """
+    dim = m.shape[0]
+    v0 = np.random.default_rng(0).standard_normal(dim)
+    vals, vecs = _lanczos(m, k, v0)
+    sigma = 2.0 * abs(m).sum(axis=1).max() + 1.0
+    for _ in range(k + 1):
+        order = np.argsort(vals)
+        vals, vecs = vals[order], vecs[:, order]
+
+        def deflated(x):
+            return m @ x + sigma * (vecs @ (vecs.conj().T @ x))
+
+        op = scipy.sparse.linalg.LinearOperator(
+            (dim, dim), matvec=deflated, dtype=np.result_type(m.dtype, vecs))
+        mu, u = _lanczos(op, 1, v0)
+        if mu[0] >= vals[-1] - MISSED_LEVEL_TOL:
+            return vals, vecs
+        vals = np.append(vals[:-1], mu)
+        vecs = np.column_stack([vecs[:, :-1], u])
+    raise NumericalError(f"Lanczos kept missing levels for dim={dim}, k={k} "
+                         f"after {k + 1} deflated solves")
+
+
 def eig_smallest(h, k=1):
     """k algebraically smallest eigenpairs of a Hermitian LinearOperator.
 
     The matrix must equal its conjugate transpose within SYMMETRY_TOL
     (relative), else InputError; a sparse matrix is checked before it is
-    densified. Dense diagonalization up to dim 4096, implicitly-restarted
-    Lanczos above, started from one seeded random vector (ARPACK's own
-    start is random per call). Returns [(eigenvalue, eigenvector), ...]
-    sorted ascending; each vector owns its data (no view into the full
-    eigenvector matrix), and each residual ||Hv - lambda v|| is verified
-    against 1e-8.
+    densified. Dense diagonalization up to dim DENSE_DIM_MAX (or k >= dim-1),
+    implicitly-restarted Lanczos above, started from one seeded random
+    vector (ARPACK's own start is random per call) and checked by deflation
+    for missed degenerate copies (NumericalError if they keep coming).
+    Returns [(eigenvalue, eigenvector), ...] sorted ascending; each vector
+    owns its data (no view into the full eigenvector matrix), and each
+    residual ||Hv - lambda v|| is verified against 1e-8.
     """
     if not isinstance(h, LinearOperator):
         h = LinearOperator(h)
@@ -131,17 +185,9 @@ def eig_smallest(h, k=1):
         if scipy.sparse.issparse(m):
             m = m.toarray()
         vals, vecs = np.linalg.eigh(m)
-        pairs = [(float(vals[i]), vecs[:, i].copy()) for i in range(k)]
     else:
-        v0 = np.random.default_rng(0).standard_normal(h.dim)
-        try:
-            vals, vecs = scipy.sparse.linalg.eigsh(
-                m, k=k, which="SA", v0=v0, maxiter=100 * h.dim, tol=0.0)
-        except scipy.sparse.linalg.ArpackNoConvergence as exc:
-            raise NumericalError(
-                f"Lanczos did not converge for dim={h.dim}, k={k}: {exc}")
-        order = np.argsort(vals)
-        pairs = [(float(vals[i]), vecs[:, i].copy()) for i in order]
+        vals, vecs = _guarded_lanczos(m, k)
+    pairs = [(float(vals[i]), vecs[:, i].copy()) for i in range(k)]
     for lam, vec in pairs:
         res = np.linalg.norm(h.apply(vec) - lam * vec)
         if res > EIG_RESIDUAL_TOL * max(1.0, np.linalg.norm(vec)):

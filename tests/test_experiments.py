@@ -8,7 +8,9 @@ import pytest
 from idmps import blocks, hamiltonians, refstates
 from idmps.blocks import BlockSpec
 from idmps.errors import ConsistencyError, InputError
-from idmps.experiments import (block_state_spin_basis, identity_suite,
+from idmps.experiments import (EDGE_TOL, PSD_TOL, UNBOUNDED_SHARE,
+                               VARIATIONAL_TOL, _edge_flags, _parent_check,
+                               block_state_spin_basis, identity_suite,
                                j1j2_family, limit_convergence, qbq_family,
                                scan_radius, sweep_csv, sweep_phase_diagram)
 from idmps.hamiltonians import HamiltonianSpec, ground_states
@@ -60,6 +62,46 @@ def test_scan_validation():
         scan_radius(spec, ham, R_grid=[0.001, 1.0])
     with pytest.raises(InputError):
         scan_radius(spec, ham, R_grid=GRID, objective="prettiness")
+
+
+def test_scan_variational_bound(monkeypatch):
+    spec, ham = BlockSpec("su2_1", 0, 4), HamiltonianSpec("j1j2", 4, J2=0.3)
+    res = scan_radius(spec, ham, R_grid=GRID[:3])
+    lowest = min(e for _, e, _ in res.rows + [res.optimum])
+    _, ground = ground_states(ham)
+    # pretend E0 sits just below, then just above, the bound's reach
+    for shift, ok in ((0.5 * VARIATIONAL_TOL, True),
+                      (2 * VARIATIONAL_TOL, False)):
+        monkeypatch.setattr(hamiltonians, "ground_states",
+                            lambda h, e=lowest + shift: (e, ground))
+        if ok:
+            scan_radius(spec, ham, R_grid=GRID[:3])
+        else:
+            with pytest.raises(ConsistencyError):
+                scan_radius(spec, ham, R_grid=GRID[:3])
+
+
+def test_scan_edge_flags():
+    grid = np.geomspace(0.02, 30, 25)
+    mid = grid[10]
+    # the refinement inside the first interval is at the lower edge
+    assert _edge_flags(grid, grid[1], 0.0, -1.0) == (True, False)
+    # so is a bottom point scoring within EDGE_TOL (relative, floor 1)
+    for opt, scale in ((-5.0, 5.0), (-0.1, 1.0)):
+        near = opt + 0.5 * EDGE_TOL * scale
+        far = opt + 2 * EDGE_TOL * scale
+        assert _edge_flags(grid, mid, near, opt) == (True, False)
+        assert _edge_flags(grid, mid, far, opt) == (False, False)
+    top = UNBOUNDED_SHARE * grid[-1]
+    assert _edge_flags(grid, top, 0.0, -1.0) == (False, True)
+    assert _edge_flags(grid, top * (1 - 1e-12), 0.0, -1.0) == (False, False)
+
+
+def test_parent_check_psd_bound(monkeypatch):
+    for min_eig, ok in ((-0.5 * PSD_TOL, True), (-2 * PSD_TOL, False)):
+        monkeypatch.setattr(hamiltonians, "parent_annihilation_check",
+                            lambda N, e=min_eig: (0.0, e))
+        assert _parent_check([4])["pass"] is ok
 
 
 def test_fidelity_objective_is_available():

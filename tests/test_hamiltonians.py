@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from idmps import blocks, refstates
+from idmps import blocks, hamiltonians, refstates
 from idmps.errors import ConsistencyError, InputError
-from idmps.hamiltonians import (HamiltonianSpec, biquadratic_gate, build,
-                                eigenstate_residual, ground_states,
-                                ground_subspace, heisenberg_gate,
-                                parent_annihilation_check)
+from idmps.hamiltonians import (DEGENERACY_TOL, GATE_ENTRY_TOL,
+                                HamiltonianSpec, _scatter_matrix,
+                                biquadratic_gate, build, eigenstate_residual,
+                                ground_states, ground_subspace,
+                                heisenberg_gate, parent_annihilation_check)
 from idmps.hilbert import (StateVector, enumerate_sector, fidelity_per_site,
                            fidelity_per_site_subspace,
                            spin_matrices, total_spin_quantum, translate)
@@ -259,6 +260,72 @@ def test_ground_subspace_is_deterministic():
     for (ea, va), (eb, vb) in zip(a, b):
         assert ea == eb
         assert np.array_equal(va.amplitudes, vb.amplitudes)
+
+
+# ---------------------------------------------------------------- sector ED
+
+SECTOR_CASES = (
+    [HamiltonianSpec("hs", N) for N in (5, 6, 7, 8)]
+    + [HamiltonianSpec("j1j2", N, J2=j2) for N in (8, 10)
+       for j2 in (0.0, 0.3, 0.5, 0.8)]
+    # theta = pi is the ferromagnet: its ground level is a multiplet
+    + [HamiltonianSpec("qbq", N, theta=th) for N in (4, 5, 6, 7)
+       for th in (-math.pi / 2, 0.0, math.atan(1 / 3), math.pi / 4, math.pi)]
+    + [HamiltonianSpec("parent", N) for N in (6, 8)])
+
+
+@pytest.mark.parametrize("spec", SECTOR_CASES, ids=repr)
+def test_ground_states_sector_matches_all_sectors(spec):
+    e0, states = ground_states(spec)
+    e_all = ground_subspace(spec, 1)[0][0]
+    assert abs(e0 - e_all) <= 1e-12
+    # the states span the ground projector restricted to the lowest |Sz|
+    sector = enumerate_sector(spec.N, spec.d, (spec.N * (spec.d - 1) / 2) % 1)
+    vals, vecs = np.linalg.eigh(build(spec, sector).matrix.toarray())
+    ground = vecs[:, vals <= e_all + DEGENERACY_TOL]
+    got = np.column_stack([sv.amplitudes[sector.ranks] for sv in states])
+    assert got.shape[1] == ground.shape[1]
+    q, _ = np.linalg.qr(got)
+    assert np.abs(q @ q.conj().T - ground @ ground.conj().T).max() < 1e-10
+    for sv in states:
+        assert np.linalg.norm(np.delete(sv.amplitudes, sector.ranks)) == 0.0
+
+
+def test_ground_states_solves_one_sector(monkeypatch):
+    # merging every sector would solve the 11 Sz sectors of N=10
+    calls = []
+    real = hamiltonians.eig_smallest
+
+    def counting(op, k=1):
+        calls.append(op.dim)
+        return real(op, k)
+
+    monkeypatch.setattr(hamiltonians, "eig_smallest", counting)
+    ground_states(HamiltonianSpec("j1j2", 10, J2=0.3))
+    assert calls == [252]
+
+
+def test_ground_subspace_in_one_sector():
+    spec = HamiltonianSpec("hs", 5)
+    pairs = ground_subspace(spec, 3, sz=0.5)
+    assert len(pairs) == 3
+    for _, sv in pairs:
+        assert total_spin_quantum(sv)[1] == pytest.approx(0.5, abs=1e-12)
+    # k is bounded by the sector's size, and the sector must exist
+    assert len(ground_subspace(spec, 10, sz=0.5)) == 10
+    with pytest.raises(InputError):
+        ground_subspace(spec, 11, sz=0.5)
+    with pytest.raises(InputError):
+        ground_subspace(spec, 1, sz=0.0)
+
+
+def test_gate_entries_at_the_cut_are_left_out():
+    for entry, nnz in ((0.5 * GATE_ENTRY_TOL, 1), (2 * GATE_ENTRY_TOL, 2)):
+        gate = np.zeros((4, 4))
+        gate[0, 0] = 1.0
+        gate[3, 3] = entry
+        m = _scatter_matrix(2, 2, 0.0, [(1.0, 0, 1, gate)], np.arange(4))
+        assert m.nnz == nnz
 
 
 def test_spec_validation():

@@ -6,11 +6,13 @@ import time
 import numpy as np
 import pytest
 
+from idmps import hamiltonians
 from idmps.errors import InputError
 from idmps.hilbert import (
-    StateVector, all_configs, apply_site_unitary, config_rank,
+    MAX_CONFIGS, QR_RANK_TOL, SZ_MATCH_TOL, SectorIndex, StateVector,
+    all_configs, apply_site_unitary, check_size, config_rank, embed_sector,
     enumerate_sector, fidelity_per_site, fidelity_per_site_subspace,
-    rank_config, total_spin_quantum, translate,
+    rank_config, total_spin_quantum, total_sz_table, translate,
 )
 
 
@@ -80,6 +82,11 @@ def test_sector_ranks_ascending():
 
 
 # ------------------------------------------------------------------- operators
+
+def test_sector_match_tolerance():
+    assert enumerate_sector(4, 2, 0.5 * SZ_MATCH_TOL).size == 6
+    assert enumerate_sector(4, 2, 2 * SZ_MATCH_TOL).size == 0
+
 
 def test_translate_two_site():
     v = basis_state(2, 2, [1, -1])
@@ -178,6 +185,17 @@ def test_fidelity_subspace():
         0.5 ** 0.5, abs=1e-12)
 
 
+def test_fidelity_subspace_rank_cut():
+    # a basis vector adds the direction b only when its QR diagonal,
+    # eps here, exceeds QR_RANK_TOL times the largest (1)
+    a = basis_state(2, 2, [1, 1])
+    b = basis_state(2, 2, [1, -1])
+    for eps, want in ((0.5 * QR_RANK_TOL, 0.0), (2 * QR_RANK_TOL, 1.0)):
+        tilted = StateVector(2, 2, a.amplitudes + eps * b.amplitudes)
+        assert fidelity_per_site_subspace(b, [a, tilted]) == \
+            pytest.approx(want, abs=1e-12)
+
+
 def test_fidelity_zero_state_rejected():
     v = StateVector(2, 2, np.zeros(4))
     w = random_state(2, 2)
@@ -223,6 +241,25 @@ def test_binary_header_checked_before_allocation():
         with pytest.raises(InputError):
             StateVector.from_bytes(blob)
         assert time.perf_counter() - t0 < 0.1
+
+
+def test_size_limit_is_checked_before_allocation():
+    assert check_size(20, 2) == MAX_CONFIGS == 2 ** 20
+    assert check_size(12, 3) == 3 ** 12
+    calls = [lambda N, d: check_size(N, d),
+             lambda N, d: StateVector(N, d, np.zeros(1)),
+             lambda N, d: all_configs(N, d),
+             lambda N, d: total_sz_table(N, d),
+             lambda N, d: enumerate_sector(N, d, 0.0),
+             lambda N, d: embed_sector(np.ones(1), SectorIndex(N, d, 0, [0])),
+             lambda N, d: hamiltonians.build(
+                 hamiltonians.HamiltonianSpec("qbq" if d == 3 else "hs", N))]
+    for N, d in ((21, 2), (13, 3), (40, 2), (40, 3), (10 ** 9, 2)):
+        for call in calls:
+            t0 = time.perf_counter()
+            with pytest.raises(InputError, match=str(MAX_CONFIGS)):
+                call(N, d)
+            assert time.perf_counter() - t0 < 0.1
 
 
 def test_state_vector_validation():

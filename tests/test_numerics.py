@@ -5,11 +5,13 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.sparse.linalg
 
 import idmps.numerics as numerics
 from idmps import hamiltonians
 from idmps.errors import InputError, NumericalError
 from idmps.hamiltonians import HamiltonianSpec
+from idmps.hilbert import enumerate_sector
 from idmps.numerics import (
     LinearOperator, eig_smallest, minimize_scalar, pfaffian, pfaffian_log,
 )
@@ -173,9 +175,10 @@ def test_eig_lanczos_agrees_with_dense(monkeypatch):
     rng = np.random.default_rng(7)
     m = rng.normal(size=(300, 300))
     m = (m + m.T) / 2
-    dense = eig_smallest(m, k=2)
     sparse = scipy.sparse.csr_matrix(m)
-    # below DENSE_DIM_MAX a sparse operand is densified to the same matrix
+    monkeypatch.setattr(numerics, "DENSE_DIM_MAX", 300)
+    dense = eig_smallest(m, k=2)
+    # up to DENSE_DIM_MAX a sparse operand is densified to the same matrix
     assert ([e for e, _ in eig_smallest(LinearOperator(sparse), k=2)]
             == [e for e, _ in dense])
     monkeypatch.setattr(numerics, "DENSE_DIM_MAX", 100)
@@ -183,6 +186,58 @@ def test_eig_lanczos_agrees_with_dense(monkeypatch):
         lanczos = eig_smallest(LinearOperator(operand), k=2)
         for (a, _), (b, _) in zip(dense, lanczos):
             assert a == pytest.approx(b, abs=1e-8)
+
+
+# sectors where plain Lanczos returns genuine eigenpairs yet skips a
+# degenerate copy (qbq N=6, theta=pi/4, Sz=1, k=4 gave 1.9768 x3 and 2.4002
+# where the levels are 1.9768 x4); the deflation guard restores each
+MISSED_COPY_CASES = [
+    (HamiltonianSpec("qbq", 6, theta=math.pi / 4), 1.0, 4),
+    (HamiltonianSpec("j1j2", 12, J2=0.8), 1.0, 2),
+    (HamiltonianSpec("qbq", 7, theta=-math.pi / 2), 4.0, 4),
+    (HamiltonianSpec("qbq", 7, theta=-math.pi / 2), 4.0, 8),
+    (HamiltonianSpec("qbq", 6, theta=0.2), 0.0, 4),
+]
+
+
+@pytest.mark.parametrize("spec,sz,k", MISSED_COPY_CASES,
+                         ids=lambda x: repr(x))
+def test_eig_lanczos_keeps_every_degenerate_copy(monkeypatch, spec, sz, k):
+    op = hamiltonians.build(spec, enumerate_sector(spec.N, spec.d, sz))
+    want = np.linalg.eigvalsh(op.matrix.toarray())[:k]
+    monkeypatch.setattr(numerics, "DENSE_DIM_MAX", 0)
+    pairs = eig_smallest(op, k)
+    assert np.abs(np.array([e for e, _ in pairs]) - want).max() < 1e-9
+    vecs = np.column_stack([v for _, v in pairs])
+    assert np.abs(vecs.conj().T @ vecs - np.eye(k)).max() < 1e-10
+
+
+def test_missed_level_tol_sits_inside_the_degeneracy_grouping():
+    # a missed ground copy above the guard's cut would be within
+    # DEGENERACY_TOL of the returned level and so be grouped with it
+    assert 0 < numerics.MISSED_LEVEL_TOL <= hamiltonians.DEGENERACY_TOL
+
+
+def test_eig_guard_gives_up_on_endless_misses(monkeypatch):
+    # a deflated solve that always reports a lower level is never satisfied;
+    # the guard stops after k + 1 rounds instead of looping
+    real = numerics._lanczos
+    rounds = []
+
+    def lying(m, k, v0):
+        vals, vecs = real(m, k, v0)
+        if isinstance(m, scipy.sparse.linalg.LinearOperator):
+            rounds.append(k)
+            vals = vals - 1e3
+        return vals, vecs
+
+    monkeypatch.setattr(numerics, "_lanczos", lying)
+    monkeypatch.setattr(numerics, "DENSE_DIM_MAX", 0)
+    op = hamiltonians.build(HamiltonianSpec("hs", 8),
+                            enumerate_sector(8, 2, 0.0))
+    with pytest.raises(NumericalError):
+        eig_smallest(op, 3)
+    assert rounds == [1] * 4
 
 
 def test_eig_lanczos_is_deterministic():
