@@ -23,7 +23,9 @@ and theta factor is folded onto the half period by its parity and period
 so its Pfaffians run in real arithmetic. K is block-diagonal by flavor, so
 psi_nu(s) = sign(pi_s) prod_f Pf K[S_f] (pi_s sorts the sites by flavor):
 one Pfaffian per distinct even S_f, none where a ring symmetry zeroes it
-(_block_zeros).
+(_block_zeros). The su2_1 pair products are summed per table X (log|E| and
+arg E, symmetric with a zero diagonal) as 1/4 (sum X + s^T X s): one matmul
+s @ X over all Sz=0 rows, listed once per N.
 Everything is accumulated in log-magnitude/phase form: at small R the raw
 amplitudes overflow doubles, so the builder subtracts the maximum log before
 exponentiating and records the discarded global scale. The CLI, not this
@@ -201,9 +203,8 @@ def _config_logs(spec, geom, labels):
         s = labels.astype(float)
         # sum_{i<j,[s_i=s_j]} X_ij = 1/4 (sum_ij X_ij + s^T X s) for the
         # symmetric, zero-diagonal tables X = log|E| and arg E
-        table = np.stack(_kernel_table(spec, geom))
-        logs, args = 0.25 * (table.sum(axis=(1, 2))[:, None]
-                             + np.einsum("mi,kij,mj->km", s, table, s))
+        logs, args = (0.25 * (table.sum() + ((s @ table) * s).sum(axis=-1))
+                      for table in _kernel_table(spec, geom))
         args += np.where(marshall_sign(labels) < 0, math.pi, 0.0)
         # the theta factor sees a configuration only through n = sum s_j j
         tlogs, targs = _folded(spec.label, geom, labels @ np.arange(1, N + 1),

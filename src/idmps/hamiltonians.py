@@ -161,34 +161,46 @@ def _terms(spec):
 def _scatter_matrix(N, d, const, pairs, ranks):
     """Hamiltonian matrix on the basis {ranks} as a sparse CSR.
 
-    Each gate conserves two-site Sz, so scattering never leaves an
-    Sz-closed basis; a rank-lookup miss means the basis is not closed.
+    The diagonal is one vector: every diagonal gate entry is gathered by
+    the bond's two-site code digits[i] * d + digits[j]. Only off-diagonal
+    entries are scattered; each gate conserves two-site Sz, so scattering
+    never leaves an Sz-closed basis, and a rank-lookup miss means the basis
+    is not closed. A row that no diagonal entry reaches stores none.
     """
     ranks = np.asarray(ranks, dtype=np.int64)
     m = len(ranks)
-    site_digits = digits(ranks, N, d)
+    # one contiguous row of digits per site
+    site_digits = np.ascontiguousarray(digits(ranks, N, d).T)
     weight = d ** np.arange(N - 1, -1, -1, dtype=np.int64)
+    diag = np.full(m, float(const))
+    on_diag = np.full(m, bool(const))
     rows, cols, vals = [], [], []
-    if const:
-        rows.append(np.arange(m))
-        cols.append(np.arange(m))
-        vals.append(np.full(m, const))
     for coupling, i, j, gate in pairs:
-        g4 = gate.reshape(d, d, d, d)
-        for a2, b2, a, b in np.argwhere(np.abs(g4) > GATE_ENTRY_TOL):
-            sel = np.nonzero((site_digits[:, i] == a)
-                             & (site_digits[:, j] == b))[0]
+        kept = np.where(np.abs(gate) > GATE_ENTRY_TOL, gate, 0.0)
+        code = site_digits[i] * d + site_digits[j]
+        gdiag = np.diagonal(kept)
+        diag += coupling * gdiag[code]
+        on_diag |= (gdiag != 0)[code]
+        for dest_code, src_code in np.argwhere(kept):
+            if dest_code == src_code:
+                continue
+            sel = np.nonzero(code == src_code)[0]
             if not sel.size:
                 continue
+            a2, b2 = divmod(int(dest_code), d)
+            a, b = divmod(int(src_code), d)
             dest = ranks[sel] + (a2 - a) * weight[i] + (b2 - b) * weight[j]
             pos = np.searchsorted(ranks, dest)
             if np.any(pos >= m) or np.any(ranks[np.minimum(pos, m - 1)] != dest):
                 raise ConsistencyError("a gate entry left the Sz sector")
             rows.append(pos)
             cols.append(sel)
-            vals.append(np.full(sel.size, coupling * g4[a2, b2, a, b]))
+            vals.append(np.full(sel.size,
+                                coupling * gate[dest_code, src_code]))
+    live = np.nonzero(on_diag)[0]
     mat = scipy.sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        (np.concatenate([diag[live]] + vals),
+         (np.concatenate([live] + rows), np.concatenate([live] + cols))),
         shape=(m, m))
     return mat.tocsr()
 

@@ -6,6 +6,7 @@ site index: site 1 is the most significant digit, with label order (+1,-1)
 for d=2 and (+1,0,-1) for d=3, so files and sector listings are reproducible
 byte for byte.
 """
+import functools
 import json
 import math
 import struct
@@ -86,33 +87,53 @@ def total_sz_table(N, d):
 
 
 class SectorIndex:
-    """Configuration ranks in one total-Sz sector, ascending."""
+    """Configuration ranks in one total-Sz sector, ascending.
+
+    Listed sectors are shared by every caller, so the ranks and the configs
+    (computed on first use) are write-protected.
+    """
 
     def __init__(self, N, d, Sz, ranks):
         self.N = int(N)
         self.d = int(d)
         self.Sz = float(Sz)
-        self.ranks = np.asarray(ranks, dtype=np.int64)
+        self.ranks = np.array(ranks, dtype=np.int64)
+        self.ranks.flags.writeable = False
+        self._configs = None
 
     @property
     def size(self):
         return len(self.ranks)
 
     def configs(self):
-        return rank_config(self.ranks, self.N, self.d)
+        if self._configs is None:
+            self._configs = rank_config(self.ranks, self.N, self.d)
+            self._configs.flags.writeable = False
+        return self._configs
 
     def __repr__(self):
         return (f"SectorIndex(N={self.N}, d={self.d}, Sz={self.Sz}, "
                 f"size={self.size})")
 
 
-def enumerate_sector(N, d, Sz):
-    """All configurations with total spin-z equal to Sz, ascending rank."""
-    if N < 2:
-        raise InputError(f"need N >= 2, got {N}")
+@functools.cache
+def _listed_sector(N, d, Sz):
     table = total_sz_table(N, d)
     ranks = np.nonzero(np.abs(table - Sz) < SZ_MATCH_TOL)[0]
     return SectorIndex(N, d, Sz, ranks)
+
+
+def enumerate_sector(N, d, Sz):
+    """All configurations with total spin-z equal to Sz, ascending rank.
+
+    Each sector is listed once per (N, d, Sz) and shared read-only by every
+    later call; the sectors of one (N, d) partition its d^N ranks, so its
+    listings hold at most d^N ranks in all.
+    """
+    if N < 2:
+        raise InputError(f"need N >= 2, got {N}")
+    _check_dim(d)
+    return _listed_sector(int(N), int(d), float(Sz))
 
 
 class StateVector:

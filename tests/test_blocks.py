@@ -215,6 +215,45 @@ def test_su2_1_amplitude_matches_builder():
             assert_matches_oracle(spec, geom, oracle_su2_1, configs)
 
 
+def _einsum_su2_1(spec, geom):
+    """su2_1 amplitudes with both pair sums in one einsum over the stacked
+    tables, normalized as _build does; None where all vanish."""
+    N = spec.N
+    sector = enumerate_sector(N, 2, 0.0)
+    labels = sector.configs()
+    s = labels.astype(float)
+    table = np.stack(blocks._kernel_table(spec, geom))
+    logs, args = 0.25 * (table.sum(axis=(1, 2))[:, None]
+                         + np.einsum("mi,kij,mj->km", s, table, s))
+    args += np.where(marshall_sign(labels) < 0, math.pi, 0.0)
+    tlogs, targs = blocks._folded(spec.label, geom,
+                                  labels @ np.arange(1, N + 1), N)
+    logs, args = logs + tlogs, args + targs
+    live = logs > -np.inf
+    if not np.any(live):
+        return None
+    amps = np.zeros(2 ** N, dtype=complex)
+    amps[sector.ranks[live]] = np.exp(logs[live] - logs[live].max()
+                                      + 1j * args[live])
+    return amps / np.linalg.norm(amps)
+
+
+@pytest.mark.parametrize("N", range(2, 15, 2))
+def test_su2_1_pair_sums_match_einsum(N):
+    for label in (0.0, 0.5):
+        spec = BlockSpec("su2_1", label, N)
+        for R in (0.02, 0.05, 0.2, 0.9, 3.0, 30.0, None):
+            geom = None if R is None else ModularParam(R)
+            ref = _einsum_su2_1(spec, geom)
+            if ref is None:
+                with pytest.raises(InputError):
+                    build_state(spec, geom)
+                continue
+            got = build_state(spec, geom).amplitudes
+            assert np.abs(got - ref).max() <= 1e-13
+            assert np.array_equal(got == 0, ref == 0)
+
+
 def test_su2_1_cylinder_amplitude_exact_zero():
     # n/N = +-1/2 mod 1 with n = sum_j s_j j zeroes cos(pi n/N) exactly
     spec = BlockSpec("su2_1", 0.5, 6)

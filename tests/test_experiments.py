@@ -4,15 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idmps import blocks, hamiltonians, refstates
 from idmps.blocks import BlockSpec
 from idmps.errors import ConsistencyError, InputError
-from idmps.experiments import (EDGE_TOL, PSD_TOL, UNBOUNDED_SHARE,
-                               VARIATIONAL_TOL, _edge_flags, _parent_check,
-                               block_state_spin_basis, identity_suite,
-                               j1j2_family, limit_convergence, qbq_family,
-                               scan_radius, sweep_csv, sweep_phase_diagram)
+from idmps.experiments import (EDGE_TOL, PSD_TOL, R_MAX, R_MIN,
+                               UNBOUNDED_SHARE, VARIATIONAL_TOL, _edge_flags,
+                               _parent_check, block_state_spin_basis,
+                               identity_suite, j1j2_family, limit_convergence,
+                               qbq_family, scan_radius, sweep_csv,
+                               sweep_phase_diagram)
 from idmps.hamiltonians import HamiltonianSpec, ground_states
 
 GRID = np.geomspace(0.02, 30, 10)
@@ -95,6 +98,29 @@ def test_scan_edge_flags():
     top = UNBOUNDED_SHARE * grid[-1]
     assert _edge_flags(grid, top, 0.0, -1.0) == (False, True)
     assert _edge_flags(grid, top * (1 - 1e-12), 0.0, -1.0) == (False, False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(R_MIN, R_MAX), min_size=2, max_size=25,
+                unique=True),
+       st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+       st.floats(-1e4, 1e4), st.floats(-15.0, 2.0))
+def test_edge_flags_on_flat_basins(radii, lo_share, hi_share, park, opt,
+                                   log_slope):
+    # a synthetic flat basin [lo, hi] scoring opt, rising linearly on its
+    # left; the refinement parks anywhere inside it
+    grid = np.sort(radii)
+    span = grid[-1] - grid[0]
+    lo = grid[0] + min(lo_share, hi_share) * span
+    hi = grid[0] + max(lo_share, hi_share) * span
+    r_opt = lo + park * (hi - lo)
+    first = opt + 10.0 ** log_slope * (lo - grid[0])
+    at_lower_edge, unbounded = _edge_flags(grid, r_opt, first, opt)
+    if first <= opt + EDGE_TOL * max(1.0, abs(opt)) or r_opt <= grid[1]:
+        assert at_lower_edge
+    else:
+        assert not at_lower_edge
+    assert unbounded == (r_opt >= UNBOUNDED_SHARE * grid[-1])
 
 
 def test_parent_check_psd_bound(monkeypatch):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from idmps import blocks, hamiltonians, refstates
 from idmps.errors import ConsistencyError, InputError
@@ -11,8 +12,8 @@ from idmps.hamiltonians import (DEGENERACY_TOL, GATE_ENTRY_TOL,
                                 biquadratic_gate, build, eigenstate_residual,
                                 ground_states, ground_subspace,
                                 heisenberg_gate, parent_annihilation_check)
-from idmps.hilbert import (StateVector, enumerate_sector, fidelity_per_site,
-                           fidelity_per_site_subspace,
+from idmps.hilbert import (StateVector, digits, enumerate_sector,
+                           fidelity_per_site, fidelity_per_site_subspace,
                            spin_matrices, total_spin_quantum, translate)
 
 
@@ -72,7 +73,7 @@ def oracle_matrix(spec):
     return h.real
 
 
-@pytest.mark.parametrize("spec", [
+ORACLE_CASES = [
     HamiltonianSpec("hs", 4),
     HamiltonianSpec("hs", 5),
     HamiltonianSpec("j1j2", 2, J2=0.3),
@@ -83,11 +84,50 @@ def oracle_matrix(spec):
     HamiltonianSpec("qbq", 5, theta=-0.4),
     HamiltonianSpec("parent", 4),
     HamiltonianSpec("parent", 6),
-], ids=repr)
+]
+
+
+@pytest.mark.parametrize("spec", ORACLE_CASES, ids=repr)
 def test_build_matches_kron_oracle(spec):
     mine = build(spec).matrix.toarray()
     ref = oracle_matrix(spec)
     assert np.abs(mine - ref).max() < 1e-11
+
+
+def _sectors(spec):
+    return [enumerate_sector(spec.N, spec.d, sz)
+            for sz in hamiltonians._sz_values(spec.N, spec.d)]
+
+
+@pytest.mark.parametrize("spec", ORACLE_CASES, ids=repr)
+def test_sector_builds_match_kron_oracle(spec):
+    ref = oracle_matrix(spec)
+    for sector in _sectors(spec):
+        mine = build(spec, sector=sector).matrix.toarray()
+        assert np.abs(mine - ref[np.ix_(sector.ranks, sector.ranks)]).max() \
+            < 1e-11
+
+
+@pytest.mark.parametrize("spec", ORACLE_CASES, ids=repr)
+def test_operators_store_at_most_one_diagonal_entry_per_row(spec):
+    for sector in [None] + _sectors(spec):
+        m = build(spec, sector=sector).matrix
+        rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+        on_diag = np.bincount(rows[m.indices == rows], minlength=m.shape[0])
+        assert on_diag.max(initial=0) <= 1
+
+
+def test_rows_without_a_diagonal_entry_store_none():
+    # the spin-flip half of S.S has no diagonal: only the two flips remain
+    gate = heisenberg_gate(2)
+    flips = gate - np.diag(np.diagonal(gate))
+    m = _scatter_matrix(3, 2, 0.0, [(1.0, 0, 2, flips)], np.arange(8))
+    assert m.nnz == 4
+    assert not np.any(m.diagonal())
+    # a constant reaches every row
+    m = _scatter_matrix(3, 2, 0.5, [(1.0, 0, 2, flips)], np.arange(8))
+    assert m.nnz == 12
+    assert np.array_equal(m.diagonal(), np.full(8, 0.5))
 
 
 def test_heisenberg_gate_spin_half_literal():
@@ -303,6 +343,42 @@ def test_ground_states_solves_one_sector(monkeypatch):
     monkeypatch.setattr(hamiltonians, "eig_smallest", counting)
     ground_states(HamiltonianSpec("j1j2", 10, J2=0.3))
     assert calls == [252]
+
+
+def _masked_scatter(spec, ranks):
+    """The operator scattered entry by entry: every gate entry, diagonal
+    ones included, through a mask over both site digits, with duplicates
+    summed by the sparse conversion."""
+    N, d = spec.N, spec.d
+    const, pairs = hamiltonians._terms(spec)
+    m = len(ranks)
+    site_digits = digits(ranks, N, d)
+    weight = d ** np.arange(N - 1, -1, -1)
+    rows, cols, vals = [np.arange(m)], [np.arange(m)], [np.full(m, const)]
+    for coupling, i, j, gate in pairs:
+        g4 = gate.reshape(d, d, d, d)
+        for a2, b2, a, b in np.argwhere(np.abs(g4) > GATE_ENTRY_TOL):
+            sel = np.nonzero((site_digits[:, i] == a)
+                             & (site_digits[:, j] == b))[0]
+            dest = ranks[sel] + (a2 - a) * weight[i] + (b2 - b) * weight[j]
+            rows.append(np.searchsorted(ranks, dest))
+            cols.append(sel)
+            vals.append(np.full(sel.size, coupling * g4[a2, b2, a, b]))
+    return scipy.sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(m, m)).toarray()
+
+
+@pytest.mark.parametrize("spec", (
+    [HamiltonianSpec("hs", N) for N in (4, 7, 10)]
+    + [HamiltonianSpec("j1j2", N, J2=j2) for N in (6, 9, 10)
+       for j2 in (0.0, 0.5, 0.8)]
+    + [HamiltonianSpec("qbq", N, theta=th) for N in (4, 5, 6, 7)
+       for th in (-math.pi / 2, math.atan(1 / 3), math.pi)]), ids=repr)
+def test_ground_energy_matches_masked_scatter(spec):
+    sector = enumerate_sector(spec.N, spec.d, (spec.N * (spec.d - 1) / 2) % 1)
+    ref = np.linalg.eigvalsh(_masked_scatter(spec, sector.ranks))[0]
+    assert abs(ground_states(spec)[0] - ref) <= 1e-12
 
 
 def test_ground_subspace_in_one_sector():

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from idmps import hamiltonians
+from idmps import blocks, experiments, hamiltonians, hilbert
 from idmps.errors import InputError
 from idmps.hilbert import (
     MAX_CONFIGS, QR_RANK_TOL, SZ_MATCH_TOL, SectorIndex, StateVector,
@@ -79,6 +79,63 @@ def test_sector_sizes_partition_space():
 def test_sector_ranks_ascending():
     ranks = enumerate_sector(5, 2, 0.5).ranks
     assert np.all(np.diff(ranks) > 0)
+
+
+def test_listed_sectors_match_a_filter_of_all_configs():
+    for d, spin in ((2, 0.5), (3, 1.0)):
+        for N in range(2, 11):
+            cfgs = all_configs(N, d)
+            totals = spin * cfgs.sum(axis=1)
+            for Sz in np.arange(-spin * N, spin * N + 0.5):
+                sec = enumerate_sector(N, d, Sz)
+                ranks = np.nonzero(totals == Sz)[0]
+                assert np.array_equal(sec.ranks, ranks)
+                assert np.array_equal(sec.configs(), cfgs[ranks])
+
+
+def test_equal_sector_keys_share_one_listing():
+    sec = enumerate_sector(6, 2, 0.0)
+    for key in ((6, 2, 0), (6, 2, np.float64(0)), (np.int64(6), 2.0, -0.0)):
+        assert enumerate_sector(*key) is sec
+    assert sec.configs() is sec.configs()
+    assert enumerate_sector(6, 2, 1.0) is not sec
+
+
+def test_listed_sectors_are_read_only():
+    sec = enumerate_sector(4, 3, 0.0)
+    with pytest.raises(ValueError):
+        sec.ranks[0] = 1
+    with pytest.raises(ValueError):
+        sec.configs()[0, 0] = 0
+
+
+def test_scan_lists_each_sector_once(monkeypatch):
+    # every build of the scan shares one listing per (N, d, Sz)
+    hilbert._listed_sector.cache_clear()
+    tables, keys = [], set()
+    real_table = hilbert.total_sz_table
+
+    def counting_table(N, d):
+        tables.append((N, d))
+        return real_table(N, d)
+
+    def recording(module):
+        real = module.enumerate_sector
+
+        def call(N, d, Sz):
+            keys.add((int(N), int(d), float(Sz)))
+            return real(N, d, Sz)
+
+        monkeypatch.setattr(module, "enumerate_sector", call)
+
+    monkeypatch.setattr(hilbert, "total_sz_table", counting_table)
+    recording(blocks)
+    recording(hamiltonians)
+    experiments.scan_radius(blocks.BlockSpec("su2_1", 0, 10),
+                            hamiltonians.HamiltonianSpec("j1j2", 10, J2=0.3),
+                            R_grid=np.geomspace(0.05, 5.0, 4))
+    assert keys == {(10, 2, 0.0)}
+    assert len(tables) == len(keys)
 
 
 # ------------------------------------------------------------------- operators
