@@ -14,29 +14,35 @@ with labels read as fermion flavors in the circular-polarization basis and
 K[i,j] = wp_nu(z_i - z_j) (i > j gives wp_nu((i - j)/N)).
 
 Both models run on one path: a kernel table per model (_kernel_table), one
-row evaluator (_config_logs) and one builder (_build), on a torus
-ModularParam or, for geom=None, on the cylinder tau -> i infinity (the
-infinite-dimensional MPS limit, with sin/tan/cos closed forms). Every kernel
-and theta factor is folded onto the half period by its parity and period
-(_fold): each function is evaluated once per r in [0, N/2], its zero at 1/2
-(theta2, wp_2) is exact by symmetry, and the su2_2 kernel is real (tau = iR),
-so its Pfaffians run in real arithmetic. K is block-diagonal by flavor, so
-psi_nu(s) = sign(pi_s) prod_f Pf K[S_f] (pi_s sorts the sites by flavor):
-one Pfaffian per distinct even S_f, none where a ring symmetry zeroes it
-(_block_zeros). The su2_1 pair products are summed per table X (log|E| and
-arg E, symmetric with a zero diagonal) as 1/4 (sum X + s^T X s): one matmul
-s @ X over all Sz=0 rows, listed once per N.
+row evaluator per model (_su2_1_logs, _su2_2_logs) and one builder (_build),
+on a torus ModularParam or, for geom=None, on the cylinder tau -> i infinity
+(the infinite-dimensional MPS limit, with sin/tan/cos closed forms). Every
+kernel and theta factor is folded onto the half period by its parity and
+period (_fold): each function is evaluated once per r in [0, N/2], its zero
+at 1/2 (theta2, wp_2) is exact by symmetry, and the su2_2 kernel is real
+(tau = iR), so its Pfaffians run in real arithmetic. K is block-diagonal by
+flavor, so psi_nu(s) = sign(pi_s) prod_f Pf K[S_f] (pi_s sorts the sites by
+flavor). A rotation or reflection g of the ring maps K onto itself up to
+signs, so Pf K[gS] = +-Pf K[S]: one Pfaffian per dihedral orbit of subsets,
+and none where S is odd or some g with g(S) = S flips the sign
+(_orbit_table, built once per N and kernel symmetry). The flavor masks and
+sign(pi_s) of all 3^N rows depend on N alone and are built once per N
+(_all_flavor_rows). The su2_1 pair products are summed per table X (log|E|
+and arg E, symmetric with a zero diagonal) as 1/4 (sum X + s^T X s): one
+matmul s @ X over all Sz=0 rows, listed once per N.
 Everything is accumulated in log-magnitude/phase form: at small R the raw
 amplitudes overflow doubles, so the builder subtracts the maximum log before
 exponentiating and records the discarded global scale. The CLI, not this
 module, reports which reference state a thin-torus block approaches.
 """
+import functools
 import math
 
 import numpy as np
 
 from .errors import ConsistencyError, InputError
-from .hilbert import LABELS, StateVector, all_configs, enumerate_sector
+from .hilbert import LABELS, StateVector, all_configs, check_size, \
+    enumerate_sector
 from .logcomplex import LogComplex
 from .numerics import pfaffian_log
 from .special import ModularParam, prime_form_log, theta_char_log, \
@@ -172,61 +178,113 @@ def _kernel_table(spec, geom):
     return np.sign(diff) * np.append(0.0, vals)[dist], shift
 
 
-def _block_zeros(spec, members):
-    """Rows of members (boolean site subsets S, |S| even) on which Pf K[S]
-    vanishes by a rotation g a = a + t - N w_a or reflection g a = t - a +
-    N w_a of the ring with g(S) = S: K[ga, gb] = parity^[g reflects]
-    period^(w_a + w_b) K[a, b] and det(P_g|S) = (-1)^([g reflects] |S|/2 +
-    k), k the sites of S that g wraps, give Pf K[S] = (-period)^k Pf K[S] for
-    the odd wp_nu: zero for wp_2 (period +1) when k is odd."""
-    zero = np.zeros(len(members), dtype=bool)
-    if _FUNCTIONS[spec.label][1] < 0:
-        return zero
-    N = spec.N
+@functools.cache
+def _orbit_table(N, parity, period):
+    """Orbit representative (the least mask in its D_N orbit) and sign in
+    {+1, -1, 0} of each of the 2^N site masks S, for the kernel K[a, b] =
+    f((a - b)/N) with f(-x) = parity f(x) and f(x + 1) = period f(x).
+
+    K[ga, gb] = parity^[g reflects] period^(w_a + w_b) K[a, b] gives Pf K[gS]
+    = c_g(S) Pf K[S] with c_g(S) = sgn(sort of g(s_1..s_m)) parity^([g
+    reflects] m/2) period^(sum_S w), so Pf K[S] = sign Pf K[rep]. Sign 0
+    marks an odd |S| and an S that some g with g(S) = S maps to -Pf K[S]:
+    both vanish exactly. Shared read-only by every build; the 2^N masks are
+    held to hilbert.MAX_CONFIGS."""
     a = np.arange(N)
-    for t in range(N):
-        for image, wrap in (((a + t) % N, a + t >= N), ((t - a) % N, a > t)):
-            fixed = np.all(members[:, image] == members, axis=1)
-            odd = np.count_nonzero(members & wrap, axis=1) % 2 == 1
-            zero |= fixed & odd
-    return zero
+    # g a = a + t - N w_a and g a = t - a + N w_a: (image, w, reflects)
+    group = ([((a + t) % N, a + t >= N, False) for t in range(N)]
+             + [((t - a) % N, a > t, True) for t in range(N)])
+    masks = np.arange(check_size(N, 2))
+    members = (masks[:, None] >> a) & 1
+    size = members.sum(axis=1)
+    rep, sign, zero = masks.copy(), np.ones(len(masks), np.int8), size % 2 == 1
+    for image, wrap, reflects in group:
+        moved = members @ (1 << image)
+        wrapped = members @ wrap
+        kept = size - wrapped
+        # pairs of S that g puts out of order: a rotation moves the wrapped
+        # sites ahead of the others, a reflection reverses both parts
+        if reflects:
+            flips = (kept * (kept - 1) + wrapped * (wrapped - 1)) // 2
+            if parity < 0:
+                flips += size // 2
+        else:
+            flips = kept * wrapped
+        if period < 0:
+            flips += wrapped
+        odd = flips % 2 == 1
+        zero |= (moved == masks) & odd
+        lower = moved < rep
+        rep[lower] = moved[lower]
+        sign[lower] = np.where(odd[lower], -1, 1)
+    sign[zero] = 0
+    rep.flags.writeable = False
+    sign.flags.writeable = False
+    return rep, sign
 
 
-def _config_logs(spec, geom, labels):
-    """log|psi| and arg psi for each row of labels; log = -inf marks an
-    exact zero.
-
-    su2_1 rows must be charge neutral.
-    """
-    N = spec.N
-    if spec.model == SU2_1:
-        s = labels.astype(float)
-        # sum_{i<j,[s_i=s_j]} X_ij = 1/4 (sum_ij X_ij + s^T X s) for the
-        # symmetric, zero-diagonal tables X = log|E| and arg E
-        logs, args = (0.25 * (table.sum() + ((s @ table) * s).sum(axis=-1))
-                      for table in _kernel_table(spec, geom))
-        args += np.where(marshall_sign(labels) < 0, math.pi, 0.0)
-        # the theta factor sees a configuration only through n = sum s_j j
-        tlogs, targs = _folded(spec.label, geom, labels @ np.arange(1, N + 1),
-                               N)
-        return logs + tlogs, args + targs
-    kernel, shift = _kernel_table(spec, geom)
-    # the subsets S_f of flavors 1, 0, -1 keyed by bit mask: one Pfaffian each
+def _flavor_rows(labels):
+    """The sites S_f of flavors f = 1, 0, -1 in each row of labels, as bit
+    masks: (masks, index, parity) with the distinct masks, a (3, rows) index
+    into them and the parity of sign(pi_s), the pairs i < j out of flavor
+    order."""
+    N = labels.shape[1]
     bits = 1 << np.arange(N)
-    keys, inv = np.unique([(labels == f) @ bits for f in (1, 0, -1)],
-                          return_inverse=True)
-    members = (keys[:, None] & bits) != 0
-    live = (members.sum(axis=1) % 2 == 0) & ~_block_zeros(spec, members)
-    pfs = [pfaffian_log(kernel[np.ix_(m, m)]) if ok else LogComplex.zero()
-           for m, ok in zip(members, live)]
-    logs, args = np.array([(pf.log, pf.arg) for pf in pfs])[
-        inv.reshape(3, -1)].sum(axis=0).T
-    # sign(pi_s): parity of pairs i < j out of flavor order; Pf phases are k pi
+    masks, index = np.unique([(labels == f) @ bits for f in (1, 0, -1)],
+                             return_inverse=True)
     swaps = sum(np.count_nonzero(labels[:, i:i + 1] < labels[:, i + 1:],
                                  axis=1) for i in range(N))
-    args = math.pi * ((np.round(args / math.pi) + swaps) % 2)
+    return masks, index.reshape(3, -1), swaps % 2
+
+
+@functools.cache
+def _all_flavor_rows(N):
+    """_flavor_rows of all 3^N configurations in rank order, built once per
+    N and shared read-only by every build."""
+    rows = _flavor_rows(all_configs(N, 3))
+    for table in rows:
+        table.flags.writeable = False
+    return rows
+
+
+def _su2_2_logs(spec, geom, rows):
+    """log|psi| and arg psi of su2_2 for the _flavor_rows rows: one
+    Pfaffian per orbit representative that does not vanish by symmetry."""
+    N = spec.N
+    kernel, shift = _kernel_table(spec, geom)
+    masks, index, parity = rows
+    rep, sign = _orbit_table(N, *_FUNCTIONS[spec.label][:2])
+    rep, sign = rep[masks], sign[masks]
+    live = sign != 0
+    reps, at = np.unique(rep[live], return_inverse=True)
+    pfs = [pfaffian_log(kernel[np.ix_(m, m)])
+           for m in (reps[:, None] >> np.arange(N)) % 2 == 1]
+    logs = np.full(len(masks), -np.inf)
+    args = np.where(sign < 0, math.pi, 0.0)
+    pf_logs, pf_args = np.array([(pf.log, pf.arg)
+                                 for pf in pfs]).reshape(-1, 2).T
+    logs[live] = pf_logs[at]
+    args[live] += pf_args[at]
+    logs, args = logs[index].sum(axis=0), args[index].sum(axis=0)
+    # Pf phases are k pi
+    args = math.pi * ((np.round(args / math.pi) + parity) % 2)
     # N/2 kernel factors, each scaled by e^-shift
     return logs + N / 2 * shift, args
+
+
+def _su2_1_logs(spec, geom, labels):
+    """log|psi| and arg psi of su2_1 for each charge-neutral row of labels;
+    log = -inf marks an exact zero."""
+    s = labels.astype(float)
+    # sum_{i<j,[s_i=s_j]} X_ij = 1/4 (sum_ij X_ij + s^T X s) for the
+    # symmetric, zero-diagonal tables X = log|E| and arg E
+    logs, args = (0.25 * (table.sum() + ((s @ table) * s).sum(axis=-1))
+                  for table in _kernel_table(spec, geom))
+    args += np.where(marshall_sign(labels) < 0, math.pi, 0.0)
+    # the theta factor sees a configuration only through n = sum s_j j
+    tlogs, targs = _folded(spec.label, geom,
+                           labels @ np.arange(1, spec.N + 1), spec.N)
+    return logs + tlogs, args + targs
 
 
 def _build(spec, geom):
@@ -234,11 +292,11 @@ def _build(spec, geom):
     scale."""
     if spec.model == SU2_1:
         sector = enumerate_sector(spec.N, 2, 0.0)
-        ranks, labels = sector.ranks, sector.configs()
+        ranks = sector.ranks
+        logs, args = _su2_1_logs(spec, geom, sector.configs())
     else:
-        labels = all_configs(spec.N, 3)
-        ranks = np.arange(len(labels))
-    logs, args = _config_logs(spec, geom, labels)
+        ranks = np.arange(3 ** spec.N)
+        logs, args = _su2_2_logs(spec, geom, _all_flavor_rows(spec.N))
     live = logs > -np.inf
     if not np.any(live):
         raise InputError(
@@ -270,7 +328,11 @@ def amplitude(spec, geom, config):
         raise InputError(f"bad {spec.model} configuration {config!r}")
     if spec.model == SU2_1 and s.sum() != 0:
         return 0j
-    logs, args = _config_logs(spec, _geometry(geom), s[None, :])
+    geom = _geometry(geom)
+    if spec.model == SU2_1:
+        logs, args = _su2_1_logs(spec, geom, s[None, :])
+    else:
+        logs, args = _su2_2_logs(spec, geom, _flavor_rows(s[None, :]))
     return LogComplex(logs[0], args[0]).value
 
 

@@ -29,8 +29,8 @@ GRID_POINTS = 25
 FLOOR = 1e-12
 # a scan energy below E0 by more than this breaks the variational bound
 VARIATIONAL_TOL = 1e-9
-# the bottom grid point counts as the optimum when it scores within this
-# (relative, floor 1) of the refined optimum
+# the bottom or top grid point counts as the optimum when it scores within
+# this (relative, floor 1) of the refined optimum
 EDGE_TOL = 1e-9
 # an optimum at or above this share of the top grid radius is unbounded
 UNBOUNDED_SHARE = 0.99
@@ -63,7 +63,8 @@ class ScanResult:
     or the bottom grid point already scores as well as the refined optimum
     (the objective is flat near a thin-torus exactness point, so the
     refinement can park anywhere inside the basin). unbounded: the optimum
-    sits at the top of the grid, where the state barely changes with R and
+    sits at the top of the grid, or the top grid point already scores as
+    well as the refined optimum, where the state barely changes with R and
     the true optimum cannot be resolved.
     """
 
@@ -150,7 +151,7 @@ def scan_radius(spec, ham, R_grid=None, objective="energy", workers=1):
     opt = point(r_opt)
     _, e_opt, f_opt = opt
     at_lower_edge, unbounded = _edge_flags(grid, r_opt, score(rows[0]),
-                                           score(opt))
+                                           score(rows[-1]), score(opt))
     for _, energy, _ in rows + [(r_opt, e_opt, f_opt)]:
         if energy < e0 - VARIATIONAL_TOL:
             raise ConsistencyError(
@@ -159,17 +160,18 @@ def scan_radius(spec, ham, R_grid=None, objective="energy", workers=1):
                       objective, at_lower_edge, unbounded)
 
 
-def _edge_flags(grid, r_opt, first_score, opt_score):
+def _edge_flags(grid, r_opt, first_score, last_score, opt_score):
     """(at_lower_edge, unbounded) of the refined optimum r_opt on a sorted
-    grid, given the scores of the bottom grid point and of r_opt.
+    grid, given the scores of the bottom and top grid points and of r_opt.
 
-    A flat basin can park the refinement anywhere inside it, so the lower
-    edge also counts when the bottom grid point scores within EDGE_TOL of
-    r_opt.
+    A flat basin can park the refinement anywhere inside it, so an edge
+    also counts when its grid point scores within EDGE_TOL of r_opt.
     """
     edge_tol = EDGE_TOL * max(1.0, abs(opt_score))
     at_lower_edge = r_opt <= grid[1] or first_score <= opt_score + edge_tol
-    return at_lower_edge, r_opt >= UNBOUNDED_SHARE * grid[-1]
+    unbounded = (r_opt >= UNBOUNDED_SHARE * grid[-1]
+                 or last_score <= opt_score + edge_tol)
+    return at_lower_edge, unbounded
 
 
 def sweep_phase_diagram(spec, ham_family, R_grid=None, objective="energy"):

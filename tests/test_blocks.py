@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from idmps import blocks
+from idmps import blocks, experiments, hamiltonians
 from idmps.blocks import (BlockSpec, amplitude, build_record, build_state,
                           insertion_points, marshall_sign, momentum_eigenvalue)
 from idmps.errors import InputError
@@ -315,21 +315,65 @@ def test_zeros_by_translation_are_exact():
             assert state.amplitudes[config_rank([s] * 8, 3)] == 0
 
 
-def test_block_rule_only_adds_exact_zeros(monkeypatch):
-    # against the builder without the rule: its exact zeros stay exact, the
-    # rule zeroes only roundoff, and every other amplitude keeps its bits
-    for N in (4, 6, 8):
-        spec = BlockSpec("su2_2", 2, N)
-        for geom in (0.05, 0.2, 0.9, None):
-            on = build_state(spec, geom).amplitudes
-            with monkeypatch.context() as m:
-                m.setattr(blocks, "_block_zeros",
-                          lambda spec, members: np.zeros(len(members), bool))
-                off = build_state(spec, geom).amplitudes
-            added = (on == 0) & (off != 0)
-            assert np.all(on[off == 0] == 0)
-            assert np.all(np.abs(off[added]) < 1e-16)
-            assert np.array_equal(on[~added], off[~added])
+def _subset_symmetry_zeros(spec, members):
+    """The per-subset symmetry rule the orbit table replaced: Pf K[S] = 0
+    where a rotation or reflection g with g(S) = S wraps an odd number of
+    the sites of S, for wp_2 (period +1)."""
+    zero = np.zeros(len(members), dtype=bool)
+    if blocks._FUNCTIONS[spec.label][1] < 0:
+        return zero
+    N = spec.N
+    a = np.arange(N)
+    for t in range(N):
+        for image, wrap in (((a + t) % N, a + t >= N), ((t - a) % N, a > t)):
+            fixed = np.all(members[:, image] == members, axis=1)
+            odd = np.count_nonzero(members & wrap, axis=1) % 2 == 1
+            zero |= fixed & odd
+    return zero
+
+
+def _per_subset_su2_2(spec, geom, block_rule):
+    """su2_2 amplitudes with one Pfaffian per distinct even flavor subset,
+    optionally zeroed by _subset_symmetry_zeros, normalized as _build does."""
+    N = spec.N
+    labels = all_configs(N, 3)
+    kernel, _ = blocks._kernel_table(spec, None if geom is None
+                                     else ModularParam(geom))
+    bits = 1 << np.arange(N)
+    keys, inv = np.unique([(labels == f) @ bits for f in (1, 0, -1)],
+                          return_inverse=True)
+    members = (keys[:, None] & bits) != 0
+    live = members.sum(axis=1) % 2 == 0
+    if block_rule:
+        live &= ~_subset_symmetry_zeros(spec, members)
+    pfs = [blocks.pfaffian_log(kernel[np.ix_(m, m)]) if ok
+           else LogComplex.zero() for m, ok in zip(members, live)]
+    logs, args = np.array([(pf.log, pf.arg) for pf in pfs])[
+        inv.reshape(3, -1)].sum(axis=0).T
+    swaps = sum(np.count_nonzero(labels[:, i:i + 1] < labels[:, i + 1:],
+                                 axis=1) for i in range(N))
+    args = math.pi * ((np.round(args / math.pi) + swaps) % 2)
+    live = logs > -np.inf
+    amps = np.zeros(len(labels), dtype=complex)
+    amps[live] = np.exp(logs[live] - logs[live].max() + 1j * args[live])
+    return amps / np.linalg.norm(amps)
+
+
+def test_block_rule_only_adds_exact_zeros():
+    # against the per-subset builder: its exact zeros stay exact, the orbit
+    # table zeroes only what the bare Pfaffians leave as roundoff, and every
+    # amplitude agrees within 1e-13
+    for nu in (2, 3, 4):
+        for N in (4, 6, 8):
+            spec = BlockSpec("su2_2", nu, N)
+            for geom in (0.05, 0.2, 0.9, None):
+                got = build_state(spec, geom).amplitudes
+                ref = _per_subset_su2_2(spec, geom, block_rule=True)
+                bare = _per_subset_su2_2(spec, geom, block_rule=False)
+                assert np.all(got[ref == 0] == 0)
+                added = (got == 0) & (bare != 0)
+                assert np.all(np.abs(bare[added]) < 1e-16)
+                assert np.abs(got - ref).max() <= 1e-13, (spec, geom)
 
 
 def _permutation_parity(seq):
@@ -337,31 +381,45 @@ def _permutation_parity(seq):
 
 
 def test_block_rule_matches_permutation_determinant():
-    # Pf K[S] = 0 where a rotation or reflection g with g(S) = S gives
-    # det(P_g|S) != parity^([g reflects] |S|/2) period^(wraps of S)
+    # every rotation or reflection g maps Pf K[S] to c_g(S) Pf K[S] with
+    # c_g(S) = det(P_g|S) parity^([g reflects] |S|/2) period^(wraps of S):
+    # the table's representative is the least mask of the orbit, its signs
+    # follow c_g, and it zeroes exactly the odd S and the S fixed by some g
+    # with c_g(S) = -1
     for N in range(4, 13, 2):
         a = np.arange(N)
         group = [(np.where(a + t >= N, a + t - N, a + t), a + t >= N, False)
                  for t in range(N)]
         group += [(np.where(a > t, t - a + N, t - a), a > t, True)
                   for t in range(N)]
-        members = (np.arange(2 ** N)[:, None] >> a) % 2 == 1
-        members = members[members.sum(axis=1) % 2 == 0]
+        # per (S, g): the image mask, det(P_g|S), wraps and |S|/2 if g
+        # reflects
+        moves = []
+        for mask in range(2 ** N):
+            S = [int(x) for x in a if mask >> x & 1]
+            for image, wrap, reflects in group:
+                moved = image[S]
+                det = (-1) ** _permutation_parity(list(moved))
+                moves.append((mask, int(sum(1 << int(x) for x in moved)),
+                              det, int(wrap[S].sum()),
+                              reflects * len(S) // 2))
+        mask, moved, det, wraps, half = np.array(moves).T
+        odd = np.array([bin(m).count("1") % 2 for m in range(2 ** N)]) == 1
+        orbit_min = np.full(2 ** N, 2 ** N)
+        np.minimum.at(orbit_min, mask, moved)
         for nu in (2, 3, 4):
             parity, period = blocks._FUNCTIONS[nu][:2]
-            want = np.zeros(len(members), dtype=bool)
-            for row, sites in enumerate(members):
-                S = list(np.flatnonzero(sites))
-                for image, wrap, reflects in group:
-                    if sorted(image[S]) != S:
-                        continue
-                    det = (-1) ** _permutation_parity(list(image[S]))
-                    sign = (parity ** (reflects * len(S) // 2)
-                            * period ** int(wrap[S].sum()))
-                    want[row] |= det != sign
-            got = blocks._block_zeros(BlockSpec("su2_2", nu, N), members)
-            assert np.array_equal(got, want), (N, nu)
-            assert np.any(got) == (nu == 2)
+            rep, sign = blocks._orbit_table(N, parity, period)
+            c = det * parity ** half * period ** wraps
+            want = odd.copy()
+            want[mask[(moved == mask) & (c < 0)]] = True
+            assert np.array_equal(sign == 0, want), (N, nu)
+            assert np.any(want & ~odd) == (nu == 2)
+            assert np.array_equal(rep, orbit_min)
+            assert np.all(rep[moved] == rep[mask])
+            assert np.all(sign[rep[~want]] == 1)
+            live = ~want[mask]
+            assert np.all(sign[moved[live]] == c[live] * sign[mask[live]])
 
 
 def test_exact_zeros_are_closed_under_ring_symmetries():
@@ -419,13 +477,46 @@ def test_su2_2_one_pfaffian_per_even_flavor_block(monkeypatch):
 
     monkeypatch.setattr(blocks, "pfaffian_log", counted)
     build_state(BlockSpec("su2_2", 4, 8), 0.9)
-    # the 2^7 even subsets of 8 sites, the empty one included
-    assert len(sizes) == 128 and all(n % 2 == 0 for n in sizes)
+    # one per dihedral orbit of the 2^7 even subsets of 8 sites, the empty
+    # one included; for wp_4 (period -1) no even subset vanishes by symmetry
+    assert len(sizes) == 18 and all(n % 2 == 0 for n in sizes)
     for config in ([1, 0, -1, 1, 0, -1, 1, 1], [1, 1, 0, 0, -1, -1, 0, 0],
                    [0] * 8, [1, 0, 0, 0, 0, 0, 0, 0]):
         sizes.clear()
         amplitude(BlockSpec("su2_2", 4, 8), 0.9, config)
         assert len(sizes) <= 3 and all(n % 2 == 0 for n in sizes)
+
+
+def test_su2_2_scan_builds_r_independent_tables_once(monkeypatch):
+    # every build of the scan shares one listing of the 3^N rows and one
+    # orbit table
+    blocks._all_flavor_rows.cache_clear()
+    blocks._orbit_table.cache_clear()
+    listed = []
+    real = blocks.all_configs
+
+    def counting(N, d):
+        listed.append((N, d))
+        return real(N, d)
+
+    monkeypatch.setattr(blocks, "all_configs", counting)
+    res = experiments.scan_radius(
+        BlockSpec("su2_2", 4, 6), hamiltonians.HamiltonianSpec("qbq", 6),
+        R_grid=np.geomspace(0.05, 5.0, 4))
+    assert len(res.rows) == 4
+    assert listed == [(6, 3)]
+    assert blocks._orbit_table.cache_info().misses == 1
+
+
+def test_r_independent_su2_2_tables_are_shared_read_only():
+    rows = blocks._all_flavor_rows(6)
+    assert blocks._all_flavor_rows(6) is rows
+    tables = blocks._orbit_table(6, -1, 1)
+    assert blocks._orbit_table(6, -1, 1) is tables
+    assert blocks._orbit_table(6, -1, -1) is not tables
+    for table in rows + tables:
+        with pytest.raises(ValueError):
+            table[0] = 1
 
 
 def test_su2_2_kernel_is_scaled_before_exponentiating():

@@ -88,39 +88,53 @@ def test_scan_edge_flags():
     grid = np.geomspace(0.02, 30, 25)
     mid = grid[10]
     # the refinement inside the first interval is at the lower edge
-    assert _edge_flags(grid, grid[1], 0.0, -1.0) == (True, False)
-    # so is a bottom point scoring within EDGE_TOL (relative, floor 1)
+    assert _edge_flags(grid, grid[1], 0.0, 0.0, -1.0) == (True, False)
+    # so is a bottom point scoring within EDGE_TOL (relative, floor 1), and
+    # a top point so scoring is unbounded
     for opt, scale in ((-5.0, 5.0), (-0.1, 1.0)):
         near = opt + 0.5 * EDGE_TOL * scale
         far = opt + 2 * EDGE_TOL * scale
-        assert _edge_flags(grid, mid, near, opt) == (True, False)
-        assert _edge_flags(grid, mid, far, opt) == (False, False)
+        assert _edge_flags(grid, mid, near, far, opt) == (True, False)
+        assert _edge_flags(grid, mid, far, far, opt) == (False, False)
+        assert _edge_flags(grid, mid, far, near, opt) == (False, True)
     top = UNBOUNDED_SHARE * grid[-1]
-    assert _edge_flags(grid, top, 0.0, -1.0) == (False, True)
-    assert _edge_flags(grid, top * (1 - 1e-12), 0.0, -1.0) == (False, False)
+    assert _edge_flags(grid, top, 0.0, 0.0, -1.0) == (False, True)
+    assert _edge_flags(grid, top * (1 - 1e-12), 0.0, 0.0, -1.0) == \
+        (False, False)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.floats(R_MIN, R_MAX), min_size=2, max_size=25,
                 unique=True),
        st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
-       st.floats(-1e4, 1e4), st.floats(-15.0, 2.0))
+       st.floats(-1e4, 1e4), st.floats(-15.0, 2.0), st.floats(-15.0, 2.0))
 def test_edge_flags_on_flat_basins(radii, lo_share, hi_share, park, opt,
-                                   log_slope):
-    # a synthetic flat basin [lo, hi] scoring opt, rising linearly on its
-    # left; the refinement parks anywhere inside it
+                                   log_slope, log_top_slope):
+    # a synthetic flat basin [lo, hi] scoring opt, rising linearly on both
+    # sides; the refinement parks anywhere inside it
     grid = np.sort(radii)
     span = grid[-1] - grid[0]
     lo = grid[0] + min(lo_share, hi_share) * span
     hi = grid[0] + max(lo_share, hi_share) * span
     r_opt = lo + park * (hi - lo)
     first = opt + 10.0 ** log_slope * (lo - grid[0])
-    at_lower_edge, unbounded = _edge_flags(grid, r_opt, first, opt)
-    if first <= opt + EDGE_TOL * max(1.0, abs(opt)) or r_opt <= grid[1]:
+    last = opt + 10.0 ** log_top_slope * (grid[-1] - hi)
+    at_lower_edge, unbounded = _edge_flags(grid, r_opt, first, last, opt)
+    edge_tol = EDGE_TOL * max(1.0, abs(opt))
+    if first <= opt + edge_tol or r_opt <= grid[1]:
         assert at_lower_edge
     else:
         assert not at_lower_edge
-    assert unbounded == (r_opt >= UNBOUNDED_SHARE * grid[-1])
+    assert unbounded == (last <= opt + edge_tol
+                         or r_opt >= UNBOUNDED_SHARE * grid[-1])
+
+
+def test_flat_top_scan_is_unbounded():
+    # E(R) agrees to 1e-14 on [6.5, 30]: the refinement may park anywhere
+    # there (R = 8.87 here), while the top grid point scores as well
+    res = scan_radius(BlockSpec("su2_1", 0, 12),
+                      HamiltonianSpec("j1j2", 12, J2=0.14025382436936185))
+    assert res.unbounded and not res.at_lower_edge
 
 
 def test_parent_check_psd_bound(monkeypatch):

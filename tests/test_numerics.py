@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 import scipy.sparse
 import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import idmps.numerics as numerics
 from idmps import hamiltonians
@@ -74,6 +76,35 @@ def test_pfaffian_congruence_invariance():
         lhs = pfaffian(b.T @ a @ b)
         rhs = np.linalg.det(b) * pfaffian(a)
         assert abs(lhs - rhs) <= 1e-9 * abs(rhs)
+
+
+# a permutation of n sites and one sign per site, n in 0..12
+SIGNED_PERMUTATIONS = st.integers(0, 12).flatmap(lambda n: st.tuples(
+    st.permutations(range(n)),
+    st.lists(st.sampled_from((-1, 1)), min_size=n, max_size=n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(SIGNED_PERMUTATIONS, st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_pfaffian_signed_permutation_covariance(signed, seed, real):
+    # Pf((PD) A (PD)^T) = det P det D Pf A, on which the su2_2 builder's one
+    # Pfaffian per dihedral orbit of flavor subsets rests
+    perm, signs = signed
+    n = len(perm)
+    a = random_antisym(n, np.random.default_rng(seed))
+    if real:
+        a = a.real
+    pd = np.eye(n)[list(perm)] * signs
+    want = pfaffian_log(a)
+    got = pfaffian_log(pd @ a @ pd.T)
+    if n % 2:
+        assert got.is_zero and want.is_zero
+        return
+    det_p = round(np.linalg.det(np.eye(n)[list(perm)])) if n else 1
+    flip = math.pi if det_p * np.prod(signs) < 0 else 0.0
+    assert abs(got.log - want.log) <= 1e-12
+    assert abs(math.remainder(got.arg - want.arg - flip, 2 * math.pi)) \
+        <= 1e-12
 
 
 def test_pfaffian_schur_update_stays_antisymmetric():
