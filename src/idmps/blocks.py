@@ -295,7 +295,7 @@ def _build(spec, geom):
         ranks = sector.ranks
         logs, args = _su2_1_logs(spec, geom, sector.configs())
     else:
-        ranks = np.arange(3 ** spec.N)
+        ranks = np.arange(check_size(spec.N, 3))
         logs, args = _su2_2_logs(spec, geom, _all_flavor_rows(spec.N))
     live = logs > -np.inf
     if not np.any(live):

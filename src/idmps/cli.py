@@ -7,10 +7,13 @@ diagonalization), `scan radius`/`scan phase` (variational scans), and
 declares each subcommand's handler and options; the parser, the option
 registry and the dispatch are derived from it. A handler returns its
 artifacts, and `run` hands them to one writer (_write_outputs), which drops
-a manifest next to the outputs echoing the fully resolved configuration;
-feeding that manifest back through --config reproduces the outputs
-bit-identically (explicit flags still win). Exit codes: 0 success, 1 bad
-input, 2 numerical failure, 3 a consistency check failed.
+a manifest next to the outputs echoing the fully resolved configuration. A
+--config file (a manifest or a JSON object of option values) replays as
+flags: each value becomes one --flag=value token ahead of the user's own,
+which win, and argparse converts and checks it like a flag (a switch takes
+true or false; null is skipped), so a manifest replays bit-identically. A
+value starting with '-' needs the form --z=-0.27,0.4. Exit codes: 0
+success, 1 bad input, 2 numerical failure, 3 a consistency check failed.
 
 The reference states live in one table (REFERENCES): `state reference`
 writes them, `check limits` scores blocks against them, and `state build`
@@ -28,9 +31,9 @@ import numpy as np
 from . import __version__, blocks, hamiltonians, hilbert, refstates
 from .blocks import BlockSpec
 from .errors import ConsistencyError, DomainError, Error, InputError
-from .experiments import (csv_text, identity_suite, j1j2_family,
-                          limit_convergence, qbq_family, scan_radius,
-                          sweep_csv, sweep_phase_diagram)
+from .experiments import (MAX_GRID_POINTS, csv_text, identity_suite,
+                          j1j2_family, limit_convergence, qbq_family,
+                          scan_radius, sweep_csv, sweep_phase_diagram)
 from .hamiltonians import HamiltonianSpec
 from .hilbert import apply_site_unitary, total_spin_quantum
 from .special import ModularParam, prime_form, theta_nu, weierstrass_nu
@@ -121,12 +124,13 @@ def _parse_grid(text):
     if text is None:
         return None
     lo, hi, count = _parse_floats(text, "--grid", n=3)
-    if count != int(count) or int(count) < 2:
-        raise InputError(f"--grid count must be an integer >= 2, got {count}")
+    if not 2 <= count <= MAX_GRID_POINTS or count != int(count):
+        raise InputError(f"--grid count must be an integer from 2 to "
+                         f"MAX_GRID_POINTS = {MAX_GRID_POINTS}, got {count}")
     return np.geomspace(lo, hi, int(count))
 
 
-def _write_outputs(args, dests, t0, files, anchor):
+def _write_outputs(args, actions, t0, files, anchor):
     """Write each (path, text or bytes) file in order, then the run's one
     manifest: resolved config, artifact version, outputs and wall time.
 
@@ -141,7 +145,7 @@ def _write_outputs(args, dests, t0, files, anchor):
     for path, data in files:
         with open(path, "wb" if isinstance(data, bytes) else "w") as fh:
             fh.write(data)
-    cfg = {key: getattr(args, key, None) for key in dests if key != "config"}
+    cfg = {a.dest: getattr(args, a.dest) for a in actions[1:]}
     doc = {"artifact": "idmps", "version": __version__,
            "command": [args.group, args.verb],
            "resolved_config": cfg,
@@ -149,12 +153,6 @@ def _write_outputs(args, dests, t0, files, anchor):
            "wall_time_s": time.perf_counter() - t0}
     with open(manifest, "w") as fh:
         fh.write(_dump_json(doc))
-
-
-def _load_config(path):
-    with open(path) as fh:
-        doc = json.load(fh)
-    return doc.get("resolved_config", doc)
 
 
 # ---------------------------------------------------------------- subcommands
@@ -326,8 +324,7 @@ def _cmd_check_limits(args):
 
 
 # --------------------------------------------------------------------- parser
-# Options are (flag, argparse keywords). A required flag is checked after
-# the config merge, so a manifest replay can supply it without the flag.
+# Options are (flag, argparse keywords).
 
 _N = ("--N", dict(type=int, required=True))
 _BLOCK = (("--model", dict(required=True, choices=("su2_1", "su2_2"))),
@@ -381,63 +378,65 @@ COMMANDS = {
 
 
 def _build_parser():
-    """The parser and, per (group, verb), (subparser, dests, required)."""
+    """The parser and, per (group, verb), (handler, [--config, *options])."""
     parser = _Parser(prog="idmps", description=__doc__.splitlines()[0])
     parser.set_defaults(group=None, verb=None)
     groups = parser.add_subparsers(dest="group", parser_class=_Parser)
     verbs, registry = {}, {}
     config = ("--config",
               dict(help="JSON config or manifest; explicit flags win"))
-    for (group, verb), (_, options) in COMMANDS.items():
+    for (group, verb), (handler, options) in COMMANDS.items():
         if group not in verbs:
             verbs[group] = groups.add_parser(group).add_subparsers(
                 dest="verb", parser_class=_Parser)
         p = verbs[group].add_parser(verb)
         p.set_defaults(group=group, verb=verb)
-        dests, required = [], []
-        for flag, kw in (config, *options):
-            action = p.add_argument(
-                flag, **{k: v for k, v in kw.items() if k != "required"})
-            dests.append(action.dest)
-            if kw.get("required"):
-                required.append(action.dest)
-        registry[(group, verb)] = (p, dests, required)
+        registry[(group, verb)] = (handler, [
+            p.add_argument(flag, **kw) for flag, kw in (config, *options)])
     return parser, registry
+
+
+def _config_tokens(actions, path):
+    """The config's values as --flag=value tokens in option order: null is
+    skipped, and a switch is set by JSON true and left off by false."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    cfg = doc.get("resolved_config", doc) if isinstance(doc, dict) else doc
+    if not isinstance(cfg, dict):
+        raise InputError(f"config {path} is not a JSON object")
+    tokens = []
+    for action in actions[1:]:
+        flag, value = action.option_strings[0], cfg.get(action.dest)
+        switch = action.nargs == 0
+        if value is None or switch and value is False:
+            continue
+        if switch and value is not True:
+            raise InputError(f"{flag} in a config takes true or false, "
+                             f"got {value!r}")
+        tokens.append(flag if switch else f"{flag}={value}")
+    return tokens
 
 
 def run(argv=None):
     """Parse argv and execute; returns the process exit code."""
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser, registry = _build_parser()
     try:
+        pre = _Parser(prog="idmps", add_help=False)
+        pre.add_argument("--config")
+        path, key = pre.parse_known_args(argv)[0].config, tuple(argv[:2])
+        if path and key in registry:
+            argv[2:2] = _config_tokens(registry[key][1], path)
         args = parser.parse_args(argv)
         key = (args.group, args.verb)
         if key not in registry:
             parser.print_usage(sys.stderr)
             return EXIT_INPUT
-        sub, dests, required = registry[key]
-        if args.config:
-            cfg = _load_config(args.config)
-            sub.set_defaults(**{k: v for k, v in cfg.items() if k in dests})
-            args = parser.parse_args(argv)
-            # argparse checks choices on the command line, not on defaults
-            for action in sub._actions:
-                value = getattr(args, action.dest, None)
-                if (action.choices and value is not None
-                        and value not in action.choices):
-                    raise InputError(f"{action.option_strings[0]} must be "
-                                     f"one of {list(action.choices)}, got "
-                                     f"{value!r}")
-        missing = [k for k in required if getattr(args, k) is None]
-        if missing:
-            raise InputError("missing required flags: "
-                             + ", ".join("--" + k.replace("_", "-")
-                                         for k in missing))
+        handler, actions = registry[key]
         t0 = time.perf_counter()
-        code, files, anchor = COMMANDS[key][0](args)
+        code, files, anchor = handler(args)
         if files:
-            _write_outputs(args, dests, t0, files, anchor)
+            _write_outputs(args, actions, t0, files, anchor)
         return code
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

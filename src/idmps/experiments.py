@@ -24,6 +24,11 @@ from .special import modular_residual
 R_MIN = 0.02
 R_MAX = 30.0
 GRID_POINTS = 25
+# the most radii one scan accepts, 400 times the default grid
+MAX_GRID_POINTS = 10_000
+# a ground-space translation eigenvalue within this of the block's counts as
+# the block's momentum; distinct momenta differ by at least 2 sin(pi/N)
+MOMENTUM_TOL = 1e-6
 # infidelities at or below this are converged; monotone checks and the
 # variational bound are enforced only above it
 FLOOR = 1e-12
@@ -127,18 +132,20 @@ def scan_radius(spec, ham, R_grid=None, objective="energy", workers=1):
                          f"got {objective!r}")
     grid = default_grid() if R_grid is None else np.sort(
         np.asarray(R_grid, dtype=float))
-    if grid.size < 2:
-        raise InputError("need at least two grid radii")
+    if not 2 <= grid.size <= MAX_GRID_POINTS:
+        raise InputError(f"need 2 to {MAX_GRID_POINTS} grid radii "
+                         f"(MAX_GRID_POINTS), got {grid.size}")
     if grid[0] < R_MIN or grid[-1] > R_MAX:
         raise InputError(f"grid must lie within [{R_MIN}, {R_MAX}]")
     h = hamiltonians.build(ham)
     e0, ground = hamiltonians.ground_states(ham)
+    in_ground = _has_momentum(ground, blocks.momentum_eigenvalue(spec))
 
     def point(R):
         state = block_state_spin_basis(spec, R)
         amps = state.amplitudes
         energy = float(np.vdot(amps, h.apply(amps)).real)
-        fid = fidelity_per_site_subspace(state, ground)
+        fid = fidelity_per_site_subspace(state, ground) if in_ground else 0.0
         return float(R), energy, fid
 
     rows = [point(R) for R in grid]
@@ -158,6 +165,17 @@ def scan_radius(spec, ham, R_grid=None, objective="energy", workers=1):
                 f"scan energy {energy!r} undercuts ground energy {e0!r}")
     return ScanResult(spec, ham, rows, (float(r_opt), e_opt, f_opt), e0,
                       objective, at_lower_edge, unbounded)
+
+
+def _has_momentum(ground, lam):
+    """Whether the translation T has an eigenvalue within MOMENTUM_TOL of
+    lam on the ground space, from the eigenvalues of G^dagger T G with G
+    the ground vectors. A block of any other momentum is orthogonal to the
+    ground space, so its fidelity is an exact 0 rather than roundoff."""
+    g = np.column_stack([v.amplitudes for v in ground])
+    tg = np.column_stack([translate(v).amplitudes for v in ground])
+    return bool(np.abs(np.linalg.eigvals(g.conj().T @ tg) - lam).min()
+                <= MOMENTUM_TOL)
 
 
 def _edge_flags(grid, r_opt, first_score, last_score, opt_score):

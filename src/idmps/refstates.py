@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .errors import ConsistencyError, InputError
-from .hilbert import LABELS, StateVector, apply_site_unitary, translate
+from .hilbert import StateVector, apply_site_unitary, check_size, translate
 
 # local unitary between circular-polarization flavors (x, y, z) = labels
 # (+1, 0, -1) and spin-1 weights (+1, 0, -1); rows are spin, columns flavor
@@ -112,6 +112,7 @@ def mps_trace_state(tensors, N):
     if N % len(cell):
         raise InputError(f"N={N} is not a multiple of the unit cell "
                          f"{len(cell)}")
+    check_size(N, cell[0].d)
     chain = [cell[i % len(cell)] for i in range(N)]
     d = chain[0].d
     for a, b in zip(chain, chain[1:] + chain[:1]):
@@ -166,6 +167,7 @@ def dimer_state(N, offset=0, pair_state=None):
         raise InputError(f"offset must be 0 or 1, got {offset!r}")
     pair, d = _pair_tensor(pair_state if pair_state is not None
                            else singlet_pair())
+    check_size(N, d)
     t = pair
     for _ in range(N // 2 - 1):
         t = np.multiply.outer(t, pair)

@@ -1,5 +1,6 @@
 """Conformal-block state builders on the torus and the cylinder."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -176,6 +177,19 @@ def test_block_spec_validation():
         BlockSpec("su2_1", 0, 5)
     with pytest.raises(InputError):
         BlockSpec("su3", 0, 4)
+
+
+def test_oversized_su2_2_build_refuses_before_allocating():
+    # 3^14 configurations exceed MAX_CONFIGS; the rank list alone would
+    # take 38 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="MAX_CONFIGS"):
+            build_state(BlockSpec("su2_2", 4, 14), None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_insertion_points():

@@ -180,23 +180,57 @@ def test_ed_ground_energies_and_vectors(tmp_path):
                "--out", out) == 1
 
 
-def test_scan_radius_cli_outputs_and_manifest_replay(tmp_path):
-    a, b = str(tmp_path / "a"), str(tmp_path / "b")
-    argv = ["scan", "radius", "--model", "su2_1", "--label", "0",
-            "--N", "6", "--ham", "j1j2", "--J2", "0.5",
-            "--grid", "0.02,2,6"]
-    assert cli.run(argv + ["--out-dir", a]) == 0
-    lines = open(a + "/radius_scan.csv").read().strip().split("\n")
+def test_scan_radius_cli_outputs(tmp_path):
+    out = str(tmp_path / "a")
+    assert run("scan", "radius", "--model", "su2_1", "--label", "0",
+               "--N", "6", "--ham", "j1j2", "--J2", "0.5",
+               "--grid", "0.02,2,6", "--out-dir", out) == 0
+    lines = open(out + "/radius_scan.csv").read().strip().split("\n")
     assert lines[0] == "R,energy,fidelity_per_site"
     assert len(lines) == 7
-    doc = json.loads(open(a + "/radius_scan.json").read())
+    doc = json.loads(open(out + "/radius_scan.json").read())
     assert doc["at_lower_edge"] and doc["fidelity_opt"] >= 1 - 1e-6
-    # replaying the manifest reproduces the outputs bit-identically
-    assert cli.run(["scan", "radius", "--config", a + "/manifest.json",
-                    "--out-dir", b]) == 0
-    for name in ("radius_scan.csv", "radius_scan.json"):
-        assert open(f"{a}/{name}", "rb").read() == \
-            open(f"{b}/{name}", "rb").read()
+
+
+# each run writes its outputs under {a}; the replay of its manifest writes
+# under {b}, the output flag given explicitly so that it wins
+@pytest.mark.parametrize("argv,manifest,out", [
+    (["special", "eval", "--fn", "wp3", "--z=-0.27,0.4", "--R", "0.7",
+      "--out", "{a}/wp.json"], "wp.json.manifest.json", "--out={b}/wp.json"),
+    (["state", "build", "--model", "su2_2", "--label", "2", "--N", "6",
+      "--R", "0.05", "--out", "{a}/psi2.state"],
+     "psi2.state.manifest.json", "--out={b}/psi2.state"),
+    (["state", "build", "--model", "su2_1", "--label", "half", "--N", "6",
+      "--cylinder", "--out", "{a}/half.state"],
+     "half.state.manifest.json", "--out={b}/half.state"),
+    (["ed", "ground", "--ham", "j1j2", "--N", "6", "--J2", "0.5", "--k", "2",
+      "--vectors", "--out", "{a}/mg.json"],
+     "mg.json.manifest.json", "--out={b}/mg.json"),
+    (["scan", "radius", "--model", "su2_1", "--label", "0", "--N", "6",
+      "--ham", "j1j2", "--J2", "0.5", "--grid", "0.02,2,6",
+      "--out-dir", "{a}"], "manifest.json", "--out-dir={b}"),
+    (["scan", "phase", "--model", "su2_2", "--label", "4", "--N", "4",
+      "--ham", "qbq", "--param-grid", "0.1,0.32175", "--grid", "0.02,1,4",
+      "--out-dir", "{a}"], "manifest.json", "--out-dir={b}"),
+    (["check", "limits", "--model", "su2_2", "--label", "4", "--N", "4",
+      "--target", "aklt-circ", "--radii", "0.4,0.2,0.1",
+      "--out-dir", "{a}"], "manifest.json", "--out-dir={b}"),
+], ids=["special-eval", "state-build", "state-build-cylinder", "ed-ground",
+        "scan-radius", "scan-phase", "check-limits"])
+def test_manifest_replay_is_byte_identical(tmp_path, capsys, argv, manifest,
+                                           out):
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir()
+    b.mkdir()
+    assert cli.run([t.format(a=a) for t in argv]) == 0
+    man = json.loads((a / manifest).read_text())
+    assert cli.run([*argv[:2], "--config", str(a / manifest),
+                    out.format(b=b)]) == 0
+    assert man["outputs"] and sorted(p.name for p in b.iterdir()) == \
+        sorted(p.name for p in a.iterdir())
+    for name in man["outputs"]:
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+    capsys.readouterr()
 
 
 def test_scan_phase_cli(tmp_path):
@@ -276,7 +310,8 @@ OPTIONS = {
 
 def test_subcommand_options_are_frozen():
     _, registry = cli._build_parser()
-    assert {key: dests for key, (_, dests, _) in registry.items()} == OPTIONS
+    assert {key: [a.dest for a in actions]
+            for key, (_, actions) in registry.items()} == OPTIONS
 
 
 @pytest.mark.parametrize("argv", [
@@ -301,14 +336,39 @@ def test_ignored_inputs_are_refused(tmp_path, capsys, argv):
 ], ids=["scan-phase-ham", "special-eval-fn"])
 def test_config_values_outside_choices_exit_one(tmp_path, capsys, argv,
                                                 cfg):
-    # argparse checks choices on the command line only; run checks the
-    # values a config supplies the same way
+    # a config's values reach argparse as flags, so its choices apply
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     argv = [a.format(tmp=tmp_path) for a in argv]
     assert cli.run(argv + ["--config", str(path)]) == 1
-    assert "must be one of" in capsys.readouterr().err
+    assert "invalid choice" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("argv,cfg,err", [
+    (["--N", "6"], {"cylinder": "false", "R": 0.1}, "true or false"),
+    ([], {"N": 6.7, "R": 0.1}, "invalid int value"),
+    (["--N", "6"], {"R": [1, 2]}, "invalid float value"),
+    (["--N", "6", "--R", "0.1"], [0.1], "not a JSON object"),
+], ids=["switch-as-string", "fractional-size", "list-radius", "list-config"])
+def test_bad_config_values_exit_one(tmp_path, capsys, argv, cfg, err):
+    # a config's values get the conversion and checks of flags
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.run(["state", "build", "--model", "su2_1", "--label", "0",
+                    *argv, "--out", str(tmp_path / "x.state"),
+                    "--config", str(path)]) == 1
+    assert err in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize("grid", ["0.1,1,inf", "0.1,1,nan", "0.1,1,1e12"])
+def test_grid_counts_are_bounded(tmp_path, capsys, grid):
+    assert run("scan", "radius", "--model", "su2_1", "--label", "0",
+               "--N", "4", "--ham", "hs", "--grid", grid,
+               "--out-dir", str(tmp_path / "run")) == 1
+    assert "MAX_GRID_POINTS" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_readme_commands_parse():

@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 from idmps import blocks, hamiltonians, refstates
 from idmps.blocks import BlockSpec
 from idmps.errors import ConsistencyError, InputError
-from idmps.experiments import (EDGE_TOL, PSD_TOL, R_MAX, R_MIN,
-                               UNBOUNDED_SHARE, VARIATIONAL_TOL, _edge_flags,
-                               _parent_check, block_state_spin_basis,
-                               identity_suite, j1j2_family, limit_convergence,
-                               qbq_family, scan_radius, sweep_csv,
-                               sweep_phase_diagram)
+from idmps.experiments import (EDGE_TOL, MAX_GRID_POINTS, PSD_TOL, R_MAX,
+                               R_MIN, UNBOUNDED_SHARE, VARIATIONAL_TOL,
+                               _edge_flags, _has_momentum, _parent_check,
+                               block_state_spin_basis, identity_suite,
+                               j1j2_family, limit_convergence, qbq_family,
+                               scan_radius, sweep_csv, sweep_phase_diagram)
 from idmps.hamiltonians import HamiltonianSpec, ground_states
+from idmps.hilbert import fidelity_per_site_subspace
 
 GRID = np.geomspace(0.02, 30, 10)
 
@@ -151,6 +152,39 @@ def test_fidelity_objective_is_available():
                       objective="fidelity")
     assert res.objective == "fidelity"
     assert res.optimum[2] >= 1 - 1e-6
+
+
+@pytest.mark.parametrize("spec,ham", [
+    (BlockSpec("su2_2", 2, 6), HamiltonianSpec("qbq", 6, theta=0.2)),
+    (BlockSpec("su2_1", "half", 12), HamiltonianSpec("hs", 12)),
+], ids=["psi2-qbq-6", "psi_half-hs-12"])
+def test_wrong_momentum_fidelity_is_exactly_zero(spec, ham):
+    # both blocks have momentum -1 and both ground spaces +1, so the
+    # overlap is roundoff and the fidelity must read exactly 0
+    _, ground = ground_states(ham)
+    lam = blocks.momentum_eigenvalue(spec)
+    assert not _has_momentum(ground, lam) and _has_momentum(ground, -lam)
+    res = scan_radius(spec, ham, R_grid=np.geomspace(0.05, 5.0, 3))
+    assert [f for _, _, f in res.rows] == [0.0] * 3
+    assert res.optimum[2] == 0.0 and res.to_dict()["fidelity_opt"] == 0.0
+
+
+def test_matching_momentum_fidelity_is_the_subspace_fidelity():
+    # at the Majumdar-Ghosh point the ground space holds momenta +1 and -1
+    spec, ham = BlockSpec("su2_1", 0, 8), HamiltonianSpec("j1j2", 8, J2=0.5)
+    _, ground = ground_states(ham)
+    assert _has_momentum(ground, 1.0) and _has_momentum(ground, -1.0)
+    res = scan_radius(spec, ham, R_grid=np.geomspace(0.05, 5.0, 3))
+    for R, _, fid in res.rows:
+        assert fid == fidelity_per_site_subspace(
+            block_state_spin_basis(spec, R), ground)
+
+
+def test_scan_radius_grid_size_is_bounded():
+    spec, ham = BlockSpec("su2_1", 0, 4), HamiltonianSpec("hs", 4)
+    for n in (1, MAX_GRID_POINTS + 1):
+        with pytest.raises(InputError, match="MAX_GRID_POINTS"):
+            scan_radius(spec, ham, R_grid=np.geomspace(0.1, 1.0, n))
 
 
 def test_scan_radius_runs_serially_only():

@@ -1,5 +1,6 @@
 """CVO tensors, trace MPS, dimer/MG/AKLT reference states."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -150,6 +151,22 @@ def test_dimer_validation():
         dimer_state(3, 0)
     with pytest.raises(InputError):
         dimer_state(4, 2)
+
+
+@pytest.mark.parametrize("make", [lambda: aklt_state(13),
+                                  lambda: mg_combination(22, +1)],
+                         ids=["aklt-13", "mg-22"])
+def test_oversized_references_refuse_before_allocating(make):
+    # 3^13 and 2^22 configurations exceed MAX_CONFIGS; the trace and the
+    # dimer product would first allocate about 100 MB and 64 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="MAX_CONFIGS"):
+            make()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 # ------------------------------------------------------------- MG combinations
