@@ -15,7 +15,7 @@ from .logcomplex import LogComplex
 from .special import (ModularParam, modular_residual, prime_form,
                       prime_form_log, theta_char, theta_char_log, theta_nu,
                       theta_nu_log, weierstrass_nu, weierstrass_nu_log)
-from .hilbert import (SectorIndex, StateVector, apply_site_unitary,
+from .hilbert import (SectorIndex, StateVector, Subspace, apply_site_unitary,
                       embed_sector, enumerate_sector, fidelity_per_site,
                       fidelity_per_site_subspace,
                       spin_matrices, total_spin_quantum, translate)
@@ -39,7 +39,7 @@ __all__ = [
     "AccuracyError", "BlockSpec", "ConsistencyError",
     "DomainError", "Error", "HamiltonianSpec", "InputError", "LinearOperator",
     "LogComplex", "MPSTensor", "ModularParam", "NumericalError", "PoleError",
-    "ScanResult", "SectorIndex", "StateVector", "U_CIRC_TO_SPIN",
+    "ScanResult", "SectorIndex", "StateVector", "Subspace", "U_CIRC_TO_SPIN",
     "aklt_state", "amplitude", "apply_site_unitary",
     "block_state_spin_basis", "build", "build_record", "build_state",
     "cvo_tensor",

@@ -22,6 +22,7 @@ block is closest to.
 """
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -127,6 +128,9 @@ def _parse_grid(text):
     if not 2 <= count <= MAX_GRID_POINTS or count != int(count):
         raise InputError(f"--grid count must be an integer from 2 to "
                          f"MAX_GRID_POINTS = {MAX_GRID_POINTS}, got {count}")
+    if not all(0 < x < math.inf for x in (lo, hi)):
+        raise InputError(f"--grid endpoints must be finite and positive, "
+                         f"got {text!r}")
     return np.geomspace(lo, hi, int(count))
 
 

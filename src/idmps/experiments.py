@@ -8,6 +8,12 @@ minimizer. Energy is the primary objective; fidelity is diagnostic (an
 optional objective for exploration only). The d=3 block states live in the
 flavor basis and are rotated site-by-site into the spin basis before they
 meet a spin-basis chain.
+
+A scan orthonormalizes its chain's ground space once (a hilbert.Subspace)
+and scores every point against it. The block states do not depend on the
+chain, so a phase sweep builds each grid state once and shares it between
+its scans, up to SWEEP_STATE_BYTES of stored states; refinement points are
+never stored, and nothing is kept once the sweep returns.
 """
 import math
 
@@ -15,7 +21,7 @@ import numpy as np
 
 from . import blocks, hamiltonians, refstates
 from .errors import ConsistencyError, Error, InputError
-from .hilbert import (apply_site_unitary, fidelity_per_site,
+from .hilbert import (Subspace, apply_site_unitary, fidelity_per_site,
                       fidelity_per_site_subspace, total_spin_quantum,
                       translate)
 from .numerics import minimize_scalar, pfaffian
@@ -42,20 +48,33 @@ UNBOUNDED_SHARE = 0.99
 # the parent chain is positive semidefinite when its lowest level is at
 # least -PSD_TOL
 PSD_TOL = 1e-9
+# the most bytes of grid states one phase sweep keeps for reuse; 25 states
+# of su2_1 at N=12 take 1.6 MB, of su2_2 at N=12 212 MB, so most of the
+# latter are built per scan
+SWEEP_STATE_BYTES = 64 * 2 ** 20
 
 SWEEP_COLUMNS = ("param", "R_opt", "energy_opt", "ground_energy",
                  "fidelity_per_site")
 
 
-def block_state_spin_basis(spec, geom=None):
+def block_state_spin_basis(spec, geom=None, states=None):
     """Block state expressed in the spin basis; geom=None is the cylinder.
 
     d=2 states already are; d=3 states are rotated from the circular
     (flavor) basis by the single-site unitary u on every site.
+
+    states: a dict from geom to state of this spec, which one sweep shares
+    between its scans. A state found there is returned as is; a state built
+    here is stored while the stored states stay within SWEEP_STATE_BYTES.
     """
+    if states is not None and geom in states:
+        return states[geom]
     state = blocks.build_state(spec, geom)
     if spec.model == blocks.SU2_2:
         state = apply_site_unitary(state, refstates.U_CIRC_TO_SPIN)
+    if states is not None and \
+            (len(states) + 1) * state.amplitudes.nbytes <= SWEEP_STATE_BYTES:
+        states[geom] = state
     return state
 
 
@@ -114,6 +133,22 @@ def default_grid():
     return np.geomspace(R_MIN, R_MAX, GRID_POINTS)
 
 
+def _radius_grid(R_grid):
+    """The sorted radius grid of a scan (default_grid() for None), or
+    InputError for a grid that is too small, too large, non-finite or
+    outside [R_MIN, R_MAX]; checked before any build."""
+    grid = default_grid() if R_grid is None else np.sort(
+        np.asarray(R_grid, dtype=float))
+    if not 2 <= grid.size <= MAX_GRID_POINTS:
+        raise InputError(f"need 2 to {MAX_GRID_POINTS} grid radii "
+                         f"(MAX_GRID_POINTS), got {grid.size}")
+    if not np.all(np.isfinite(grid)):
+        raise InputError("grid radii must be finite")
+    if grid[0] < R_MIN or grid[-1] > R_MAX:
+        raise InputError(f"grid must lie within [{R_MIN}, {R_MAX}]")
+    return grid
+
+
 def scan_radius(spec, ham, R_grid=None, objective="energy", workers=1):
     """Scan torus radii against a chain; refine the best point by Brent.
 
@@ -126,29 +161,35 @@ def scan_radius(spec, ham, R_grid=None, objective="energy", workers=1):
     if workers != 1:
         raise InputError(f"scan_radius runs serially: workers must be 1, "
                          f"got {workers!r}")
+    return _scan(spec, ham, _radius_grid(R_grid), objective, None)
+
+
+def _scan(spec, ham, grid, objective, states):
+    """scan_radius on a grid that _radius_grid has checked. Grid states
+    are shared through the dict `states` (see block_state_spin_basis);
+    None shares nothing."""
     _check_compatible(spec, ham)
     if objective not in ("energy", "fidelity"):
         raise InputError(f"objective must be energy or fidelity, "
                          f"got {objective!r}")
-    grid = default_grid() if R_grid is None else np.sort(
-        np.asarray(R_grid, dtype=float))
-    if not 2 <= grid.size <= MAX_GRID_POINTS:
-        raise InputError(f"need 2 to {MAX_GRID_POINTS} grid radii "
-                         f"(MAX_GRID_POINTS), got {grid.size}")
-    if grid[0] < R_MIN or grid[-1] > R_MAX:
-        raise InputError(f"grid must lie within [{R_MIN}, {R_MAX}]")
     h = hamiltonians.build(ham)
     e0, ground = hamiltonians.ground_states(ham)
-    in_ground = _has_momentum(ground, blocks.momentum_eigenvalue(spec))
+    space = (Subspace(ground)
+             if _has_momentum(ground, blocks.momentum_eigenvalue(spec))
+             else None)
 
-    def point(R):
-        state = block_state_spin_basis(spec, R)
+    def point(R, on_grid=False):
+        # a refinement point reuses a stored grid state (Brent samples the
+        # bracket ends, which are grid radii) but is never stored itself
+        shared = states is not None and (on_grid or R in states)
+        state = block_state_spin_basis(spec, R, states if shared else None)
         amps = state.amplitudes
         energy = float(np.vdot(amps, h.apply(amps)).real)
-        fid = fidelity_per_site_subspace(state, ground) if in_ground else 0.0
+        fid = 0.0 if space is None else \
+            fidelity_per_site_subspace(state, space)
         return float(R), energy, fid
 
-    rows = [point(R) for R in grid]
+    rows = [point(R, on_grid=True) for R in grid]
     score = (lambda row: row[1]) if objective == "energy" \
         else (lambda row: -row[2])
     best = min(range(len(rows)), key=lambda i: score(rows[i]))
@@ -193,20 +234,24 @@ def _edge_flags(grid, r_opt, first_score, last_score, opt_score):
 
 
 def sweep_phase_diagram(spec, ham_family, R_grid=None, objective="energy"):
-    """One radius scan per (parameter, chain) pair.
+    """One radius scan per (parameter, chain) pair, each equal to
+    scan_radius(spec, ham, R_grid, objective).
 
     Returns [{"param", "scan", "error"}]; a failing point records its error
-    and the sweep continues.
+    and the sweep continues. A bad grid fails the whole sweep up front. The
+    scans share their grid states, up to SWEEP_STATE_BYTES of them, for
+    the length of this call.
     """
     ham_family = list(ham_family)
     if not ham_family:
         raise InputError("empty parameter grid")
+    grid = _radius_grid(R_grid)
+    states = {}
     out = []
     for param, ham in ham_family:
         entry = {"param": float(param), "scan": None, "error": None}
         try:
-            entry["scan"] = scan_radius(spec, ham, R_grid=R_grid,
-                                        objective=objective)
+            entry["scan"] = _scan(spec, ham, grid, objective, states)
         except Error as exc:
             entry["error"] = f"{type(exc).__name__}: {exc}"
         out.append(entry)
@@ -259,14 +304,15 @@ def limit_convergence(spec, target, R_sequence):
     steps = np.diff(rs)
     if not (np.all(steps > 0) or np.all(steps < 0)):
         raise InputError("radius schedule must be strictly monotone")
-    targets = list(target) if isinstance(target, (list, tuple)) else None
+    space = (Subspace(target) if isinstance(target, (list, tuple))
+             else None)
     rows = []
     for R in rs:
         state = blocks.build_state(spec, R)
-        if targets is None:
+        if space is None:
             fid = fidelity_per_site(state, target)
         else:
-            fid = fidelity_per_site_subspace(state, targets)
+            fid = fidelity_per_site_subspace(state, space)
         rows.append((R, max(0.0, 1.0 - fid)))
     tail = [infid for _, infid in rows[-3:]]
     for a, b in zip(tail, tail[1:]):

@@ -44,7 +44,8 @@ class HamiltonianSpec:
 
     J1/J2 (default 1, 0) apply to the j1j2 kind, theta (default 0) to
     qbq; the others take no parameters, and a coupling given to a kind that
-    does not take it is an InputError. All chains are periodic.
+    does not take it, or a NaN or infinite coupling, is an InputError. All
+    chains are periodic.
     """
 
     def __init__(self, kind, N, J1=None, J2=None, theta=None):
@@ -64,6 +65,10 @@ class HamiltonianSpec:
         self.J1 = 1.0 if J1 is None else float(J1)
         self.J2 = 0.0 if J2 is None else float(J2)
         self.theta = 0.0 if theta is None else float(theta)
+        for name in takes:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InputError(f"{name} must be finite, got {value!r}")
 
     @property
     def d(self):

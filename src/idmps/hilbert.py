@@ -4,7 +4,9 @@ Local labels are physical: d=2 uses s in {+1,-1} (spin 1/2 in units of 2 Sz),
 d=3 uses s in {+1,0,-1} (spin 1). Configuration rank is big-endian in the
 site index: site 1 is the most significant digit, with label order (+1,-1)
 for d=2 and (+1,0,-1) for d=3, so files and sector listings are reproducible
-byte for byte.
+byte for byte. A fidelity against a target subspace goes through a
+Subspace, which orthonormalizes the target's spanning set once, however many
+states are scored against it.
 """
 import functools
 import json
@@ -295,24 +297,45 @@ def fidelity_per_site(a, b):
     return float(ov ** (2.0 / a.N))
 
 
+class Subspace:
+    """Orthonormal basis of span(basis), built once for any number of
+    fidelities against it.
+
+    The basis vectors are orthonormalized by QR, so any spanning set of a
+    degenerate target subspace is accepted; a QR direction whose diagonal
+    is at or below QR_RANK_TOL times the largest is dropped.
+    """
+
+    def __init__(self, basis):
+        basis = list(basis)
+        if not basis:
+            raise InputError("empty target subspace")
+        for b in basis[1:]:
+            _check_same_space(basis[0], b)
+        self.N, self.d = basis[0].N, basis[0].d
+        cols = np.column_stack([b.amplitudes for b in basis])
+        q, r = np.linalg.qr(cols)
+        keep = np.abs(np.diag(r)) > QR_RANK_TOL * np.abs(np.diag(r)).max()
+        self.q = q[:, keep]
+        self.q.flags.writeable = False
+
+    def __repr__(self):
+        return f"Subspace(N={self.N}, d={self.d}, rank={self.q.shape[1]})"
+
+
 def fidelity_per_site_subspace(a, basis):
     """<a|P|a>^(1/N) for the projector P onto span(basis).
 
-    The basis vectors are orthonormalized internally, so any spanning set of
-    the degenerate target subspace is accepted.
+    basis is a Subspace, or a spanning list of states that is wrapped in
+    one here; a scan that scores many states against one ground space
+    passes its Subspace so the QR runs once.
     """
-    if not basis:
-        raise InputError("empty target subspace")
-    for b in basis:
-        _check_same_space(a, b)
+    space = basis if isinstance(basis, Subspace) else Subspace(basis)
+    _check_same_space(a, space)
     na = a.norm()
     if na == 0:
         raise InputError("fidelity of a zero state is undefined")
-    cols = np.column_stack([b.amplitudes for b in basis])
-    q, r = np.linalg.qr(cols)
-    keep = np.abs(np.diag(r)) > QR_RANK_TOL * np.abs(np.diag(r)).max()
-    q = q[:, keep]
-    w = q.conj().T @ (a.amplitudes / na)
+    w = space.q.conj().T @ (a.amplitudes / na)
     return float(np.linalg.norm(w) ** (2.0 / a.N))
 
 

@@ -371,6 +371,33 @@ def test_grid_counts_are_bounded(tmp_path, capsys, grid):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ["scan", "radius", "--model", "su2_1", "--label", "0", "--N", "4",
+     "--ham", "j1j2", "--J2", "inf"],
+    ["scan", "radius", "--model", "su2_2", "--label", "4", "--N", "4",
+     "--ham", "qbq", "--theta", "nan"],
+    ["scan", "phase", "--model", "su2_1", "--label", "0", "--N", "4",
+     "--ham", "j1j2", "--param-grid", "0.1,nan"],
+    ["scan", "phase", "--model", "su2_2", "--label", "4", "--N", "4",
+     "--ham", "qbq", "--param-grid=-inf,0.3"],
+    ["scan", "phase", "--model", "su2_1", "--label", "0", "--N", "4",
+     "--ham", "j1j2", "--param-grid", "0.5", "--grid", "0.1,nan,5"],
+    ["scan", "phase", "--model", "su2_1", "--label", "0", "--N", "4",
+     "--ham", "j1j2", "--param-grid", "0.5", "--grid", "inf,1,5"],
+    ["scan", "radius", "--model", "su2_1", "--label", "0", "--N", "4",
+     "--ham", "hs", "--grid", "0,5,4"],
+    ["scan", "radius", "--model", "su2_1", "--label", "0", "--N", "4",
+     "--ham", "hs", "--grid=-1,5,4"],
+], ids=["J2-inf", "theta-nan", "param-nan", "param-minus-inf", "grid-nan",
+        "grid-inf", "grid-zero", "grid-negative"])
+def test_non_finite_inputs_exit_one(tmp_path, capsys, monkeypatch, argv):
+    # refused as input before any chain is built
+    monkeypatch.setattr(hamiltonians, "build", None)
+    assert run(*argv, "--out-dir", str(tmp_path / "run")) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_readme_commands_parse():
     # every `idmps ...` line of the README's sh blocks, continuations joined
     readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"

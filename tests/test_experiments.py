@@ -1,21 +1,23 @@
 """Radius scans, sweeps, limit tables, and the consistency suite."""
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idmps import blocks, hamiltonians, refstates
+from idmps import blocks, experiments, hamiltonians, refstates
 from idmps.blocks import BlockSpec
 from idmps.errors import ConsistencyError, InputError
 from idmps.experiments import (EDGE_TOL, MAX_GRID_POINTS, PSD_TOL, R_MAX,
-                               R_MIN, UNBOUNDED_SHARE, VARIATIONAL_TOL,
-                               _edge_flags, _has_momentum, _parent_check,
-                               block_state_spin_basis, identity_suite,
-                               j1j2_family, limit_convergence, qbq_family,
-                               scan_radius, sweep_csv, sweep_phase_diagram)
+                               R_MIN, SWEEP_STATE_BYTES, UNBOUNDED_SHARE,
+                               VARIATIONAL_TOL, _edge_flags, _has_momentum,
+                               _parent_check, block_state_spin_basis,
+                               identity_suite, j1j2_family,
+                               limit_convergence, qbq_family, scan_radius,
+                               sweep_csv, sweep_phase_diagram)
 from idmps.hamiltonians import HamiltonianSpec, ground_states
 from idmps.hilbert import fidelity_per_site_subspace
 
@@ -66,6 +68,21 @@ def test_scan_validation():
         scan_radius(spec, ham, R_grid=[0.001, 1.0])
     with pytest.raises(InputError):
         scan_radius(spec, ham, R_grid=GRID, objective="prettiness")
+
+
+@pytest.mark.parametrize("grid", [[0.1, math.nan, 1.0], [0.1, math.inf],
+                                  [-math.inf, 1.0]])
+def test_non_finite_radii_are_refused_before_any_build(monkeypatch, grid):
+    # NaN sorts last and passes the range check; it must fail up front
+    # rather than at its point, after the chain's ED
+    monkeypatch.setattr(hamiltonians, "build", None)
+    monkeypatch.setattr(blocks, "build_state", None)
+    spec = BlockSpec("su2_1", 0, 4)
+    with pytest.raises(InputError, match="finite"):
+        scan_radius(spec, HamiltonianSpec("j1j2", 4, J2=0.5), R_grid=grid)
+    # a sweep's grid is shared by its scans: a bad one fails the sweep
+    with pytest.raises(InputError, match="finite"):
+        sweep_phase_diagram(spec, j1j2_family(4, [0.1, 0.5]), R_grid=grid)
 
 
 def test_scan_variational_bound(monkeypatch):
@@ -199,16 +216,157 @@ def test_scan_radius_runs_serially_only():
             scan_radius(spec, ham, R_grid=grid, workers=workers)
 
 
+def _sweep_doc(points):
+    # the JSON document `scan phase` writes
+    return json.dumps([{"param": p["param"], "error": p["error"],
+                        "scan": None if p["scan"] is None
+                        else p["scan"].to_dict()} for p in points],
+                      indent=1, sort_keys=True)
+
+
 def test_singleton_sweep_matches_direct_scan():
-    spec = BlockSpec("su2_1", 0, 6)
-    grid = np.geomspace(0.02, 2.0, 6)
-    points = sweep_phase_diagram(spec, j1j2_family(6, [0.5]), R_grid=grid)
-    direct = scan_radius(spec, HamiltonianSpec("j1j2", 6, J2=0.5),
-                         R_grid=grid)
-    assert len(points) == 1
-    assert points[0]["error"] is None
-    assert points[0]["scan"].optimum == direct.optimum
-    assert points[0]["scan"].rows == direct.rows
+    # a sweep shares its grid states between scans; each scan must still
+    # equal an independent scan_radius call exactly, from one parameter up
+    grid = np.geomspace(0.02, 30, 8)
+    cases = [
+        (BlockSpec("su2_1", 0, 6), j1j2_family(6, [0.5])),
+        (BlockSpec("su2_1", 0, 8), j1j2_family(8, [0.0, 0.3, 0.5, 0.8])),
+        (BlockSpec("su2_1", "half", 8),
+         j1j2_family(8, [0.0, 0.3, 0.5, 0.8])),
+        (BlockSpec("su2_2", 2, 6), qbq_family(6, [-0.4, 0.2, 1.0])),
+        (BlockSpec("su2_2", 3, 6), qbq_family(6, [-0.4, 0.2, 1.0])),
+        (BlockSpec("su2_2", 4, 6),
+         qbq_family(6, [-0.4, math.atan(1 / 3), 1.0])),
+    ]
+    for spec, family in cases:
+        points = sweep_phase_diagram(spec, family, R_grid=grid)
+        direct = [{"param": float(p), "error": None,
+                   "scan": scan_radius(spec, ham, R_grid=grid)}
+                  for p, ham in family]
+        assert len(points) == len(family)
+        for got, want in zip(points, direct):
+            assert got["error"] is None
+            a, b = got["scan"], want["scan"]
+            assert a.rows == b.rows and a.optimum == b.optimum
+            assert (a.at_lower_edge, a.unbounded) == \
+                (b.at_lower_edge, b.unbounded)
+            assert a.ground_energy == b.ground_energy
+        assert sweep_csv(points) == sweep_csv(direct)
+        assert _sweep_doc(points) == _sweep_doc(direct)
+
+
+def _count_builds(monkeypatch):
+    """Radii passed to blocks.build_state, in call order."""
+    radii = []
+    build = blocks.build_state
+
+    def counted(spec, geom=None):
+        radii.append(geom)
+        return build(spec, geom)
+
+    monkeypatch.setattr(blocks, "build_state", counted)
+    return radii
+
+
+def _count_points(monkeypatch):
+    """Per block_state_spin_basis call, its radius and the byte sizes of
+    the states in the dict it was given, read after the call (None for no
+    dict)."""
+    calls = []
+    point = experiments.block_state_spin_basis
+
+    def counted(spec, geom=None, states=None):
+        out = point(spec, geom, states)
+        calls.append((geom, None if states is None else
+                      [v.amplitudes.nbytes for v in states.values()]))
+        return out
+
+    monkeypatch.setattr(experiments, "block_state_spin_basis", counted)
+    return calls
+
+
+def _count_refinements(monkeypatch):
+    """Objective evaluations made by the Brent refinement."""
+    evals = []
+    minimize = experiments.minimize_scalar
+
+    def counted(f, bracket, **kwargs):
+        return minimize(lambda R: evals.append(R) or f(R), bracket,
+                        **kwargs)
+
+    monkeypatch.setattr(experiments, "minimize_scalar", counted)
+    return evals
+
+
+SWEEP_SPEC = BlockSpec("su2_1", 0, 8)
+SWEEP_FAMILY = j1j2_family(8, [0.1, 0.3, 0.5, 0.9])
+SWEEP_GRID = np.geomspace(0.02, 30, 7)
+
+
+def test_sweep_builds_each_grid_state_once(monkeypatch):
+    builds = _count_builds(monkeypatch)
+    calls = _count_points(monkeypatch)
+    evals = _count_refinements(monkeypatch)
+    points = sweep_phase_diagram(SWEEP_SPEC, SWEEP_FAMILY, R_grid=SWEEP_GRID)
+    counts = Counter(builds)
+    assert [counts[R] for R in SWEEP_GRID] == [1] * len(SWEEP_GRID)
+    # every scored point still asks for its state once: the grid, the Brent
+    # evaluations and the refined optimum of each scan
+    assert len(calls) == len(SWEEP_FAMILY) * (len(SWEEP_GRID) + 1) + \
+        len(evals)
+    # refinement points off the grid are built every time, never stored
+    off_grid = [R for R in evals if R not in set(SWEEP_GRID)]
+    assert len(builds) == len(SWEEP_GRID) + len(off_grid) + sum(
+        p["scan"].optimum[0] not in set(SWEEP_GRID) for p in points)
+    assert max(len(sizes) for _, sizes in calls if sizes is not None) == \
+        len(SWEEP_GRID)
+
+
+def test_sweep_states_do_not_outlive_the_sweep(monkeypatch):
+    builds = _count_builds(monkeypatch)
+    first = sweep_csv(sweep_phase_diagram(SWEEP_SPEC, SWEEP_FAMILY,
+                                          R_grid=SWEEP_GRID))
+    second = sweep_csv(sweep_phase_diagram(SWEEP_SPEC, SWEEP_FAMILY,
+                                           R_grid=SWEEP_GRID))
+    assert first == second
+    counts = Counter(builds)
+    assert [counts[R] for R in SWEEP_GRID] == [2] * len(SWEEP_GRID)
+    # a lone scan keeps no states: each of its points is built
+    builds.clear()
+    calls = _count_points(monkeypatch)
+    scan_radius(SWEEP_SPEC, SWEEP_FAMILY[0][1], R_grid=SWEEP_GRID)
+    assert all(sizes is None for _, sizes in calls)
+    assert builds == [R for R, _ in calls]
+
+
+def test_sweep_states_stay_within_their_byte_bound(monkeypatch):
+    unbounded = sweep_phase_diagram(SWEEP_SPEC, SWEEP_FAMILY,
+                                    R_grid=SWEEP_GRID)
+    state_bytes = 16 * 2 ** SWEEP_SPEC.N
+    monkeypatch.setattr(experiments, "SWEEP_STATE_BYTES",
+                        3 * state_bytes + state_bytes // 2)
+    builds = _count_builds(monkeypatch)
+    calls = _count_points(monkeypatch)
+    bounded = sweep_phase_diagram(SWEEP_SPEC, SWEEP_FAMILY, R_grid=SWEEP_GRID)
+    stored = [sizes for _, sizes in calls if sizes is not None]
+    assert max(sum(sizes) for sizes in stored) == 3 * state_bytes
+    counts = Counter(builds)
+    # the three smallest radii are stored, the rest are built per scan
+    assert [counts[R] for R in SWEEP_GRID[:3]] == [1] * 3
+    assert all(counts[R] >= len(SWEEP_FAMILY) for R in SWEEP_GRID[3:])
+    assert sweep_csv(bounded) == sweep_csv(unbounded)
+    assert _sweep_doc(bounded) == _sweep_doc(unbounded)
+    # a bound below one state stores none
+    monkeypatch.setattr(experiments, "SWEEP_STATE_BYTES", state_bytes - 1)
+    calls.clear()
+    assert sweep_csv(sweep_phase_diagram(
+        SWEEP_SPEC, SWEEP_FAMILY, R_grid=SWEEP_GRID)) == sweep_csv(unbounded)
+    assert all(not sizes for _, sizes in calls if sizes is not None)
+
+
+def test_sweep_state_bound_is_named():
+    # 25 su2_1 states at N=12 fit; 25 su2_2 states at N=12 do not
+    assert 25 * 16 * 2 ** 12 <= SWEEP_STATE_BYTES < 25 * 16 * 3 ** 12
 
 
 def test_sweep_continues_past_failures_and_records_them():

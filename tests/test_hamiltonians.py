@@ -425,3 +425,13 @@ def test_spec_refuses_couplings_the_kind_does_not_take(kind, couplings):
     # the defaults stand for every kind, so outputs that echo them stay put
     spec = HamiltonianSpec(kind, 4)
     assert (spec.J1, spec.J2, spec.theta) == (1.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("kind,name", [
+    ("j1j2", "J1"), ("j1j2", "J2"), ("qbq", "theta")])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_spec_refuses_non_finite_couplings(kind, name, value):
+    # eigh would fail on the operator with a LinAlgError, which is no
+    # idmps.Error, so a sweep could not record it and go on
+    with pytest.raises(InputError, match=name):
+        HamiltonianSpec(kind, 4, **{name: value})

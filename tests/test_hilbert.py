@@ -10,9 +10,10 @@ from idmps import blocks, experiments, hamiltonians, hilbert
 from idmps.errors import InputError
 from idmps.hilbert import (
     MAX_CONFIGS, QR_RANK_TOL, SZ_MATCH_TOL, SectorIndex, StateVector,
-    all_configs, apply_site_unitary, check_size, config_rank, embed_sector,
-    enumerate_sector, fidelity_per_site, fidelity_per_site_subspace,
-    rank_config, total_spin_quantum, total_sz_table, translate,
+    Subspace, all_configs, apply_site_unitary, check_size, config_rank,
+    embed_sector, enumerate_sector, fidelity_per_site,
+    fidelity_per_site_subspace, rank_config, total_spin_quantum,
+    total_sz_table, translate,
 )
 
 
@@ -251,6 +252,51 @@ def test_fidelity_subspace_rank_cut():
         tilted = StateVector(2, 2, a.amplitudes + eps * b.amplitudes)
         assert fidelity_per_site_subspace(b, [a, tilted]) == \
             pytest.approx(want, abs=1e-12)
+
+
+def _qr_fidelity(a, basis):
+    # the inline QR that Subspace replaced, kept as the reference
+    na = a.norm()
+    cols = np.column_stack([b.amplitudes for b in basis])
+    q, r = np.linalg.qr(cols)
+    keep = np.abs(np.diag(r)) > QR_RANK_TOL * np.abs(np.diag(r)).max()
+    q = q[:, keep]
+    w = q.conj().T @ (a.amplitudes / na)
+    return float(np.linalg.norm(w) ** (2.0 / a.N))
+
+
+def test_subspace_fidelity_matches_inline_qr_bit_for_bit():
+    # the tilted sets of the rank-cut test: rank 1 below the cut, 2 above
+    a, b = basis_state(2, 2, [1, 1]), basis_state(2, 2, [1, -1])
+    cases = [([a, StateVector(2, 2, a.amplitudes + eps * b.amplitudes)],
+              rank, [b, random_state(2, 2, seed=1)])
+             for eps, rank in ((0.5 * QR_RANK_TOL, 1), (2 * QR_RANK_TOL, 2))]
+    cases.append(([random_state(6, 2, seed=s) for s in range(3)], 3,
+                  [random_state(6, 2, seed=s) for s in range(3, 8)]))
+    # the Majumdar-Ghosh ground pair against block states, as a scan has it
+    _, ground = hamiltonians.ground_states(
+        hamiltonians.HamiltonianSpec("j1j2", 8, J2=0.5))
+    cases.append((ground, 2, [experiments.block_state_spin_basis(
+        blocks.BlockSpec("su2_1", 0, 8), R) for R in (0.05, 0.5, 5.0)]))
+    for basis, rank, states in cases:
+        space = Subspace(basis)
+        assert space.q.shape[1] == rank
+        for v in states:
+            want = _qr_fidelity(v, basis)
+            assert fidelity_per_site_subspace(v, space) == want
+            assert fidelity_per_site_subspace(v, basis) == want
+
+
+def test_subspace_validation():
+    a = random_state(2, 2)
+    with pytest.raises(InputError):
+        Subspace([])
+    with pytest.raises(InputError):
+        Subspace([a, random_state(3, 2)])
+    with pytest.raises(InputError):
+        fidelity_per_site_subspace(random_state(3, 2), Subspace([a]))
+    with pytest.raises(ValueError):
+        Subspace([a]).q[0, 0] = 1.0
 
 
 def test_fidelity_zero_state_rejected():
