@@ -21,10 +21,9 @@ from .hilbert import (SectorIndex, StateVector, Subspace, apply_site_unitary,
                       spin_matrices, total_spin_quantum, translate)
 from .numerics import (LinearOperator, eig_smallest, minimize_scalar,
                        pfaffian, pfaffian_log)
-from .refstates import (MPSTensor, U_CIRC_TO_SPIN, aklt_state, cvo_tensor,
-                        dimer_state, flavor_pair, mg_combination,
-                        mps_trace_state, singlet_pair,
-                        spin1_dimer_combinations)
+from .refstates import (U_CIRC_TO_SPIN, aklt_state, cvo_tensor, dimer_state,
+                        flavor_pair, mg_combination, mps_trace_state,
+                        singlet_pair, spin1_dimer_combinations)
 from .blocks import (BlockSpec, amplitude, build_record, build_state,
                      insertion_points, marshall_sign, momentum_eigenvalue)
 from .hamiltonians import (HamiltonianSpec, build, eigenstate_residual,
@@ -38,7 +37,7 @@ from .experiments import (ScanResult, block_state_spin_basis, default_grid,
 __all__ = [
     "AccuracyError", "BlockSpec", "ConsistencyError",
     "DomainError", "Error", "HamiltonianSpec", "InputError", "LinearOperator",
-    "LogComplex", "MPSTensor", "ModularParam", "NumericalError", "PoleError",
+    "LogComplex", "ModularParam", "NumericalError", "PoleError",
     "ScanResult", "SectorIndex", "StateVector", "Subspace", "U_CIRC_TO_SPIN",
     "aklt_state", "amplitude", "apply_site_unitary",
     "block_state_spin_basis", "build", "build_record", "build_state",

@@ -21,6 +21,7 @@ reports at small radius (R <= PAIRING_R_MAX) which thin-torus reference the
 block is closest to.
 """
 import argparse
+import cmath
 import json
 import math
 import os
@@ -31,13 +32,15 @@ import numpy as np
 
 from . import __version__, blocks, hamiltonians, hilbert, refstates
 from .blocks import BlockSpec
-from .errors import ConsistencyError, DomainError, Error, InputError
+from .errors import (ConsistencyError, DomainError, Error, InputError,
+                     NumericalError)
 from .experiments import (MAX_GRID_POINTS, csv_text, identity_suite,
                           j1j2_family, limit_convergence, qbq_family,
                           scan_radius, sweep_csv, sweep_phase_diagram)
 from .hamiltonians import HamiltonianSpec
 from .hilbert import apply_site_unitary, total_spin_quantum
-from .special import ModularParam, prime_form, theta_nu, weierstrass_nu
+from .special import (ModularParam, prime_form_log, theta_nu_log,
+                      weierstrass_nu_log)
 
 EXIT_OK, EXIT_INPUT, EXIT_NUMERICAL, EXIT_CHECK = 0, 1, 2, 3
 
@@ -168,11 +171,16 @@ def _cmd_special_eval(args):
     tau = ModularParam(args.R).tau
     fn = args.fn
     if fn.startswith("theta"):
-        val = theta_nu(int(fn[-1]), z, tau)
+        log_val = theta_nu_log(int(fn[-1]), z, tau)
     elif fn == "prime":
-        val = prime_form(z, tau)
+        log_val = prime_form_log(z, tau)
     else:
-        val = weierstrass_nu(int(fn[-1]), z, tau)
+        log_val = weierstrass_nu_log(int(fn[-1]), z, tau)
+    val = log_val.value
+    if not cmath.isfinite(val):
+        # strict JSON has no Infinity or NaN
+        raise NumericalError(f"{fn} overflows a double: log|value| = "
+                             f"{log_val.log!r}")
     doc = {"fn": fn, "z": [z.real, z.imag], "R": args.R,
            "value_re": val.real, "value_im": val.imag}
     text = _dump_json(doc)

@@ -37,6 +37,14 @@ GATE_ENTRY_TOL = 1e-14
 # levels ground_states requests first; the count doubles while all are
 # degenerate with the ground state
 GROUND_K0 = 4
+# coupling scale max(|J1|, |J2|) that HamiltonianSpec accepts besides
+# J1 = J2 = 0, bounds included. Only J2/J1 shapes the state, but
+# DEGENERACY_TOL and the eigensolver's tolerances are absolute: at scale 1e5
+# the N = 12 Majumdar-Ghosh doublet comes back as one state, at 1e-3 the
+# deflated Lanczos check of the 7-fold N = 12 ground level of J2 < 0 fails
+# to converge in some runs, and 1e308 overflows the operator. At both ends
+# the ground levels up to N = 16 match scale 1, in the time of scale 1.
+COUPLING_RANGE = (1e-2, 1e3)
 
 
 class HamiltonianSpec:
@@ -44,8 +52,9 @@ class HamiltonianSpec:
 
     J1/J2 (default 1, 0) apply to the j1j2 kind, theta (default 0) to
     qbq; the others take no parameters, and a coupling given to a kind that
-    does not take it, or a NaN or infinite coupling, is an InputError. All
-    chains are periodic.
+    does not take it, or a NaN or infinite coupling, is an InputError, and
+    so is a nonzero max(|J1|, |J2|) outside COUPLING_RANGE. All chains are
+    periodic.
     """
 
     def __init__(self, kind, N, J1=None, J2=None, theta=None):
@@ -69,6 +78,13 @@ class HamiltonianSpec:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise InputError(f"{name} must be finite, got {value!r}")
+        scale = max(abs(self.J1), abs(self.J2))
+        lo, hi = COUPLING_RANGE
+        if scale and not lo <= scale <= hi:
+            raise InputError(
+                f"max(|J1|, |J2|) = {scale!r} lies outside COUPLING_RANGE = "
+                f"[{lo:g}, {hi:g}]; only J2/J1 shapes the state, so rescale "
+                f"both couplings into it")
 
     @property
     def d(self):
@@ -170,7 +186,7 @@ def _scatter_matrix(N, d, const, pairs, ranks):
     the bond's two-site code digits[i] * d + digits[j]. Only off-diagonal
     entries are scattered; each gate conserves two-site Sz, so scattering
     never leaves an Sz-closed basis, and a rank-lookup miss means the basis
-    is not closed. A row that no diagonal entry reaches stores none.
+    is not closed. Every row stores its diagonal entry, zero or not.
     """
     ranks = np.asarray(ranks, dtype=np.int64)
     m = len(ranks)
@@ -178,14 +194,12 @@ def _scatter_matrix(N, d, const, pairs, ranks):
     site_digits = np.ascontiguousarray(digits(ranks, N, d).T)
     weight = d ** np.arange(N - 1, -1, -1, dtype=np.int64)
     diag = np.full(m, float(const))
-    on_diag = np.full(m, bool(const))
     rows, cols, vals = [], [], []
     for coupling, i, j, gate in pairs:
         kept = np.where(np.abs(gate) > GATE_ENTRY_TOL, gate, 0.0)
         code = site_digits[i] * d + site_digits[j]
         gdiag = np.diagonal(kept)
         diag += coupling * gdiag[code]
-        on_diag |= (gdiag != 0)[code]
         for dest_code, src_code in np.argwhere(kept):
             if dest_code == src_code:
                 continue
@@ -202,10 +216,10 @@ def _scatter_matrix(N, d, const, pairs, ranks):
             cols.append(sel)
             vals.append(np.full(sel.size,
                                 coupling * gate[dest_code, src_code]))
-    live = np.nonzero(on_diag)[0]
+    every = np.arange(m)
     mat = scipy.sparse.coo_matrix(
-        (np.concatenate([diag[live]] + vals),
-         (np.concatenate([live] + rows), np.concatenate([live] + cols))),
+        (np.concatenate([diag] + vals),
+         (np.concatenate([every] + rows), np.concatenate([every] + cols))),
         shape=(m, m))
     return mat.tocsr()
 

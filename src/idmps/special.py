@@ -115,6 +115,13 @@ def _series_log(a, b, z, tau, order=0):
     return LogComplex(m + math.log(abs(s)), math.atan2(s.imag, s.real))
 
 
+def _check_z(z):
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"z must be finite, got {z}")
+    return z
+
+
 def _validate_char(c):
     a, b = c
     key = (float(a), float(b))
@@ -139,18 +146,32 @@ def _theta_nu_inverted_log(nu, z, tau):
 
 
 def theta_char_log(c, z, tau, path="auto"):
-    """theta[a;b](z|tau) as LogComplex; path in {auto, direct, inverted}."""
+    """theta[a;b](z|tau) as LogComplex; path in {auto, direct, inverted}.
+
+    z must be finite. Re z is first reduced by its integer part m, using
+    theta[a;b](z + m) = e^{2 pi i a m} theta[a;b](z), so a z far out on the
+    real axis is evaluated at its exact double (every double above 2^53 is
+    an integer) rather than through a phase that has lost every digit; for
+    |Re z| < 1, m = 0.
+    """
     a, b = _validate_char(c)
     tau = _check_tau(tau)
+    z = _check_z(z)
+    m = math.trunc(z.real)
+    if m:
+        z = complex(z.real - m, z.imag)
     if path == "auto":
         path = "inverted" if math.exp(-math.pi * tau.imag) > NOME_SPLIT else "direct"
     if path == "direct":
-        return _series_log(a, b, z, tau)
-    if path != "inverted":
+        val = _series_log(a, b, z, tau)
+    elif path == "inverted":
+        nu, sign = _CHAR_NU[(a, b)]
+        val = _theta_nu_inverted_log(nu, z, tau)
+        val = -val if sign < 0 else val
+    else:
         raise DomainError(f"unknown evaluation path {path!r}")
-    nu, sign = _CHAR_NU[(a, b)]
-    val = _theta_nu_inverted_log(nu, z, tau)
-    return -val if sign < 0 else val
+    # e^{2 pi i a m} is (-1)^m for a = 1/2
+    return -val if a and m % 2 else val
 
 
 def theta_char(c, z, tau):
@@ -221,7 +242,7 @@ def weierstrass_nu_log(nu, z, tau, path="auto"):
     if nu not in (2, 3, 4):
         raise DomainError(f"nu must be 2, 3 or 4, got {nu}")
     tau = _check_tau(tau)
-    if _on_lattice(z, tau):
+    if _on_lattice(_check_z(z), tau):
         raise PoleError(f"wp_{nu} has a pole at z={z} on the period lattice")
     if path == "inverted":
         inner = weierstrass_nu_log(_NU_SWAP[nu], complex(z) / tau, -1.0 / tau)

@@ -3,6 +3,7 @@ import json
 import pathlib
 import re
 import shlex
+import warnings
 
 import numpy as np
 import pytest
@@ -45,7 +46,21 @@ def test_special_eval_error_exit_codes(capsys):
                "--z", "0.1", "--R", "-3") == 1
     assert run("special", "eval", "--fn", "nope",
                "--z", "0.1", "--R", "1") == 1
-    capsys.readouterr()
+    # a non-finite z is refused before any series is summed
+    assert run("special", "eval", "--fn", "theta3",
+               "--z", "nan", "--R", "1") == 1
+    assert run("special", "eval", "--fn", "wp3", "--z=0.1,inf", "--R", "1") == 1
+    assert "z must be finite" in capsys.readouterr().err
+
+
+def test_special_eval_refuses_to_write_an_overflowed_value(tmp_path, capsys):
+    # strict JSON has no Infinity: the value is reported by its logarithm
+    out = tmp_path / "prime.json"
+    assert run("special", "eval", "--fn", "prime", "--z", "0.5,400",
+               "--R", "1", "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "log|value| = 502653.68" in captured.err
+    assert list(tmp_path.iterdir()) == []
 
 
 def read_state(path):
@@ -395,6 +410,22 @@ def test_non_finite_inputs_exit_one(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.setattr(hamiltonians, "build", None)
     assert run(*argv, "--out-dir", str(tmp_path / "run")) == 1
     assert "error:" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "radius", "--model", "su2_1", "--label", "0", "--N", "4",
+     "--ham", "j1j2", "--J2", "1e308"],
+    ["ed", "ground", "--ham", "j1j2", "--N", "4", "--J2", "1e200"],
+], ids=["scan-J2-1e308", "ed-J2-1e200"])
+def test_couplings_outside_the_scale_window_exit_one(tmp_path, capsys, argv):
+    # refused as input, before an operator could overflow
+    out = ["--out", str(tmp_path / "e.json")] if argv[0] == "ed" else [
+        "--out-dir", str(tmp_path / "run")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(*argv, *out) == 1
+    assert "COUPLING_RANGE" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 

@@ -7,9 +7,10 @@ import scipy.sparse
 
 from idmps import blocks, hamiltonians, refstates
 from idmps.errors import ConsistencyError, InputError
-from idmps.hamiltonians import (DEGENERACY_TOL, GATE_ENTRY_TOL,
-                                HamiltonianSpec, _scatter_matrix,
-                                biquadratic_gate, build, eigenstate_residual,
+from idmps.hamiltonians import (COUPLING_RANGE, DEGENERACY_TOL,
+                                GATE_ENTRY_TOL, HamiltonianSpec,
+                                _scatter_matrix, biquadratic_gate, build,
+                                eigenstate_residual,
                                 ground_states, ground_subspace,
                                 heisenberg_gate, parent_annihilation_check)
 from idmps.hilbert import (StateVector, digits, enumerate_sector,
@@ -115,19 +116,6 @@ def test_operators_store_at_most_one_diagonal_entry_per_row(spec):
         rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
         on_diag = np.bincount(rows[m.indices == rows], minlength=m.shape[0])
         assert on_diag.max(initial=0) <= 1
-
-
-def test_rows_without_a_diagonal_entry_store_none():
-    # the spin-flip half of S.S has no diagonal: only the two flips remain
-    gate = heisenberg_gate(2)
-    flips = gate - np.diag(np.diagonal(gate))
-    m = _scatter_matrix(3, 2, 0.0, [(1.0, 0, 2, flips)], np.arange(8))
-    assert m.nnz == 4
-    assert not np.any(m.diagonal())
-    # a constant reaches every row
-    m = _scatter_matrix(3, 2, 0.5, [(1.0, 0, 2, flips)], np.arange(8))
-    assert m.nnz == 12
-    assert np.array_equal(m.diagonal(), np.full(8, 0.5))
 
 
 def test_heisenberg_gate_spin_half_literal():
@@ -396,12 +384,15 @@ def test_ground_subspace_in_one_sector():
 
 
 def test_gate_entries_at_the_cut_are_left_out():
-    for entry, nnz in ((0.5 * GATE_ENTRY_TOL, 1), (2 * GATE_ENTRY_TOL, 2)):
+    for entry, kept in ((0.5 * GATE_ENTRY_TOL, 0.0),
+                        (2 * GATE_ENTRY_TOL, 2 * GATE_ENTRY_TOL)):
         gate = np.zeros((4, 4))
         gate[0, 0] = 1.0
         gate[3, 3] = entry
+        gate[1, 2] = gate[2, 1] = entry
         m = _scatter_matrix(2, 2, 0.0, [(1.0, 0, 1, gate)], np.arange(4))
-        assert m.nnz == nnz
+        assert m[0, 0] == 1.0
+        assert m[3, 3] == kept and m[1, 2] == kept and m[2, 1] == kept
 
 
 def test_spec_validation():
@@ -425,6 +416,38 @@ def test_spec_refuses_couplings_the_kind_does_not_take(kind, couplings):
     # the defaults stand for every kind, so outputs that echo them stay put
     spec = HamiltonianSpec(kind, 4)
     assert (spec.J1, spec.J2, spec.theta) == (1.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("J1,J2", [
+    (COUPLING_RANGE[0], 0.5 * COUPLING_RANGE[0]),
+    (COUPLING_RANGE[1], 0.5 * COUPLING_RANGE[1]),
+    (0.0, -COUPLING_RANGE[0]), (0.0, -COUPLING_RANGE[1]),
+    (-COUPLING_RANGE[1], 0.0)])
+def test_couplings_at_the_scale_window_edges_keep_the_ground_level(J1, J2):
+    # at scale 1e5 the N = 12 Majumdar-Ghosh doublet came back as one state,
+    # and at 1e-3 the 7-fold level of J2 < 0 sometimes failed to converge
+    spec = HamiltonianSpec("j1j2", 12, J1=J1, J2=J2)
+    scale = max(abs(J1), abs(J2))
+    unit = HamiltonianSpec("j1j2", 12, J1=J1 / scale, J2=J2 / scale)
+    e0, kept = ground_states(spec)
+    e0_unit, kept_unit = ground_states(unit)
+    assert len(kept) == len(kept_unit)
+    assert e0 / scale == pytest.approx(e0_unit, abs=1e-12)
+    if J1 == 2 * J2:
+        assert len(kept) == 2
+
+
+@pytest.mark.parametrize("J1,J2", [
+    (0.99 * COUPLING_RANGE[0], 0.0), (0.0, -0.99 * COUPLING_RANGE[0]),
+    (1.0, 1.01 * COUPLING_RANGE[1]), (-1e308, 0.5), (1e-10, 0.0)])
+def test_couplings_outside_the_scale_window_are_refused(J1, J2):
+    with pytest.raises(InputError, match="COUPLING_RANGE.*J2/J1"):
+        HamiltonianSpec("j1j2", 8, J1=J1, J2=J2)
+
+
+def test_zero_chain_stays_legal():
+    h = build(HamiltonianSpec("j1j2", 4, J1=0.0, J2=0.0))
+    assert not np.any(h.matrix.toarray())
 
 
 @pytest.mark.parametrize("kind,name", [

@@ -157,6 +157,38 @@ def test_theta_rejects_bad_input():
         theta_char_log((0.0, 0.0), 0.1, 1j, path="sideways")
 
 
+@pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf,
+                               complex(0.1, math.inf), complex(math.nan, 0.2)])
+def test_non_finite_z_is_a_domain_error(z):
+    # refused before any series is summed or any lattice test is made
+    for f in (lambda: theta_nu(3, z, 1j), lambda: theta_char((0.5, 0.5), z, 1j),
+              lambda: prime_form(z, 1j), lambda: prime_form(z, 0.05j),
+              lambda: weierstrass_nu(3, z, 1j),
+              lambda: weierstrass_nu(2, z, 0.05j)):
+        with pytest.raises(DomainError, match="finite"):
+            f()
+
+
+def test_theta1_vanishes_at_a_huge_integer():
+    # every double above 2**53 is an integer, a zero of theta1
+    assert theta_nu(1, 1e300, 1j) == 0
+    assert theta_nu(1, -2.0 ** 60, 0.05j) == 0
+
+
+@pytest.mark.parametrize("tau", [1j, 0.05j])
+def test_real_period_holds_far_out(tau):
+    # z = 0.25 + k is exact in binary, so only the reduction is tested
+    e = prime_form(0.25, tau)
+    wp = {nu: weierstrass_nu(nu, 0.25, tau) for nu in (2, 3, 4)}
+    period = {2: 1, 3: -1, 4: -1}
+    for k in (1, 2, 3, 7, 2 ** 20 + 1, 2 ** 40, 2 ** 40 + 1, -5, -2 ** 40):
+        sign = -1 if k % 2 else 1
+        assert rel(prime_form(0.25 + k, tau), sign * e) < 1e-13, k
+        for nu in (2, 3, 4):
+            want = period[nu] ** (k % 2) * wp[nu]
+            assert rel(weierstrass_nu(nu, 0.25 + k, tau), want) < 1e-13, k
+
+
 CHARS = ((0.0, 0.0), (0.5, 0.0), (0.0, 0.5), (0.5, 0.5))
 # the direct series sums terms up to M in magnitude, so rounding leaves
 # about 1e-16 M / |theta| in log|theta|; where that ratio is larger (near a
