@@ -12,11 +12,13 @@ while ground_subspace can still merge all of them. The cotangent parent chain
 carries long-range couplings built from w_jk = i cot(pi (z_j - z_k)) at
 uniform z_j = j/N; every w product is real there, which the build asserts
 rather than assumes.
+
+scipy.sparse is imported in _scatter_matrix, at the first operator build,
+so importing this module (and the package) loads no scipy module.
 """
 import math
 
 import numpy as np
-import scipy.sparse
 
 from . import blocks
 from .errors import ConsistencyError, InputError
@@ -188,6 +190,8 @@ def _scatter_matrix(N, d, const, pairs, ranks):
     never leaves an Sz-closed basis, and a rank-lookup miss means the basis
     is not closed. Every row stores its diagonal entry, zero or not.
     """
+    import scipy.sparse
+
     ranks = np.asarray(ranks, dtype=np.int64)
     m = len(ranks)
     # one contiguous row of digits per site

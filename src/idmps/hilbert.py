@@ -50,19 +50,6 @@ def check_size(N, d):
     return d ** N
 
 
-def config_rank(labels, d):
-    """Rank of a configuration given as a sequence of local labels."""
-    _check_dim(d)
-    lookup = {s: i for i, s in enumerate(LABELS[d])}
-    rank = 0
-    for s in labels:
-        try:
-            rank = rank * d + lookup[int(s)]
-        except (KeyError, ValueError):
-            raise InputError(f"label {s!r} invalid for d={d}")
-    return rank
-
-
 def digits(ranks, N, d):
     """Base-d digits of a rank or an array of ranks, site 1 (the most
     significant digit) first: shape ranks.shape + (N,)."""

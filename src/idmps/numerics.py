@@ -1,6 +1,15 @@
 """Linear-algebra kernels: Pfaffians, a Hermitian eigensolver, and a
 bracketed scalar minimizer.
 
+Importing this module loads numpy and no scipy module, so commands that
+never build an operator (special-function values, block states) do not pay
+scipy's import time, about 0.6 s on a 2-vCPU VM. scipy.sparse is
+imported where a LinearOperator is made, and scipy.sparse.linalg at the
+entry of eig_smallest rather than in its Lanczos branch: the first solve of
+a process is usually a small dense one, and it pays the import so that the
+first large solve does not. The scalar minimizer is a port of scipy's
+bounded Brent method and loads no scipy module.
+
 The Pfaffian is computed by Parlett-Reid elimination (skew-symmetric analogue
 of LU) with partial pivoting, in real arithmetic for a real matrix; the pivot
 product is accumulated as a LogComplex because block amplitudes at small
@@ -18,9 +27,6 @@ the spectral width) must not lie below the highest returned level.
 import math
 
 import numpy as np
-import scipy.optimize
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .errors import AccuracyError, InputError, NumericalError
 from .logcomplex import LogComplex
@@ -35,6 +41,8 @@ EIG_RESIDUAL_TOL = 1e-8
 # copy; at most hamiltonians.DEGENERACY_TOL, so a missed ground copy cannot
 # hide inside the degeneracy grouping
 MISSED_LEVEL_TOL = 1e-10
+# cap on the objective calls of one bounded Brent run (scipy's maxiter)
+MINIMIZE_MAX_CALLS = 500
 
 
 def _breaks_symmetry(defect, a):
@@ -108,6 +116,8 @@ class LinearOperator:
     """
 
     def __init__(self, matrix):
+        import scipy.sparse
+
         if not scipy.sparse.issparse(matrix):
             matrix = np.asarray(matrix)
         self.matrix = matrix
@@ -119,6 +129,8 @@ class LinearOperator:
 
 def _lanczos(m, k, v0):
     """(values, vectors) of the k lowest eigenpairs of m by ARPACK."""
+    import scipy.sparse.linalg
+
     try:
         return scipy.sparse.linalg.eigsh(
             m, k=k, which="SA", v0=v0, maxiter=100 * m.shape[0], tol=0.0)
@@ -138,6 +150,8 @@ def _guarded_lanczos(m, k):
     merge replaces a level outside the true k lowest, so k merges restore
     any result.
     """
+    import scipy.sparse.linalg
+
     dim = m.shape[0]
     v0 = np.random.default_rng(0).standard_normal(dim)
     vals, vecs = _lanczos(m, k, v0)
@@ -173,6 +187,9 @@ def eig_smallest(h, k=1):
     owns its data (no view into the full eigenvector matrix), and each
     residual ||Hv - lambda v|| is verified against 1e-8.
     """
+    # loaded here, not in the Lanczos branch (see the module docstring)
+    import scipy.sparse.linalg
+
     if not isinstance(h, LinearOperator):
         h = LinearOperator(h)
     if not 1 <= k <= h.dim:
@@ -196,16 +213,94 @@ def eig_smallest(h, k=1):
     return pairs
 
 
+def _bounded_brent(f, lo, hi, xatol, maxfun):
+    """(x, f(x), calls) of Brent's bounded minimization of f on [lo, hi].
+
+    A line-for-line port of scipy.optimize's _minimize_scalar_bounded
+    (scipy 1.17.1), which follows Brent, Algorithms for Minimization
+    without Derivatives (1973), ch. 5: golden-section steps, parabolic
+    steps where the parabola through the last three points is acceptable,
+    and no step shorter than tol1. It stops when the bracket half-width
+    around the best point falls under 2 tol1, or after maxfun calls of f.
+    Same constants and floating-point operations, so the same points.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = f(x)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            # parabola through (xf, fx), (nfc, fnfc), (fulc, ffulc)
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm - xf >= 0 else -tol1
+            else:
+                golden = True
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        x = xf + (1.0 if rat >= 0 else -1.0) * max(abs(rat), tol1)
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxfun:
+            break
+    return xf, fx, num
+
+
 def minimize_scalar(f, bracket, tol=1e-6):
-    """Minimize f on [lo, hi] by bounded Brent (golden section + parabolic).
+    """Minimize f on [lo, hi] by bounded Brent (golden section + parabolic),
+    with at most MINIMIZE_MAX_CALLS calls of f besides the two below.
 
     Returns (x*, f(x*)). NaN from f raises with the offending point. The
     bracket endpoints are sampled too, so the result is never worse than
     either edge even if f is not unimodal.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
-    if not lo < hi:
-        raise InputError(f"need lo < hi, got ({lo}, {hi})")
+    if not (lo < hi and math.isfinite(lo) and math.isfinite(hi)):
+        raise InputError(f"need finite lo < hi, got ({lo}, {hi})")
 
     def checked(x):
         y = float(f(x))
@@ -213,10 +308,7 @@ def minimize_scalar(f, bracket, tol=1e-6):
             raise NumericalError(f"objective returned NaN at x={x}")
         return y
 
-    res = scipy.optimize.minimize_scalar(
-        checked, bounds=(lo, hi), method="bounded",
-        options={"xatol": tol, "maxiter": 500})
-    candidates = [(checked(lo), lo), (checked(hi), hi),
-                  (float(res.fun), float(res.x))]
+    x, fx, _ = _bounded_brent(checked, lo, hi, tol, MINIMIZE_MAX_CALLS)
+    candidates = [(checked(lo), lo), (checked(hi), hi), (fx, x)]
     fbest, xbest = min(candidates)
     return xbest, fbest

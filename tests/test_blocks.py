@@ -11,7 +11,7 @@ from idmps import blocks, experiments, hamiltonians
 from idmps.blocks import (BlockSpec, amplitude, build_record, build_state,
                           insertion_points, marshall_sign, momentum_eigenvalue)
 from idmps.errors import InputError
-from idmps.hilbert import (all_configs, apply_site_unitary, config_rank,
+from idmps.hilbert import (all_configs, apply_site_unitary,
                            enumerate_sector, fidelity_per_site,
                            fidelity_per_site_subspace, total_spin_quantum,
                            total_sz_table, translate)
@@ -20,6 +20,7 @@ from idmps.numerics import pfaffian
 from idmps.refstates import U_CIRC_TO_SPIN, spin1_dimer_combinations
 from idmps.special import (ModularParam, prime_form_log, theta_char_log,
                            weierstrass_nu, weierstrass_nu_log)
+from test_hilbert import config_rank
 
 
 # ------------------------------------------------------------ symmetry fold

@@ -1,7 +1,42 @@
 """The package's export list and what the package reads from outside."""
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import idmps
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+# run in a fresh interpreter: prints, after each step, the scipy modules
+# named in argv[1] that are loaded
+IMPORT_PROBE = """
+import json, os, sys
+watched = json.loads(sys.argv[1])
+out = sys.argv[2]
+
+def loaded():
+    return [m for m in watched if m in sys.modules]
+
+import idmps, idmps.cli
+steps = {"import": loaded()}
+for name, argv in [
+        ("special eval", ["special", "eval", "--fn", "theta3", "--z", "0.1",
+                          "--R", "1", "--out", os.path.join(out, "t.json")]),
+        ("state build", ["state", "build", "--model", "su2_1", "--label",
+                         "0", "--N", "6", "--R", "0.05",
+                         "--out", os.path.join(out, "p.state")]),
+        ("state reference", ["state", "reference", "--which", "aklt", "--N",
+                             "4", "--out", os.path.join(out, "a.state")]),
+        ("scan radius", ["scan", "radius", "--model", "su2_1", "--label",
+                         "0", "--N", "6", "--ham", "j1j2", "--J2", "0.3",
+                         "--grid", "0.05,2,5",
+                         "--out-dir", os.path.join(out, "scan")])]:
+    assert idmps.cli.run(argv) == 0, name
+    steps[name] = loaded()
+print(json.dumps(steps))
+"""
 
 
 def test_all_names_resolve_once():
@@ -15,3 +50,21 @@ def test_no_environment_knobs():
     for path in pathlib.Path(idmps.__file__).parent.glob("*.py"):
         text = path.read_text()
         assert "os.environ" not in text and "os.getenv" not in text, path.name
+
+
+def test_scipy_loads_only_where_it_runs(tmp_path):
+    # the package and the commands that build no operator load no scipy
+    # module; an operator build loads scipy.sparse, and nothing loads
+    # scipy.optimize
+    watched = ["scipy.sparse", "scipy.sparse.linalg", "scipy.optimize"]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, json.dumps(watched),
+         str(tmp_path)], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    steps = json.loads(proc.stdout.strip().splitlines()[-1])
+    for name in ("import", "special eval", "state build", "state reference"):
+        assert steps[name] == [], name
+    assert steps["scan radius"] == ["scipy.sparse", "scipy.sparse.linalg"]

@@ -10,11 +10,25 @@ from idmps import blocks, experiments, hamiltonians, hilbert
 from idmps.errors import InputError
 from idmps.hilbert import (
     MAX_CONFIGS, QR_RANK_TOL, SZ_MATCH_TOL, SectorIndex, StateVector,
-    Subspace, all_configs, apply_site_unitary, check_size, config_rank,
+    LABELS, Subspace, all_configs, apply_site_unitary, check_size,
     embed_sector, enumerate_sector, fidelity_per_site,
     fidelity_per_site_subspace, rank_config, total_spin_quantum,
     total_sz_table, translate,
 )
+
+
+def config_rank(labels, d):
+    """Rank of a configuration given as a sequence of local labels, site 1
+    the most significant: an encoder that shares no code with
+    hilbert.digits, so the tests can check the package's rank tables."""
+    if d not in LABELS:
+        raise InputError(f"local dimension must be 2 or 3, got {d}")
+    rank = 0
+    for s in labels:
+        if s not in LABELS[d]:
+            raise InputError(f"label {s!r} invalid for d={d}")
+        rank = rank * d + LABELS[d].index(s)
+    return rank
 
 
 def basis_state(N, d, labels):
@@ -59,6 +73,8 @@ def test_bad_labels_and_dims():
         config_rank([1, 2], 2)
     with pytest.raises(InputError):
         config_rank([1, 1], 5)
+    with pytest.raises(InputError):
+        rank_config(0, 2, 5)
 
 
 # --------------------------------------------------------------------- sectors

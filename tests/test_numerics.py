@@ -4,13 +4,15 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.optimize
 import scipy.sparse
 import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import idmps.numerics as numerics
-from idmps import hamiltonians
+from idmps import experiments, hamiltonians
+from idmps.blocks import BlockSpec
 from idmps.errors import InputError, NumericalError
 from idmps.hamiltonians import HamiltonianSpec
 from idmps.hilbert import enumerate_sector
@@ -342,3 +344,96 @@ def test_minimize_nan_propagates():
 def test_minimize_bad_bracket():
     with pytest.raises(InputError):
         minimize_scalar(lambda x: x, (1.0, 1.0))
+    with pytest.raises(InputError):
+        minimize_scalar(lambda x: x, (2.0, 1.0))
+    with pytest.raises(InputError):
+        minimize_scalar(lambda x: x, (0.0, math.inf))
+
+
+def test_minimize_samples_both_ends():
+    seen = []
+    minimize_scalar(lambda x: seen.append(x) or (x - 1.0) ** 2, (0.0, 5.0))
+    assert seen[-2:] == [0.0, 5.0]
+    assert len(seen) <= numerics.MINIMIZE_MAX_CALLS + 2
+
+
+# The port must take the very steps of scipy's bounded method: the same
+# evaluation points, result and call count, compared with ==.
+
+def recorded(f):
+    points = []
+
+    def call(x):
+        points.append(x)
+        return f(x)
+
+    return call, points
+
+
+def assert_same_as_scipy(f, lo, hi, xatol,
+                         maxiter=numerics.MINIMIZE_MAX_CALLS):
+    """Runs the port and scipy's bounded method; returns scipy's result."""
+    port_f, port_points = recorded(f)
+    x, fx, calls = numerics._bounded_brent(port_f, lo, hi, xatol, maxiter)
+    ref_f, ref_points = recorded(f)
+    ref = scipy.optimize.minimize_scalar(
+        ref_f, bounds=(lo, hi), method="bounded",
+        options={"xatol": xatol, "maxiter": maxiter})
+    assert port_points == ref_points
+    assert (x, fx, calls) == (ref.x, ref.fun, ref.nfev)
+    return ref
+
+
+def brent_cases(seed):
+    """(lo, hi, objectives) for a random bracket: a quadratic, a cosine,
+    |x - c|^1.5, a constant, a monotone function and a quadratic rounded
+    to steps, whose ties reach the tie rules of the bracket update."""
+    rng = np.random.default_rng(seed)
+    lo = float(rng.uniform(-3.0, 3.0))
+    hi = lo + float(rng.uniform(0.01, 6.0))
+    c = float(rng.uniform(lo - 1.0, hi + 1.0))
+    s, w, phi = (float(v) for v in rng.uniform(0.1, 4.0, size=3))
+    return lo, hi, [
+        lambda x: s * (x - c) ** 2 + phi,
+        lambda x: math.cos(w * x + phi),
+        lambda x: abs(x - c) ** 1.5,
+        lambda x: phi,
+        lambda x: math.exp(s * x),
+        lambda x: round(8.0 * s * (x - c) ** 2) / 8.0,
+    ]
+
+
+@pytest.mark.parametrize("xatol", [1e-4, 1e-6, 1e-8])
+def test_bounded_brent_matches_scipy(xatol):
+    for seed in range(40):
+        lo, hi, objectives = brent_cases(seed)
+        for f in objectives:
+            assert_same_as_scipy(f, lo, hi, xatol)
+
+
+def test_bounded_brent_matches_scipy_when_calls_run_out():
+    for seed in range(10):
+        lo, hi, objectives = brent_cases(seed)
+        for f in objectives:
+            assert assert_same_as_scipy(f, lo, hi, 1e-10, maxiter=5).nfev <= 5
+
+
+def test_bounded_brent_matches_scipy_on_a_scan_objective(monkeypatch):
+    # the objective score(point(R)) of an su2_1 N = 8 scan, captured from
+    # the scan's own call
+    calls = []
+    minimize = experiments.minimize_scalar
+
+    def capture(f, bracket, tol):
+        calls.append((f, bracket, tol))
+        return minimize(f, bracket, tol=tol)
+
+    monkeypatch.setattr(experiments, "minimize_scalar", capture)
+    res = experiments.scan_radius(BlockSpec("su2_1", 0, 8),
+                                  HamiltonianSpec("j1j2", 8, J2=0.3))
+    (f, (lo, hi), tol), = calls
+    lo, hi = float(lo), float(hi)
+    ref = assert_same_as_scipy(f, lo, hi, tol)
+    assert ref.nfev > 5
+    best = min([(f(lo), lo), (f(hi), hi), (float(ref.fun), float(ref.x))])
+    assert res.optimum[0] == best[1]

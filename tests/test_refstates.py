@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from idmps.errors import ConsistencyError, InputError
-from idmps.hilbert import (StateVector, apply_site_unitary, config_rank,
-                           spin_matrices, total_spin_quantum, translate)
+from idmps.hilbert import (StateVector, apply_site_unitary, spin_matrices,
+                           total_spin_quantum, translate)
 from idmps.refstates import (U_CIRC_TO_SPIN, aklt_state, cvo_tensor,
                              dimer_state, flavor_pair, mg_combination,
                              mps_trace_state, singlet_pair,
                              spin1_dimer_combinations)
+from test_hilbert import config_rank
 
 # Reference: the case-by-case tensor catalogue, Pauli table, dimer product and
 # D0 +- D1 bodies that the fusion-rule construction replaced; the outputs
