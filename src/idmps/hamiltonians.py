@@ -24,7 +24,7 @@ from . import blocks
 from .errors import ConsistencyError, InputError
 from .hilbert import (StateVector, check_size, digits, embed_sector,
                       enumerate_sector, spin_matrices)
-from .numerics import LinearOperator, eig_smallest
+from .numerics import DEGENERACY_TOL, LinearOperator, eig_smallest
 
 HS = "hs"
 J1J2 = "j1j2"
@@ -32,20 +32,16 @@ QBQ = "qbq"
 PARENT = "parent"
 _KINDS = (HS, J1J2, QBQ, PARENT)
 
-DEGENERACY_TOL = 1e-9
 IMAG_TOL = 1e-12
 # gate entries at or below this magnitude are left out of the sparse matrix
 GATE_ENTRY_TOL = 1e-14
-# levels ground_states requests first; the count doubles while all are
-# degenerate with the ground state
-GROUND_K0 = 4
 # coupling scale max(|J1|, |J2|) that HamiltonianSpec accepts besides
 # J1 = J2 = 0, bounds included. Only J2/J1 shapes the state, but
-# DEGENERACY_TOL and the eigensolver's tolerances are absolute: at scale 1e5
-# the N = 12 Majumdar-Ghosh doublet comes back as one state, at 1e-3 the
-# deflated Lanczos check of the 7-fold N = 12 ground level of J2 < 0 fails
-# to converge in some runs, and 1e308 overflows the operator. At both ends
-# the ground levels up to N = 16 match scale 1, in the time of scale 1.
+# DEGENERACY_TOL is absolute: roundoff grows with the scale (at 1e5 dense
+# eigh spreads the exact 7-fold N = 12 ground level of J1 = 0, J2 < 0 over
+# 2e-9, so the level splits), gaps shrink with it toward DEGENERACY_TOL, and
+# 1e308 overflows the operator. At both ends the ground levels up to N = 16
+# match scale 1, in the time of scale 1.
 COUPLING_RANGE = (1e-2, 1e3)
 
 
@@ -280,13 +276,15 @@ def _sz_values(N, d):
 
 
 def ground_subspace(spec, k=1, sz=None):
-    """k lowest eigenpairs as (energy, StateVector).
+    """Lowest eigenpairs as (energy, StateVector).
 
     With sz=None over the full spectrum: each Sz sector is diagonalized
-    separately and the results are merged, and k is at most d^N. Given sz,
-    only that total-Sz sector is solved, and k is at most its size.
-    Ordering is deterministic: energies agreeing within 1e-9 form one group,
-    sorted inside by Sz and then by rank within the sector.
+    separately, the results are merged and the k lowest are kept, and k is
+    at most d^N. Given sz, only that total-Sz sector is solved, k is at
+    most its size, and every pair eig_smallest returns is kept: the k
+    lowest plus every copy of the k-th level. Ordering is deterministic:
+    energies agreeing within DEGENERACY_TOL form one group, sorted inside
+    by Sz and then by rank within the sector.
     """
     N, d = spec.N, spec.d
     if sz is None:
@@ -312,14 +310,15 @@ def ground_subspace(spec, k=1, sz=None):
     order = sorted(range(len(entries)),
                    key=lambda i: (group[i], entries[i][1], entries[i][2]))
     out = []
-    for i in order[:k]:
+    for i in order if sz is not None else order[:k]:
         energy, _, _, vec, sector = entries[i]
         out.append((float(energy), embed_sector(vec, sector, normalized=True)))
     return out
 
 
 def ground_states(spec):
-    """(E0, [states]) with every state within 1e-9 of the ground energy.
+    """(E0, [states]) with every state within DEGENERACY_TOL of the ground
+    energy, from one ground_subspace(spec, 1, sz) call.
 
     Only the sector of lowest |Sz| is solved: (N (d-1) / 2) mod 1, so 0
     for d=3 or even N and 1/2 for odd N at d=2. Every chain here conserves
@@ -331,12 +330,5 @@ def ground_states(spec):
     all that a projector onto it needs for an Sz = 0 block state.
     """
     sz = (spec.N * (spec.d - 1) / 2) % 1
-    dim = enumerate_sector(spec.N, spec.d, sz).size
-    k = min(GROUND_K0, dim)
-    while True:
-        pairs = ground_subspace(spec, k, sz)
-        e0 = pairs[0][0]
-        kept = [sv for e, sv in pairs if e - e0 <= DEGENERACY_TOL]
-        if len(kept) < k or k == dim:
-            return e0, kept
-        k = min(2 * k, dim)
+    pairs = ground_subspace(spec, 1, sz)
+    return pairs[0][0], [sv for _, sv in pairs]

@@ -19,10 +19,16 @@ A LinearOperator holds one matrix, usually scipy sparse (every Hamiltonian
 is). eig_smallest checks that it is Hermitian and is the only place that
 densifies it: dense eigh up to DENSE_DIM_MAX, Lanczos on the matrix above,
 from one fixed start vector so that repeated solves agree bit for bit.
-Lanczos can return genuine eigenpairs yet skip a degenerate copy, which no
-residual check sees, so each Lanczos result is checked by deflation: the
-lowest level of H + sigma V V^dagger (V the returned vectors, sigma above
-the spectral width) must not lie below the highest returned level.
+A single-vector Krylov space holds one vector per distinct eigenvalue
+(Parlett, The Symmetric Eigenvalue Problem, ch. 13), so Lanczos returns
+genuine eigenpairs yet can skip a degenerate copy, which no residual check
+sees. The Lanczos branch completes the k-th level by deflated solves: the
+lowest level of H + sigma V V^dagger, V the vectors found so far, is
+appended while it lies within DEGENERACY_TOL of the k-th value. Each
+deflated solve starts from its own seeded vector. Restarted from the main
+solve's vector v0, it could not find a missing copy: inside a degenerate
+level v0 has one direction, which V holds and the shift lifts, so the
+copy orthogonal to it enters the Krylov space only through roundoff.
 """
 import math
 
@@ -37,10 +43,9 @@ SYMMETRY_TOL = 1e-12
 # break-even of the two for 4 levels of a chain's Sz sector
 DENSE_DIM_MAX = 350
 EIG_RESIDUAL_TOL = 1e-8
-# a deflated level this far below the highest returned one is a missed
-# copy; at most hamiltonians.DEGENERACY_TOL, so a missed ground copy cannot
-# hide inside the degeneracy grouping
-MISSED_LEVEL_TOL = 1e-10
+# levels this close are one level: eig_smallest returns every copy of its
+# k-th level, and hamiltonians groups the levels of its sectors by it
+DEGENERACY_TOL = 1e-9
 # cap on the objective calls of one bounded Brent run (scipy's maxiter)
 MINIMIZE_MAX_CALLS = 500
 
@@ -127,62 +132,74 @@ class LinearOperator:
         return self.matrix @ v
 
 
-def _lanczos(m, k, v0):
+def _lanczos(m, k, v0, tol=0.0):
     """(values, vectors) of the k lowest eigenpairs of m by ARPACK."""
     import scipy.sparse.linalg
 
     try:
         return scipy.sparse.linalg.eigsh(
-            m, k=k, which="SA", v0=v0, maxiter=100 * m.shape[0], tol=0.0)
+            m, k=k, which="SA", v0=v0, maxiter=100 * m.shape[0], tol=tol)
     except scipy.sparse.linalg.ArpackNoConvergence as exc:
         raise NumericalError(
             f"Lanczos did not converge for dim={m.shape[0]}, k={k}: {exc}")
 
 
 def _guarded_lanczos(m, k):
-    """k lowest eigenpairs of m by Lanczos, with missed copies restored.
+    """The k lowest eigenpairs of m by Lanczos plus every copy of the k-th
+    level, as (values, vectors) sorted ascending.
 
-    Each round solves for the lowest level mu of m + sigma V V^dagger: with
-    sigma above the spectral width the returned vectors V are lifted above
-    the spectrum, so mu is the lowest level orthogonal to them. mu below the
-    highest returned value by more than MISSED_LEVEL_TOL is a missed copy:
-    it is merged and the k lowest are kept. At most k + 1 rounds run: each
-    merge replaces a level outside the true k lowest, so k merges restore
-    any result.
+    After the main solve, each round finds the lowest level mu of
+    m + sigma V V^dagger, V the vectors found so far. sigma is the spread
+    of their values plus a tenth of the max row sum (a bound on ||m||), so
+    V is lifted above them and mu is the lowest level orthogonal to V.
+    While mu lies at or below the k-th lowest value found plus
+    DEGENERACY_TOL, its vector is appended to V. Every appended vector is
+    orthogonal to V, so at most dim - k are appended and at most
+    dim - k + 1 rounds run; NumericalError if the last still appends.
     """
     import scipy.sparse.linalg
 
     dim = m.shape[0]
-    v0 = np.random.default_rng(0).standard_normal(dim)
-    vals, vecs = _lanczos(m, k, v0)
-    sigma = 2.0 * abs(m).sum(axis=1).max() + 1.0
-    for _ in range(k + 1):
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
+    vals, vecs = _lanczos(m, k, np.random.default_rng(0).standard_normal(dim))
+    norm = abs(m).sum(axis=1).max()
+    for rnd in range(dim - k + 1):
+        cut = np.sort(vals)[k - 1] + DEGENERACY_TOL
+        sigma = vals.max() - vals.min() + 0.1 * norm
 
         def deflated(x):
-            return m @ x + sigma * (vecs @ (vecs.conj().T @ x))
+            # einsum, not a BLAS dot: with one column in V, numpy's threaded
+            # dot contends with ARPACK's BLAS threads (on 2 vCPUs the
+            # deflated solve at dim 48620 took 2.5x as long)
+            overlaps = np.einsum("ij,i->j", vecs.conj(), x)
+            return m @ x + sigma * (vecs @ overlaps)
 
         op = scipy.sparse.linalg.LinearOperator(
             (dim, dim), matvec=deflated, dtype=np.result_type(m.dtype, vecs))
-        mu, u = _lanczos(op, 1, v0)
-        if mu[0] >= vals[-1] - MISSED_LEVEL_TOL:
-            return vals, vecs
-        vals = np.append(vals[:-1], mu)
-        vecs = np.column_stack([vecs[:, :-1], u])
-    raise NumericalError(f"Lanczos kept missing levels for dim={dim}, k={k} "
-                         f"after {k + 1} deflated solves")
+        v0 = np.random.default_rng(1 + rnd).standard_normal(dim)
+        mu, u = _lanczos(op, 1, v0, tol=0.1 * DEGENERACY_TOL / norm)
+        if mu[0] > cut:
+            keep = np.flatnonzero(vals <= cut)
+            keep = keep[np.argsort(vals[keep], kind="stable")]
+            return vals[keep], vecs[:, keep]
+        vals = np.append(vals, mu)
+        vecs = np.column_stack([vecs, u])
+    raise NumericalError(f"Lanczos kept finding copies for dim={dim}, k={k} "
+                         f"after {dim - k + 1} deflated solves")
 
 
 def eig_smallest(h, k=1):
-    """k algebraically smallest eigenpairs of a Hermitian LinearOperator.
+    """The k algebraically smallest eigenpairs of a Hermitian
+    LinearOperator, plus every copy of the k-th level: each further pair
+    within DEGENERACY_TOL of the k-th value, so a degenerate level is never
+    cut in two.
 
     The matrix must equal its conjugate transpose within SYMMETRY_TOL
     (relative), else InputError; a sparse matrix is checked before it is
     densified. Dense diagonalization up to dim DENSE_DIM_MAX (or k >= dim-1),
     implicitly-restarted Lanczos above, started from one seeded random
-    vector (ARPACK's own start is random per call) and checked by deflation
-    for missed degenerate copies (NumericalError if they keep coming).
+    vector (ARPACK's own start is random per call) and completed by
+    deflated solves, each from its own seeded vector (NumericalError if
+    copies keep coming past the dimension's bound).
     Returns [(eigenvalue, eigenvector), ...] sorted ascending; each vector
     owns its data (no view into the full eigenvector matrix), and each
     residual ||Hv - lambda v|| is verified against 1e-8.
@@ -202,9 +219,11 @@ def eig_smallest(h, k=1):
         if scipy.sparse.issparse(m):
             m = m.toarray()
         vals, vecs = np.linalg.eigh(m)
+        n = np.searchsorted(vals, vals[k - 1] + DEGENERACY_TOL, "right")
+        vals, vecs = vals[:n], vecs[:, :n]
     else:
         vals, vecs = _guarded_lanczos(m, k)
-    pairs = [(float(vals[i]), vecs[:, i].copy()) for i in range(k)]
+    pairs = [(float(lam), vecs[:, i].copy()) for i, lam in enumerate(vals)]
     for lam, vec in pairs:
         res = np.linalg.norm(h.apply(vec) - lam * vec)
         if res > EIG_RESIDUAL_TOL * max(1.0, np.linalg.norm(vec)):

@@ -195,6 +195,16 @@ def test_ed_ground_energies_and_vectors(tmp_path):
                "--out", out) == 1
 
 
+def test_ed_ground_on_a_127_fold_level(tmp_path):
+    # every Sz sector of sum (S_i.S_{i+1})^2 at N=7 is solved; the Sz=0
+    # one (dim 393, a Lanczos solve) holds 127 copies of the ground level
+    out = tmp_path / "q.json"
+    assert run("ed", "ground", "--ham", "qbq", "--N", "7",
+               "--theta", "1.5707963267948966", "--k", "1",
+               "--out", str(out)) == 0
+    assert json.loads(out.read_text())["energies"] == [7.0]
+
+
 def test_scan_radius_cli_outputs(tmp_path):
     out = str(tmp_path / "a")
     assert run("scan", "radius", "--model", "su2_1", "--label", "0",

@@ -333,6 +333,37 @@ def test_ground_states_solves_one_sector(monkeypatch):
     assert calls == [252]
 
 
+def test_ground_states_finds_a_degenerate_level_in_one_solve(monkeypatch):
+    # the 7-fold Sz=0 ground level of J1=0, J2<0 at N=12 (two decoupled
+    # ferromagnetic rings) comes from one solve of the sector
+    calls = []
+    for name in ("ground_subspace", "eig_smallest"):
+        real = getattr(hamiltonians, name)
+
+        def counting(*args, real=real, name=name, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(hamiltonians, name, counting)
+    e0, states = ground_states(HamiltonianSpec("j1j2", 12, J1=0.0, J2=-1.0))
+    assert calls == ["ground_subspace", "eig_smallest"]
+    assert len(states) == 7
+    assert e0 == pytest.approx(-3.0, abs=1e-12)
+
+
+def test_ground_states_returns_every_copy_of_a_large_level():
+    # sum (S_i.S_{i+1})^2 at N=7 has a 127-fold Sz=0 ground level at E=7
+    spec = HamiltonianSpec("qbq", 7, theta=math.pi / 2)
+    e0, states = ground_states(spec)
+    sector = enumerate_sector(7, 3, 0.0)
+    vals = np.linalg.eigvalsh(build(spec, sector).matrix.toarray())
+    assert len(states) == np.count_nonzero(vals <= vals[0] + DEGENERACY_TOL)
+    assert len(states) == 127
+    assert e0 == pytest.approx(7.0, abs=1e-12)
+    got = np.column_stack([sv.amplitudes[sector.ranks] for sv in states])
+    assert np.abs(got.conj().T @ got - np.eye(127)).max() < 1e-10
+
+
 def _masked_scatter(spec, ranks):
     """The operator scattered entry by entry: every gate entry, diagonal
     ones included, through a mask over both site digits, with duplicates

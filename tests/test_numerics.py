@@ -223,7 +223,7 @@ def test_eig_lanczos_agrees_with_dense(monkeypatch):
 
 # sectors where plain Lanczos returns genuine eigenpairs yet skips a
 # degenerate copy (qbq N=6, theta=pi/4, Sz=1, k=4 gave 1.9768 x3 and 2.4002
-# where the levels are 1.9768 x4); the deflation guard restores each
+# where the levels are 1.9768 x4); the deflated solves restore each
 MISSED_COPY_CASES = [
     (HamiltonianSpec("qbq", 6, theta=math.pi / 4), 1.0, 4),
     (HamiltonianSpec("j1j2", 12, J2=0.8), 1.0, 2),
@@ -233,35 +233,49 @@ MISSED_COPY_CASES = [
 ]
 
 
+def _lowest_with_copies(vals, k):
+    """The k lowest of the ascending vals plus every copy of the k-th."""
+    return vals[vals <= vals[k - 1] + numerics.DEGENERACY_TOL]
+
+
 @pytest.mark.parametrize("spec,sz,k", MISSED_COPY_CASES,
                          ids=lambda x: repr(x))
 def test_eig_lanczos_keeps_every_degenerate_copy(monkeypatch, spec, sz, k):
     op = hamiltonians.build(spec, enumerate_sector(spec.N, spec.d, sz))
-    want = np.linalg.eigvalsh(op.matrix.toarray())[:k]
+    want = _lowest_with_copies(np.linalg.eigvalsh(op.matrix.toarray()), k)
     monkeypatch.setattr(numerics, "DENSE_DIM_MAX", 0)
     pairs = eig_smallest(op, k)
+    assert len(pairs) == len(want)
     assert np.abs(np.array([e for e, _ in pairs]) - want).max() < 1e-9
     vecs = np.column_stack([v for _, v in pairs])
-    assert np.abs(vecs.conj().T @ vecs - np.eye(k)).max() < 1e-10
+    assert np.abs(vecs.conj().T @ vecs - np.eye(len(pairs))).max() < 1e-10
 
 
-def test_missed_level_tol_sits_inside_the_degeneracy_grouping():
-    # a missed ground copy above the guard's cut would be within
-    # DEGENERACY_TOL of the returned level and so be grouped with it
-    assert 0 < numerics.MISSED_LEVEL_TOL <= hamiltonians.DEGENERACY_TOL
+def test_eig_returns_every_copy_of_the_kth_level():
+    # the qbq N=7, theta=-pi/2, Sz=4 sector has its 4th and 5th levels
+    # degenerate and its 8th and 9th; the dense branch slices the same set
+    spec = HamiltonianSpec("qbq", 7, theta=-math.pi / 2)
+    op = hamiltonians.build(spec, enumerate_sector(7, 3, 4.0))
+    assert op.dim <= numerics.DENSE_DIM_MAX
+    vals = np.linalg.eigvalsh(op.matrix.toarray())
+    for k, n in ((4, 5), (8, 9)):
+        pairs = eig_smallest(op, k)
+        assert len(pairs) == n == len(_lowest_with_copies(vals, k))
 
 
 def test_eig_guard_gives_up_on_endless_misses(monkeypatch):
-    # a deflated solve that always reports a lower level is never satisfied;
-    # the guard stops after k + 1 rounds instead of looping
+    # a deflated solve that always reports a level below every one found
+    # is never satisfied; every appended vector is orthogonal to the others,
+    # so at most dim - k can be appended, and the guard stops after
+    # dim - k + 1 rounds
     real = numerics._lanczos
     rounds = []
 
-    def lying(m, k, v0):
-        vals, vecs = real(m, k, v0)
+    def lying(m, k, v0, tol=0.0):
+        vals, vecs = real(m, k, v0, tol)
         if isinstance(m, scipy.sparse.linalg.LinearOperator):
             rounds.append(k)
-            vals = vals - 1e3
+            vals = vals - 1e3 * len(rounds)
         return vals, vecs
 
     monkeypatch.setattr(numerics, "_lanczos", lying)
@@ -270,7 +284,33 @@ def test_eig_guard_gives_up_on_endless_misses(monkeypatch):
                             enumerate_sector(8, 2, 0.0))
     with pytest.raises(NumericalError):
         eig_smallest(op, 3)
-    assert rounds == [1] * 4
+    assert rounds == [1] * (op.dim - 3 + 1)
+
+
+def test_eig_finds_a_small_scale_level_every_time():
+    # j1j2 N=12, J1=0, J2=-1 scaled by 1e-3 (below COUPLING_RANGE, so built
+    # directly): the deflated solves take their shift and tolerance from
+    # the max row sum, so the 7-fold Sz=0 ground level at |lambda| ~ 3e-3
+    # converges as it does at scale 1
+    op = hamiltonians.build(HamiltonianSpec("j1j2", 12, J1=0.0, J2=-1.0),
+                            enumerate_sector(12, 2, 0.0))
+    op = LinearOperator(1e-3 * op.matrix)
+    assert op.dim > numerics.DENSE_DIM_MAX
+    want = np.linalg.eigvalsh(op.matrix.toarray())[:7]
+    for _ in range(5):
+        pairs = eig_smallest(op, 1)
+        assert len(pairs) == 7
+        assert np.abs(np.array([e for e, _ in pairs]) - want).max() < 1e-12
+
+
+def test_eig_is_deterministic_on_a_degenerate_level():
+    # the deflated solves start from their own seeded vectors
+    op = hamiltonians.build(HamiltonianSpec("j1j2", 12, J1=0.0, J2=-1.0),
+                            enumerate_sector(12, 2, 0.0))
+    a, b = eig_smallest(op, 1), eig_smallest(op, 1)
+    assert len(a) == len(b) == 7
+    for (ea, va), (eb, vb) in zip(a, b):
+        assert ea == eb and np.array_equal(va, vb)
 
 
 def test_eig_lanczos_is_deterministic():
