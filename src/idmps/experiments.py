@@ -172,8 +172,10 @@ def _scan(spec, ham, grid, objective, states):
     if objective not in ("energy", "fidelity"):
         raise InputError(f"objective must be energy or fidelity, "
                          f"got {objective!r}")
-    h = hamiltonians.build(ham)
+    # the ground solve runs first, so its transients and the full-space
+    # operator are never held at once
     e0, ground = hamiltonians.ground_states(ham)
+    h = hamiltonians.build(ham)
     space = (Subspace(ground)
              if _has_momentum(ground, blocks.momentum_eigenvalue(spec))
              else None)

@@ -4,14 +4,16 @@ Four periodic chains share one representation: a constant plus a list of
 two-site terms (coupling, i, j, gate) where gate is a d^2 x d^2 matrix acting
 on sites i and j. Heisenberg exchange S_i.S_j and its square (S_i.S_j)^2 both
 conserve total Sz exactly, so operators restrict cleanly to Sz sectors.
-Every operator, full-space or sector, is one sparse matrix assembled by
-scattering gate entries over configuration ranks. Every chain also conserves
-total spin, so the ground energy lies in the sector of lowest |Sz|, which
-holds a member of every multiplet: ground_states solves that sector alone,
-while ground_subspace can still merge all of them. The cotangent parent chain
-carries long-range couplings built from w_jk = i cot(pi (z_j - z_k)) at
-uniform z_j = j/N; every w product is real there, which the build asserts
-rather than assumes.
+Every operator, full-space or sector, is one sparse CSR matrix filled in
+place with gate entries over configuration ranks: its arrays are allocated
+once, at final size, so a build peaks below 2x the CSR it returns (1.3x
+for j1j2). Every chain also conserves total spin, so the ground energy
+lies in the sector of lowest |Sz|, which holds a member of every
+multiplet: ground_states solves that sector alone, while ground_subspace
+can still merge all of them. The cotangent parent chain carries long-range
+couplings built from w_jk = i cot(pi (z_j - z_k)) at uniform z_j = j/N;
+every w product is real there, which the build asserts rather than
+assumes.
 
 scipy.sparse is imported in _scatter_matrix, at the first operator build,
 so importing this module (and the package) loads no scipy module.
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import blocks
 from .errors import ConsistencyError, InputError
-from .hilbert import (StateVector, check_size, digits, embed_sector,
+from .hilbert import (StateVector, check_size, embed_sector,
                       enumerate_sector, spin_matrices)
 from .numerics import DEGENERACY_TOL, LinearOperator, eig_smallest
 
@@ -177,51 +179,108 @@ def _terms(spec):
     return _parent_terms(N, heis)
 
 
-def _scatter_matrix(N, d, const, pairs, ranks):
-    """Hamiltonian matrix on the basis {ranks} as a sparse CSR.
+def _gate_moves(gate, d):
+    """(diagonal, n_off, moves) of a two-site gate, entries at or below
+    GATE_ENTRY_TOL left out.
 
-    The diagonal is one vector: every diagonal gate entry is gathered by
-    the bond's two-site code digits[i] * d + digits[j]. Only off-diagonal
-    entries are scattered; each gate conserves two-site Sz, so scattering
-    never leaves an Sz-closed basis, and a rank-lookup miss means the basis
-    is not closed. Every row stores its diagonal entry, zero or not.
+    n_off[c] counts the off-diagonal entries of gate row c. moves[t] is
+    (da, db, value), each indexed by a destination code c: the digit
+    steps from c to the source code of the t-th such entry, by ascending
+    source code, and the entry itself.
+    """
+    kept = np.where(np.abs(gate) > GATE_ENTRY_TOL, gate, 0.0)
+    diagonal = np.diagonal(kept).copy()
+    np.fill_diagonal(kept, 0.0)
+    n_off = np.count_nonzero(kept, axis=1).astype(np.uint8)
+    dest = np.arange(d * d)
+    moves = []
+    for t in range(n_off.max(initial=0)):
+        # rows with fewer entries take code 0, which no row r then reads
+        src = np.array([np.flatnonzero(row)[t] if n > t else 0
+                        for row, n in zip(kept, n_off)])
+        moves.append((src // d - dest // d, src % d - dest % d,
+                      gate[dest, src]))
+    return diagonal, n_off, moves
+
+
+def _scatter_matrix(N, d, const, pairs, ranks):
+    """Hamiltonian matrix on the basis {ranks} as a sparse CSR, filled in
+    place.
+
+    Each bond's two-site code digits[i] * d + digits[j] is taken from one
+    row of small-int digits per site. A first pass gathers the diagonal
+    and each row's entry count: row r receives one entry per kept
+    off-diagonal gate entry in gate row code[r]. The int32 indptr and
+    indices and the float64 data are then allocated once, at final size.
+    Each row holds its diagonal entry first, zero or not, then its
+    off-diagonal entries bond by bond, by ascending source code: the order
+    a COO scatter of the same entries would give. Each gate conserves
+    two-site Sz, so a closed basis holds every source config, and a
+    rank-lookup miss means the basis is not closed. scipy's
+    sum_duplicates sorts each row and merges bonds that repeat (N = 2
+    nearest, N = 4 next-nearest neighbors), as a COO conversion does, so
+    every array keeps the bytes of coo.tocsr(). The peak is the returned
+    CSR plus about 60 bytes per row (115 for the spin-1 qbq gates): the
+    digits, the diagonal or the fill pointers, and one bond's index arrays
+    (j1j2 at N = 14: 3.8 MB traced for a 3.0 MB CSR).
     """
     import scipy.sparse
 
     ranks = np.asarray(ranks, dtype=np.int64)
     m = len(ranks)
-    # one contiguous row of digits per site
-    site_digits = np.ascontiguousarray(digits(ranks, N, d).T)
+    # a basis of all d^N configurations is ranks 0..m-1: no lookup needed
+    full = m == d ** N
     weight = d ** np.arange(N - 1, -1, -1, dtype=np.int64)
+    # codes stay below d^2 <= 9, so one byte per site and rank holds them
+    site_digits = [(ranks // w % d).astype(np.uint8) for w in weight]
+
+    def bond_code(i, j):
+        # an intp index gathers about 3x faster than a uint8 one
+        return (site_digits[i] * d + site_digits[j]).astype(np.intp)
+
+    gates = {}
     diag = np.full(m, float(const))
-    rows, cols, vals = [], [], []
+    # row counts, turned into row starts in place; MAX_CONFIGS keeps nnz
+    # far below 2^31, where scipy would switch to int64 indices
+    indptr = np.ones(m + 1, dtype=np.int32)
+    indptr[0] = 0
     for coupling, i, j, gate in pairs:
-        kept = np.where(np.abs(gate) > GATE_ENTRY_TOL, gate, 0.0)
-        code = site_digits[i] * d + site_digits[j]
-        gdiag = np.diagonal(kept)
+        if id(gate) not in gates:
+            gates[id(gate)] = _gate_moves(gate, d)
+        gdiag, n_off, _ = gates[id(gate)]
+        code = bond_code(i, j)
         diag += coupling * gdiag[code]
-        for dest_code, src_code in np.argwhere(kept):
-            if dest_code == src_code:
-                continue
-            sel = np.nonzero(code == src_code)[0]
-            if not sel.size:
-                continue
-            a2, b2 = divmod(int(dest_code), d)
-            a, b = divmod(int(src_code), d)
-            dest = ranks[sel] + (a2 - a) * weight[i] + (b2 - b) * weight[j]
-            pos = np.searchsorted(ranks, dest)
-            if np.any(pos >= m) or np.any(ranks[np.minimum(pos, m - 1)] != dest):
-                raise ConsistencyError("a gate entry left the Sz sector")
-            rows.append(pos)
-            cols.append(sel)
-            vals.append(np.full(sel.size,
-                                coupling * gate[dest_code, src_code]))
-    every = np.arange(m)
-    mat = scipy.sparse.coo_matrix(
-        (np.concatenate([diag] + vals),
-         (np.concatenate([every] + rows), np.concatenate([every] + cols))),
-        shape=(m, m))
-    return mat.tocsr()
+        indptr[1:] += n_off[code]
+    np.cumsum(indptr, out=indptr)
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    data = np.empty(indptr[-1])
+    data[indptr[:-1]] = diag
+    indices[indptr[:-1]] = np.arange(m)
+    del diag
+    slot = indptr[:-1] + 1
+    for coupling, i, j, gate in pairs:
+        _, n_off, moves = gates[id(gate)]
+        code = bond_code(i, j)
+        n_row = n_off[code]
+        for t, (da, db, value) in enumerate(moves):
+            rows = np.flatnonzero(n_row > t)
+            rc = code[rows]
+            shift = (da * weight[i] + db * weight[j])[rc]
+            if full:
+                cols = np.add(shift, rows, out=shift)
+            else:
+                src = ranks[rows] + shift
+                cols = np.searchsorted(ranks, src)
+                if np.any(ranks.take(cols, mode="clip") != src):
+                    raise ConsistencyError("a gate entry left the Sz sector")
+            at = slot[rows]
+            at += t
+            indices[at] = cols
+            data[at] = (coupling * value)[rc]
+        slot += n_row
+    mat = scipy.sparse.csr_matrix((data, indices, indptr), shape=(m, m))
+    mat.sum_duplicates()
+    return mat
 
 
 def build(spec, sector=None):

@@ -25,8 +25,9 @@ LABELS = {2: (1, -1), 3: (1, 0, -1)}
 SPINS = {2: (0.5, -0.5), 3: (1.0, 0.0, -1.0)}
 # a configuration is in the sector Sz when its total spin is this close
 SZ_MATCH_TOL = 1e-9
-# largest configuration count d^N a table or state vector may span; the
-# digit tables alone take 8 N d^N bytes (168 MB at N=20, d=2)
+# largest configuration count d^N a table or state vector may span; only
+# all_configs and SectorIndex.configs() hold N labels per rank, 8 N bytes
+# each (168 MB for all_configs at N=20, d=2)
 MAX_CONFIGS = 2 ** 20
 # a basis vector whose QR diagonal is below this share of the largest adds
 # no direction to a target subspace
@@ -70,9 +71,15 @@ def all_configs(N, d):
 
 
 def total_sz_table(N, d):
-    """Total spin-z for every configuration rank."""
-    ranks = np.arange(check_size(N, d))
-    return np.array(SPINS[d])[digits(ranks, N, d)].sum(axis=1)
+    """Total spin-z for every configuration rank, summed one site at a
+    time: the table of sites 1..n+1 repeats each entry of the table of
+    sites 1..n d times and adds the spins of site n+1, so no (d^N, N)
+    digit table is built. Half-integer sums are exact in any order."""
+    check_size(N, d)
+    table = np.zeros(1)
+    for _ in range(N):
+        table = (table[:, None] + SPINS[d]).ravel()
+    return table
 
 
 class SectorIndex:

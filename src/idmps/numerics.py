@@ -116,8 +116,12 @@ def pfaffian(entries):
 class LinearOperator:
     """Operator held as one matrix: an ndarray or a scipy sparse matrix.
 
-    apply(v) is matrix @ v. Only eig_smallest densifies a sparse matrix, and
-    only up to DENSE_DIM_MAX.
+    apply(v) is matrix @ v. A real matrix acts on a complex v as
+    matrix @ v.real + 1j * (matrix @ v.imag): scipy would otherwise cast
+    every stored entry to complex for each product (16 bytes per nonzero),
+    and the split gives the same bits, since an imaginary part of +0
+    adds nothing to either sum. Only eig_smallest densifies a sparse
+    matrix, and only up to DENSE_DIM_MAX.
     """
 
     def __init__(self, matrix):
@@ -129,7 +133,10 @@ class LinearOperator:
         self.dim = matrix.shape[0]
 
     def apply(self, v):
-        return self.matrix @ v
+        m = self.matrix
+        if np.iscomplexobj(v) and not np.iscomplexobj(m):
+            return m @ v.real + 1j * (m @ v.imag)
+        return m @ v
 
 
 def _lanczos(m, k, v0, tol=0.0):
@@ -156,12 +163,19 @@ def _guarded_lanczos(m, k):
     DEGENERACY_TOL, its vector is appended to V. Every appended vector is
     orthogonal to V, so at most dim - k are appended and at most
     dim - k + 1 rounds run; NumericalError if the last still appends.
+    The zero operator is an InputError: its one level spans all dim
+    vectors, which is every copy to return and more than Lanczos finds.
     """
     import scipy.sparse.linalg
 
     dim = m.shape[0]
-    vals, vecs = _lanczos(m, k, np.random.default_rng(0).standard_normal(dim))
     norm = abs(m).sum(axis=1).max()
+    if norm == 0:
+        raise InputError(
+            f"the operator is zero: its lowest level spans all {dim} "
+            f"vectors, too many to return for k={k} (dense solves go up "
+            f"to DENSE_DIM_MAX = {DENSE_DIM_MAX})")
+    vals, vecs = _lanczos(m, k, np.random.default_rng(0).standard_normal(dim))
     for rnd in range(dim - k + 1):
         cut = np.sort(vals)[k - 1] + DEGENERACY_TOL
         sigma = vals.max() - vals.min() + 0.1 * norm
@@ -199,7 +213,8 @@ def eig_smallest(h, k=1):
     implicitly-restarted Lanczos above, started from one seeded random
     vector (ARPACK's own start is random per call) and completed by
     deflated solves, each from its own seeded vector (NumericalError if
-    copies keep coming past the dimension's bound).
+    copies keep coming past the dimension's bound; InputError for the zero
+    operator, whose k-th level is all dim vectors).
     Returns [(eigenvalue, eigenvector), ...] sorted ascending; each vector
     owns its data (no view into the full eigenvector matrix), and each
     residual ||Hv - lambda v|| is verified against 1e-8.

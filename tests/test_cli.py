@@ -195,6 +195,15 @@ def test_ed_ground_energies_and_vectors(tmp_path):
                "--out", out) == 1
 
 
+def test_ed_ground_refuses_a_zero_chain_past_the_dense_limit(tmp_path,
+                                                            capsys):
+    out = tmp_path / "z.json"
+    assert run("ed", "ground", "--ham", "j1j2", "--N", "12", "--J1", "0",
+               "--J2", "0", "--out", str(out)) == 1
+    assert "operator is zero" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_ed_ground_on_a_127_fold_level(tmp_path):
     # every Sz sector of sum (S_i.S_{i+1})^2 at N=7 is solved; the Sz=0
     # one (dim 393, a Lanczos solve) holds 127 copies of the ground level

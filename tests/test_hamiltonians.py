@@ -1,11 +1,12 @@
 """Chain Hamiltonians against literal kron-product oracles and known spectra."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse
 
-from idmps import blocks, hamiltonians, refstates
+from idmps import blocks, experiments, hamiltonians, refstates
 from idmps.errors import ConsistencyError, InputError
 from idmps.hamiltonians import (COUPLING_RANGE, DEGENERACY_TOL,
                                 GATE_ENTRY_TOL, HamiltonianSpec,
@@ -414,6 +415,103 @@ def test_ground_subspace_in_one_sector():
         ground_subspace(spec, 1, sz=0.0)
 
 
+def _coo_scatter(N, d, const, pairs, ranks):
+    """The operator as a COO scatter converted by scipy: diagonal first,
+    then one batch per off-diagonal gate entry, selected by its source
+    code, concatenated and converted with coo.tocsr()."""
+    ranks = np.asarray(ranks, dtype=np.int64)
+    m = len(ranks)
+    site_digits = np.ascontiguousarray(digits(ranks, N, d).T)
+    weight = d ** np.arange(N - 1, -1, -1, dtype=np.int64)
+    diag = np.full(m, float(const))
+    rows, cols, vals = [], [], []
+    for coupling, i, j, gate in pairs:
+        kept = np.where(np.abs(gate) > GATE_ENTRY_TOL, gate, 0.0)
+        code = site_digits[i] * d + site_digits[j]
+        diag += coupling * np.diagonal(kept)[code]
+        for dest_code, src_code in np.argwhere(kept):
+            if dest_code == src_code:
+                continue
+            sel = np.nonzero(code == src_code)[0]
+            a2, b2 = divmod(int(dest_code), d)
+            a, b = divmod(int(src_code), d)
+            dest = ranks[sel] + (a2 - a) * weight[i] + (b2 - b) * weight[j]
+            rows.append(np.searchsorted(ranks, dest))
+            cols.append(sel)
+            vals.append(np.full(sel.size,
+                                coupling * gate[dest_code, src_code]))
+    every = np.arange(m)
+    return scipy.sparse.coo_matrix(
+        (np.concatenate([diag] + vals),
+         (np.concatenate([every] + rows), np.concatenate([every] + cols))),
+        shape=(m, m)).tocsr()
+
+
+@pytest.mark.parametrize("spec", ORACLE_CASES
+                         + [HamiltonianSpec("hs", N) for N in (2, 3, 8, 12)]
+                         + [HamiltonianSpec("j1j2", N, J1=0.7, J2=-0.45)
+                            for N in (3, 5, 9, 12)], ids=repr)
+def test_in_place_fill_keeps_the_coo_bytes(spec):
+    # same dtypes and bytes, with the repeated bonds of N = 2 and N = 4
+    # merged the same way
+    const, pairs = hamiltonians._terms(spec)
+    bases = [np.arange(spec.d ** spec.N)] + [s.ranks for s in _sectors(spec)]
+    for ranks in bases:
+        mine = _scatter_matrix(spec.N, spec.d, const, pairs, ranks)
+        ref = _coo_scatter(spec.N, spec.d, const, pairs, ranks)
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(mine, name), getattr(ref, name)
+            assert a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
+
+
+def test_scatter_refuses_a_basis_the_gates_leave():
+    # the exchange takes up-down to down-up, which this basis leaves out
+    pairs = [(1.0, 0, 1, heisenberg_gate(2))]
+    with pytest.raises(ConsistencyError, match="left the Sz sector"):
+        _scatter_matrix(2, 2, 0.0, pairs, np.array([1]))
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_build_peaks_near_the_operator_it_returns():
+    # the COO scatter held about 5x the CSR: int64 digit table, triplets,
+    # their concatenation and the converted copy
+    spec = HamiltonianSpec("j1j2", 12, J2=0.3)
+    build(spec)
+    h, peak = _traced_peak(build, spec)
+    m = h.matrix
+    assert peak <= 1.5 * (m.data.nbytes + m.indices.nbytes + m.indptr.nbytes)
+
+
+def test_real_operator_applies_to_a_complex_vector_without_a_copy():
+    h = build(HamiltonianSpec("j1j2", 12, J2=0.3))
+    v = np.exp(1j * np.arange(h.dim))
+    h.apply(v)
+    _, peak = _traced_peak(h.apply, v)
+    # a complex copy of the stored entries alone takes nnz x 16 bytes
+    assert peak < 16 * h.matrix.nnz
+
+
+@pytest.mark.parametrize("spec,ham", [
+    (blocks.BlockSpec("su2_1", 0, 10), HamiltonianSpec("j1j2", 10, J2=0.3)),
+    (blocks.BlockSpec("su2_2", 4, 6), HamiltonianSpec("qbq", 6, theta=0.2))],
+    ids=["su2_1", "su2_2"])
+def test_real_operator_on_complex_scan_states_is_bit_identical(spec, ham):
+    h = build(ham)
+    cast = h.matrix.astype(complex)
+    for R in np.geomspace(0.02, 30.0, 12):
+        amps = experiments.block_state_spin_basis(spec, R).amplitudes
+        assert h.apply(amps).tobytes() == (cast @ amps).tobytes()
+
+
 def test_gate_entries_at_the_cut_are_left_out():
     for entry, kept in ((0.5 * GATE_ENTRY_TOL, 0.0),
                         (2 * GATE_ENTRY_TOL, 2 * GATE_ENTRY_TOL)):
@@ -479,6 +577,13 @@ def test_couplings_outside_the_scale_window_are_refused(J1, J2):
 def test_zero_chain_stays_legal():
     h = build(HamiltonianSpec("j1j2", 4, J1=0.0, J2=0.0))
     assert not np.any(h.matrix.toarray())
+
+
+def test_zero_chain_past_the_dense_limit_is_refused():
+    # its one level spans the whole Sz = 0 sector (dim 924), more than a
+    # Lanczos solve can return
+    with pytest.raises(InputError, match="operator is zero.*924"):
+        ground_states(HamiltonianSpec("j1j2", 12, J1=0.0, J2=0.0))
 
 
 @pytest.mark.parametrize("kind,name", [

@@ -98,6 +98,16 @@ def test_sector_ranks_ascending():
     assert np.all(np.diff(ranks) > 0)
 
 
+def test_sz_table_summed_by_site_matches_the_digit_table():
+    for d in (2, 3):
+        spins = np.array(hilbert.SPINS[d])
+        for N in range(1, 13 if d == 2 else 11):
+            want = spins[hilbert.digits(np.arange(d ** N), N, d)].sum(axis=1)
+            got = total_sz_table(N, d)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+
 def test_listed_sectors_match_a_filter_of_all_configs():
     for d, spin in ((2, 0.5), (3, 1.0)):
         for N in range(2, 11):
