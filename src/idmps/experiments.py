@@ -43,6 +43,9 @@ VARIATIONAL_TOL = 1e-9
 # the bottom or top grid point counts as the optimum when it scores within
 # this (relative, floor 1) of the refined optimum
 EDGE_TOL = 1e-9
+# Brent refines the grid optimum to this tolerance on R. It is absolute,
+# not relative: the bracket stops shrinking near REFINE_TOL + sqrt(eps) R
+REFINE_TOL = 1e-4
 # an optimum at or above this share of the top grid radius is unbounded
 UNBOUNDED_SHARE = 0.99
 # the parent chain is positive semidefinite when its lowest level is at
@@ -197,7 +200,8 @@ def _scan(spec, ham, grid, objective, states):
     best = min(range(len(rows)), key=lambda i: score(rows[i]))
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, len(grid) - 1)]
-    r_opt, _ = minimize_scalar(lambda R: score(point(R)), (lo, hi), tol=1e-4)
+    r_opt, _ = minimize_scalar(lambda R: score(point(R)), (lo, hi),
+                               tol=REFINE_TOL)
     opt = point(r_opt)
     _, e_opt, f_opt = opt
     at_lower_edge, unbounded = _edge_flags(grid, r_opt, score(rows[0]),

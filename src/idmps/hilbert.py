@@ -32,6 +32,10 @@ MAX_CONFIGS = 2 ** 20
 # a basis vector whose QR diagonal is below this share of the largest adds
 # no direction to a target subspace
 QR_RANK_TOL = 1e-12
+# a state flagged normalized has |v| within this of 1
+NORM_TOL = 1e-12
+# a site matrix u is unitary when max |u^dagger u - 1| is at most this
+UNITARY_TOL = 1e-12
 
 
 def _check_dim(d):
@@ -151,8 +155,9 @@ class StateVector:
             raise InputError("amplitudes contain non-finite entries")
         if normalized:
             nrm = np.linalg.norm(amps)
-            if abs(nrm - 1.0) > 1e-12:
-                raise InputError(f"flagged normalized but |v| = {nrm!r}")
+            if abs(nrm - 1.0) > NORM_TOL:
+                raise InputError(f"flagged normalized but |v| = {nrm!r}, "
+                                 f"not within {NORM_TOL:g} of 1")
         amps.flags.writeable = False
         self.amplitudes = amps
         self.normalized = bool(normalized)
@@ -236,8 +241,8 @@ def apply_site_unitary(v, u):
     u = np.asarray(u, dtype=complex)
     if u.shape != (v.d, v.d):
         raise InputError(f"unitary must be {v.d}x{v.d}, got {u.shape}")
-    if np.abs(u.conj().T @ u - np.eye(v.d)).max() > 1e-12:
-        raise InputError("matrix is not unitary within 1e-12")
+    if np.abs(u.conj().T @ u - np.eye(v.d)).max() > UNITARY_TOL:
+        raise InputError(f"matrix is not unitary within {UNITARY_TOL:g}")
     t = v.tensor()
     for i in range(v.N):
         t = _apply_one_site(t, u, i)

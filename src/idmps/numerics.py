@@ -93,7 +93,8 @@ def pfaffian_log(entries):
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InputError(f"expected a square matrix, got shape {a.shape}")
     if a.size and _breaks_symmetry(a + a.T, a):
-        raise InputError("matrix is not antisymmetric within 1e-12")
+        raise InputError(
+            f"matrix is not antisymmetric within {SYMMETRY_TOL:g}")
     n = a.shape[0]
     if n % 2:
         return LogComplex.zero()
@@ -229,7 +230,7 @@ def eig_smallest(h, k=1):
     m = h.matrix
     if _breaks_symmetry(m - m.conj().T, m):
         raise InputError("eig_smallest requires a hermitian operator "
-                         "(H = H^dagger within 1e-12)")
+                         f"(H = H^dagger within {SYMMETRY_TOL:g})")
     if h.dim <= DENSE_DIM_MAX or k >= h.dim - 1:
         if scipy.sparse.issparse(m):
             m = m.toarray()

@@ -16,13 +16,19 @@ and the generalized Weierstrass functions are
 
 Evaluation strategy
 -------------------
-The direct series converges geometrically for |q| = |exp(i pi tau)| <= 1/2.
-For |q| > 1/2 (thin torus, Im tau < ln 2 / pi) every evaluation is routed
-through the S-transform to -1/tau, where the series is rapidly convergent;
-prefactors of the form exp(i pi z^2 / tau) are kept in log form because they
-overflow doubles long before the region of interest ends. All *_log variants
-return LogComplex; the plain variants return complex and may overflow for
-extreme arguments by design.
+Each function has one evaluation path, and its frame depends on tau alone.
+The direct series converges geometrically for |q| = |exp(i pi tau)| <= 1/2
+(NOME_SPLIT). For |q| > 1/2 (thin torus, Im tau < ln 2 / pi) every theta is
+summed through the S-transform at -1/tau, where for tau = iR the nome is
+below 7e-7; prefactors of the form exp(i pi z^2 / tau) are kept in log form
+because they overflow doubles long before the region of interest ends. The
+prime form and wp_nu are ratios of such thetas, each in its own frame.
+A z is refused (DomainError) where the series' largest exponent, about
+pi (Im z)^2 / Im tau, would pass EXPONENT_MAX; below that, a direct series
+whose peak index |Im z| / Im tau passes about 2^53 has no distinct terms
+left and fails to converge (AccuracyError). All *_log variants return
+LogComplex; the plain variants return complex and may overflow for extreme
+arguments by design.
 """
 import cmath
 import math
@@ -39,6 +45,12 @@ SERIES_RTOL = 1e-16
 CANCEL_EPS = 1e-13
 MAX_TERMS = 100_000
 NOME_SPLIT = 0.5
+# largest series exponent pi |tau| (|Im z| / Im tau + 1)^2 a z may reach: a
+# quarter of the largest double, since the series' intermediate terms reach
+# twice the exponent and log|theta| about the exponent itself
+EXPONENT_MAX = 2.0 ** 1022
+# a z this close to a lattice point m + n tau is a pole of wp_nu
+POLE_TOL = 1e-12
 # torus radii accepted by ModularParam, bounds included: below and above,
 # block states drift from their thin-torus and cylinder limits without an
 # error, and at R = 1e-300 the theta1' prefactor divides by zero
@@ -115,10 +127,16 @@ def _series_log(a, b, z, tau, order=0):
     return LogComplex(m + math.log(abs(s)), math.atan2(s.imag, s.real))
 
 
-def _check_z(z):
+def _check_z(z, tau):
     z = complex(z)
     if not cmath.isfinite(z):
         raise DomainError(f"z must be finite, got {z}")
+    k = abs(z.imag) / tau.imag + 1.0
+    if not math.pi * abs(tau) * k * k <= EXPONENT_MAX:
+        raise DomainError(
+            f"z={z} lies too far off the real axis for tau={tau}: the theta "
+            f"series overflows a double where pi |tau| (|Im z|/Im tau + 1)^2 "
+            f"exceeds EXPONENT_MAX = {EXPONENT_MAX:g}")
     return z
 
 
@@ -130,25 +148,30 @@ def _validate_char(c):
     return key
 
 
-def _theta_nu_inverted_log(nu, z, tau):
-    """theta_nu(z|tau) through the S-transform to -1/tau.
+def _inverted(tau):
+    """Whether thetas at tau are summed through the S-transform to -1/tau."""
+    return math.exp(-math.pi * tau.imag) > NOME_SPLIT
 
-    The transformed theta is evaluated with auto dispatch, so a forced
-    inversion at large Im(tau) round-trips instead of summing an
-    alternating series below double roundoff.
+
+def _inverted_log(a, b, z, tau):
+    """theta[a;b](z|tau) through the S-transform to -1/tau.
+
+    The transformed theta goes through theta_nu_log, which reduces
+    Re(z/tau) by its integer part.
     """
-    z = complex(z)
-    nut = _NU_SWAP[nu]
-    ser = theta_nu_log(nut, z / tau, -1.0 / tau)
+    nu, sign = _CHAR_NU[(a, b)]
+    ser = theta_nu_log(_NU_SWAP[nu], z / tau, -1.0 / tau)
     pref = LogComplex.from_value((1j if nu == 1 else 1.0) / cmath.sqrt(-1j * tau))
     expo = -1j * math.pi * z * z / tau
-    return pref * LogComplex(expo.real, expo.imag) * ser
+    val = pref * LogComplex(expo.real, expo.imag) * ser
+    return -val if sign < 0 else val
 
 
-def theta_char_log(c, z, tau, path="auto"):
-    """theta[a;b](z|tau) as LogComplex; path in {auto, direct, inverted}.
+def theta_char_log(c, z, tau):
+    """theta[a;b](z|tau) as LogComplex.
 
-    z must be finite. Re z is first reduced by its integer part m, using
+    z must be finite and within the EXPONENT_MAX bound. Re z is first
+    reduced by its integer part m, using
     theta[a;b](z + m) = e^{2 pi i a m} theta[a;b](z), so a z far out on the
     real axis is evaluated at its exact double (every double above 2^53 is
     an integer) rather than through a phase that has lost every digit; for
@@ -156,20 +179,12 @@ def theta_char_log(c, z, tau, path="auto"):
     """
     a, b = _validate_char(c)
     tau = _check_tau(tau)
-    z = _check_z(z)
+    z = _check_z(z, tau)
     m = math.trunc(z.real)
     if m:
         z = complex(z.real - m, z.imag)
-    if path == "auto":
-        path = "inverted" if math.exp(-math.pi * tau.imag) > NOME_SPLIT else "direct"
-    if path == "direct":
-        val = _series_log(a, b, z, tau)
-    elif path == "inverted":
-        nu, sign = _CHAR_NU[(a, b)]
-        val = _theta_nu_inverted_log(nu, z, tau)
-        val = -val if sign < 0 else val
-    else:
-        raise DomainError(f"unknown evaluation path {path!r}")
+    val = _inverted_log(a, b, z, tau) if _inverted(tau) \
+        else _series_log(a, b, z, tau)
     # e^{2 pi i a m} is (-1)^m for a = 1/2
     return -val if a and m % 2 else val
 
@@ -179,10 +194,10 @@ def theta_char(c, z, tau):
     return theta_char_log(c, z, tau).value
 
 
-def theta_nu_log(nu, z, tau, path="auto"):
+def theta_nu_log(nu, z, tau):
     if nu not in _NU_CHAR:
         raise DomainError(f"nu must be 1, 2, 3 or 4, got {nu}")
-    val = theta_char_log(_NU_CHAR[nu], z, tau, path)
+    val = theta_char_log(_NU_CHAR[nu], z, tau)
     return -val if nu == 1 else val
 
 
@@ -191,12 +206,10 @@ def theta_nu(nu, z, tau):
     return theta_nu_log(nu, z, tau).value
 
 
-def theta1_prime0_log(tau, path="auto"):
+def theta1_prime0_log(tau):
     """theta1'(0|tau) by the term-wise differentiated series."""
     tau = _check_tau(tau)
-    if path == "auto":
-        path = "inverted" if math.exp(-math.pi * tau.imag) > NOME_SPLIT else "direct"
-    if path == "direct":
+    if not _inverted(tau):
         return -_series_log(0.5, 0.5, 0.0, tau, order=1)
     # theta1'(0|tau) = i tau^{-1} (-i tau)^{-1/2} theta1'(0|-1/tau)
     pref = LogComplex.from_value(1j / (tau * cmath.sqrt(-1j * tau)))
@@ -207,16 +220,8 @@ def theta1_prime0(tau):
     return theta1_prime0_log(tau).value
 
 
-def prime_form_log(z, tau, path="auto"):
-    if path == "inverted":
-        # E(z|tau) = tau exp(-i pi z^2/tau) E(z/tau|-1/tau); the theta1'
-        # prefactors cancel, so the identity is stable at any aspect ratio.
-        tau = _check_tau(tau)
-        zc = complex(z)
-        expo = -1j * math.pi * zc * zc / tau
-        pref = LogComplex.from_value(tau) * LogComplex(expo.real, expo.imag)
-        return pref * prime_form_log(zc / tau, -1.0 / tau)
-    return theta_nu_log(1, z, tau, path) / theta1_prime0_log(tau, path)
+def prime_form_log(z, tau):
+    return theta_nu_log(1, z, tau) / theta1_prime0_log(tau)
 
 
 def prime_form(z, tau):
@@ -224,31 +229,21 @@ def prime_form(z, tau):
     return prime_form_log(z, tau).value
 
 
-def _on_lattice(z, tau, tol=1e-12):
-    z = complex(z)
+def _on_lattice(z, tau):
     n = z.imag / tau.imag
     m = z.real - n * tau.real
-    return abs(z - (round(m) + round(n) * tau)) <= tol
+    return abs(z - (round(m) + round(n) * tau)) <= POLE_TOL
 
 
-def weierstrass_nu_log(nu, z, tau, path="auto"):
-    """wp_nu as LogComplex.
-
-    path="direct" forces the theta series at tau; path="inverted" uses the
-    S-identity wp_nu(z|tau) = (1/tau) wp_swap(nu)(z/tau|-1/tau), whose
-    Gaussian prefactors cancel exactly; path="auto" lets every theta pick its
-    own convergent frame.
-    """
+def weierstrass_nu_log(nu, z, tau):
+    """wp_nu as LogComplex, a ratio of thetas that each pick their frame."""
     if nu not in (2, 3, 4):
         raise DomainError(f"nu must be 2, 3 or 4, got {nu}")
     tau = _check_tau(tau)
-    if _on_lattice(_check_z(z), tau):
+    if _on_lattice(_check_z(z, tau), tau):
         raise PoleError(f"wp_{nu} has a pole at z={z} on the period lattice")
-    if path == "inverted":
-        inner = weierstrass_nu_log(_NU_SWAP[nu], complex(z) / tau, -1.0 / tau)
-        return inner / LogComplex.from_value(tau)
-    num = theta_nu_log(nu, z, tau, path)
-    den = prime_form_log(z, tau, path) * theta_nu_log(nu, 0.0, tau, path)
+    num = theta_nu_log(nu, z, tau)
+    den = prime_form_log(z, tau) * theta_nu_log(nu, 0.0, tau)
     return num / den
 
 

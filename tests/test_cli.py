@@ -63,6 +63,19 @@ def test_special_eval_refuses_to_write_an_overflowed_value(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("fn", ["theta3", "prime", "wp2"])
+@pytest.mark.parametrize("R", ["1", "0.05"])
+def test_special_eval_refuses_z_past_the_exponent_bound(tmp_path, capsys, fn,
+                                                        R):
+    # an input problem (exit 1), not a series that fails to converge (exit 2)
+    out = tmp_path / "v.json"
+    assert run("special", "eval", "--fn", fn, "--z=0.3,1e200", "--R", R,
+               "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "EXPONENT_MAX" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def read_state(path):
     with open(path, "rb") as fh:
         return StateVector.from_bytes(fh.read())

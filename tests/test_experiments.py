@@ -12,12 +12,12 @@ from idmps import blocks, experiments, hamiltonians, refstates
 from idmps.blocks import BlockSpec
 from idmps.errors import ConsistencyError, InputError
 from idmps.experiments import (EDGE_TOL, MAX_GRID_POINTS, PSD_TOL, R_MAX,
-                               R_MIN, SWEEP_STATE_BYTES, UNBOUNDED_SHARE,
-                               VARIATIONAL_TOL, _edge_flags, _has_momentum,
-                               _parent_check, block_state_spin_basis,
-                               identity_suite, j1j2_family,
-                               limit_convergence, qbq_family, scan_radius,
-                               sweep_csv, sweep_phase_diagram)
+                               R_MIN, REFINE_TOL, SWEEP_STATE_BYTES,
+                               UNBOUNDED_SHARE, VARIATIONAL_TOL, _edge_flags,
+                               _has_momentum, _parent_check,
+                               block_state_spin_basis, identity_suite,
+                               j1j2_family, limit_convergence, qbq_family,
+                               scan_radius, sweep_csv, sweep_phase_diagram)
 from idmps.hamiltonians import HamiltonianSpec, ground_states
 from idmps.hilbert import fidelity_per_site_subspace
 
@@ -100,6 +100,20 @@ def test_scan_variational_bound(monkeypatch):
         else:
             with pytest.raises(ConsistencyError):
                 scan_radius(spec, ham, R_grid=GRID[:3])
+
+
+def test_scan_refines_to_refine_tol(monkeypatch):
+    tols = []
+    minimize = experiments.minimize_scalar
+
+    def recorded(f, bracket, **kw):
+        tols.append(kw)
+        return minimize(f, bracket, **kw)
+
+    monkeypatch.setattr(experiments, "minimize_scalar", recorded)
+    scan_radius(BlockSpec("su2_1", 0, 4), HamiltonianSpec("j1j2", 4, J2=0.3),
+                R_grid=GRID[:3])
+    assert tols == [{"tol": REFINE_TOL}] and REFINE_TOL == 1e-4
 
 
 def test_scan_edge_flags():

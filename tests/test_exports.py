@@ -1,9 +1,13 @@
 """The package's export list and what the package reads from outside."""
+import ast
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
+
+import pytest
 
 import idmps
 
@@ -68,3 +72,38 @@ def test_scipy_loads_only_where_it_runs(tmp_path):
     for name in ("import", "special eval", "state build", "state reference"):
         assert steps[name] == [], name
     assert steps["scan radius"] == ["scipy.sparse", "scipy.sparse.linalg"]
+
+
+def _third_party_imports(directory):
+    """Top-level names of the absolute imports in directory's .py files that
+    are not stdlib, not idmps and not a sibling file."""
+    siblings = {path.stem for path in directory.glob("*.py")}
+    names = set()
+    for path in directory.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return {name for name in names
+            if name not in sys.stdlib_module_names
+            and name != "idmps" and name not in siblings}
+
+
+def test_third_party_imports_are_declared():
+    # without this, `pip install -e .[test]` can leave a test module's
+    # import out, and --continue-on-collection-errors skips that module
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+
+    def names(requirements):
+        return {re.match(r"[A-Za-z0-9_.-]+", req).group(0).lower()
+                for req in requirements}
+
+    runtime = names(project["dependencies"])
+    test = runtime | names(project["optional-dependencies"]["test"])
+    assert _third_party_imports(ROOT / "src" / "idmps") <= runtime
+    for directory in ("tests", "perfbench"):
+        found = _third_party_imports(ROOT / directory)
+        assert found <= test, (directory, found - test)
+        assert found, directory

@@ -9,7 +9,8 @@ import pytest
 from idmps import blocks, experiments, hamiltonians, hilbert
 from idmps.errors import InputError
 from idmps.hilbert import (
-    MAX_CONFIGS, QR_RANK_TOL, SZ_MATCH_TOL, SectorIndex, StateVector,
+    MAX_CONFIGS, NORM_TOL, QR_RANK_TOL, SZ_MATCH_TOL, UNITARY_TOL,
+    SectorIndex, StateVector,
     LABELS, Subspace, all_configs, apply_site_unitary, check_size,
     embed_sector, enumerate_sector, fidelity_per_site,
     fidelity_per_site_subspace, rank_config, total_spin_quantum,
@@ -205,6 +206,23 @@ def test_apply_site_unitary_rejects_non_unitary():
     v = random_state(2, 2)
     with pytest.raises(InputError):
         apply_site_unitary(v, np.array([[1.0, 0.1], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("scale", [1, 2.5e9])
+def test_unit_checks_print_their_tolerances(monkeypatch, scale):
+    # the refusals state NORM_TOL and UNITARY_TOL, whatever their values
+    norm_tol, unitary_tol = NORM_TOL * scale, UNITARY_TOL * scale
+    monkeypatch.setattr(hilbert, "NORM_TOL", norm_tol)
+    monkeypatch.setattr(hilbert, "UNITARY_TOL", unitary_tol)
+    with pytest.raises(InputError, match=f"not within {norm_tol:g} of 1"):
+        StateVector(1, 2, [1.0, 1.0], normalized=True)
+    with pytest.raises(InputError, match=f"unitary within {unitary_tol:g}$"):
+        apply_site_unitary(random_state(2, 2),
+                           np.array([[1.0, 0.1], [0.0, 1.0]]))
+    # inside each tolerance nothing is refused
+    StateVector(1, 2, [1.0 + 0.5 * norm_tol, 0.0], normalized=True)
+    apply_site_unitary(random_state(2, 2),
+                       np.diag([1.0 + 0.2 * unitary_tol, 1.0]))
 
 
 def test_translate_commutes_with_uniform_unitary():

@@ -17,7 +17,8 @@ from idmps.errors import InputError, NumericalError
 from idmps.hamiltonians import HamiltonianSpec
 from idmps.hilbert import enumerate_sector
 from idmps.numerics import (
-    LinearOperator, eig_smallest, minimize_scalar, pfaffian, pfaffian_log,
+    SYMMETRY_TOL, LinearOperator, eig_smallest, minimize_scalar, pfaffian,
+    pfaffian_log,
 )
 
 
@@ -171,6 +172,15 @@ def test_antisym_validation():
     a = np.array([[0.0, 2.0], [-2.0 - 1e-13, 0.0]])
     assert pfaffian(a) == pytest.approx(2.0, rel=1e-12)
     assert a[1, 0] == -2.0 - 1e-13
+
+
+@pytest.mark.parametrize("tol", [SYMMETRY_TOL, 0.0025])
+def test_symmetry_messages_print_symmetry_tol(monkeypatch, tol):
+    monkeypatch.setattr(numerics, "SYMMETRY_TOL", tol)
+    with pytest.raises(InputError, match=rf"antisymmetric within {tol:g}$"):
+        pfaffian_log([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(InputError, match=rf"H\^dagger within {tol:g}\)"):
+        eig_smallest(np.array([[0.0, 1.0], [0.0, 0.0]]), k=1)
 
 
 # ---------------------------------------------------------------- eig_smallest
@@ -340,8 +350,8 @@ def test_eig_input_validation():
     with pytest.raises(InputError):
         eig_smallest(m, k=5)
 
-    # the Hermiticity check: H = H^dagger within 1e-12 relative, dense or
-    # sparse, before anything is densified
+    # the Hermiticity check: H = H^dagger within SYMMETRY_TOL relative,
+    # dense or sparse, before anything is densified
     rng = np.random.default_rng(8)
     a = rng.normal(size=(20, 20)) + 1j * rng.normal(size=(20, 20))
     h = a + a.conj().T

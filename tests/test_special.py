@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from idmps.errors import AccuracyError, DomainError, PoleError
 from idmps.special import (
-    NOME_SPLIT, RADIUS_RANGE, ModularParam, modular_residual, prime_form,
-    prime_form_log, theta1_prime0, theta_char, theta_char_log, theta_nu,
-    theta_nu_log, weierstrass_nu, weierstrass_nu_log,
+    EXPONENT_MAX, NOME_SPLIT, POLE_TOL, RADIUS_RANGE, ModularParam,
+    _inverted_log, _series_log, modular_residual, prime_form, prime_form_log,
+    theta1_prime0, theta_char, theta_nu, theta_nu_log, weierstrass_nu,
+    weierstrass_nu_log,
 )
 
 mp.mp.dps = 30
@@ -21,10 +22,16 @@ TAUS = [0.8j, 1.5j, 0.35j, 0.3 + 0.9j, 5.0j]
 ZS = [0.13, 0.5, -0.27 + 0.4j, 1.7 - 0.2j, 0.0]
 
 
-def mp_theta_nu(nu, z, tau):
-    # jtheta uses u = pi z and nome q = exp(i pi tau)
+def mp_theta_nu(nu, z, tau, derivative=0):
+    # jtheta uses u = pi z and nome q = exp(i pi tau); d/dz brings a factor pi
     q = mp.exp(1j * mp.pi * mp.mpc(tau))
-    return complex(mp.jtheta(nu, mp.pi * mp.mpc(z), q))
+    return complex(mp.pi ** derivative
+                   * mp.jtheta(nu, mp.pi * mp.mpc(z), q, derivative))
+
+
+# radii on both sides of NOME_SPLIT, where thetas change frame
+ORACLE_RADII = (0.05, 0.2, math.log(2) / math.pi - 1e-9,
+                math.log(2) / math.pi + 1e-9, 1.0, 5.0, 50.0)
 
 
 def theta_naive(a, b, z, tau, nmax=60):
@@ -153,8 +160,6 @@ def test_theta_rejects_bad_input():
         theta_nu(5, 0.1, 1j)
     with pytest.raises(DomainError):
         theta_nu(3, 0.1, -1j)
-    with pytest.raises(DomainError):
-        theta_char_log((0.0, 0.0), 0.1, 1j, path="sideways")
 
 
 @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf,
@@ -206,13 +211,13 @@ def _log_max_term(c, z, R):
 @settings(max_examples=200, deadline=None)
 @given(c=st.sampled_from(CHARS), R=st.floats(0.05, 3.0),
        x=st.floats(-1.0, 1.0), y=st.floats(-0.5, 0.5))
-def test_theta_paths_agree(c, R, x, y):
-    # the radii span NOME_SPLIT (R = ln 2 / pi), where auto switches paths
+def test_theta_frames_agree(c, R, x, y):
+    # the radii span NOME_SPLIT (R = ln 2 / pi), where thetas switch frames
     assert 0.05 < -math.log(NOME_SPLIT) / math.pi < 3.0
     z = complex(x, y * R)
-    i = theta_char_log(c, z, 1j * R, path="inverted")
+    i = _inverted_log(*c, z, 1j * R)
     assume(_log_max_term(c, z, R) - i.log <= math.log(DIRECT_COND_MAX))
-    d = theta_char_log(c, z, 1j * R, path="direct")
+    d = _series_log(*c, z, 1j * R)
     assert abs(d.log - i.log) <= 1e-9
     assert abs(cmath.phase(cmath.exp(1j * (d.arg - i.arg)))) <= 1e-9
 
@@ -220,14 +225,50 @@ def test_theta_paths_agree(c, R, x, y):
 def test_theta_series_phase_underflow():
     # the inverted theta4 series at this z sums to 2.06 + 5e-324j
     z = complex(2.220446049250313e-16, 3.8938793525875054e-309)
-    d = theta_char_log((0.0, 0.5), z, 1.75j, path="direct")
-    i = theta_char_log((0.0, 0.5), z, 1.75j, path="inverted")
+    d = _series_log(0.0, 0.5, z, 1.75j)
+    i = _inverted_log(0.0, 0.5, z, 1.75j)
     assert abs(d.log - i.log) < 1e-13 and abs(i.arg) < 1e-300
 
 
 def test_theta_unconvergent_series_raises():
     with pytest.raises(AccuracyError):
-        theta_char_log((0.0, 0.0), 0.0, 1e-10j, path="direct")
+        _series_log(0.0, 0.0, 0.0, 1e-10j)
+
+
+def test_z_past_the_exponent_bound_is_a_domain_error():
+    # refused before any series; unchecked, these overflow to inf or nan,
+    # or double the series window up to MAX_TERMS
+    for z, tau in ((0.3 + 1e200j, 1j), (0.3 + 1e200j, 0.05j),
+                   (0.3 + 1e160j, 1j), (0.3 - 1e160j, 0.05j)):
+        for f in (lambda: theta_nu_log(3, z, tau),
+                  lambda: prime_form_log(z, tau),
+                  lambda: weierstrass_nu_log(2, z, tau)):
+            with pytest.raises(DomainError, match="EXPONENT_MAX = 4.49423e"):
+                f()
+
+
+@pytest.mark.parametrize("R", [1e-8, 0.05, 1.0, 1e300])
+def test_z_just_inside_the_exponent_bound_stays_finite(R):
+    # pi R (Im z / R + 1)^2 at a millionth below EXPONENT_MAX: no overflow
+    # warning (tier-1 makes RuntimeWarning an error); past it, a refusal
+    y = (math.sqrt(EXPONENT_MAX / math.pi) / math.sqrt(R) - 1) * R
+    tau = 1j * R
+    for z in (0.3 + 0.999999j * y, -0.7 - 0.999999j * y):
+        try:
+            val = theta_nu_log(3, z, tau)
+        except AccuracyError:
+            # the direct window cannot resolve indices past 2^53
+            assert tau.imag > -math.log(NOME_SPLIT) / math.pi
+        else:
+            assert math.isfinite(val.log) and val.log > 0.99 * EXPONENT_MAX
+    with pytest.raises(DomainError):
+        theta_nu_log(3, 0.3 + 1.00001j * y, tau)
+
+
+def test_values_inside_the_exponent_bound_keep_their_bytes():
+    # quasi-periodicity gives pi 1e30 = 3.141592653589793e30; the series
+    # lands one ulp above, as it did before the bound existed
+    assert theta_nu_log(3, 0.3 + 1e15j, 1j).log == 3.141592653589794e30
 
 
 # ------------------------------------------------------------------ prime form
@@ -250,12 +291,13 @@ def test_prime_form_cylinder_limit():
         assert rel(prime_form(z, 10j), math.sin(math.pi * z) / math.pi) < 1e-10
 
 
-def test_prime_form_paths_agree():
-    for R in (0.05, 0.2, 1.0, 5.0, 50.0):
-        for z in (0.1, 0.37, 0.73):
-            a = prime_form_log(z, 1j * R, path="direct").value
-            b = prime_form_log(z, 1j * R, path="inverted").value
-            assert rel(a, b) < 1e-10, (R, z)
+def test_prime_form_matches_mpmath_across_frames():
+    for R in ORACLE_RADII:
+        tau = 1j * R
+        d1 = mp_theta_nu(1, 0, tau, derivative=1)
+        for z in (0.02, 0.1, 0.37, 0.73, 0.98):
+            ref = mp_theta_nu(1, z, tau) / d1
+            assert rel(prime_form_log(z, tau).value, ref) < 1e-12, (R, z)
 
 
 # ------------------------------------------------------------------ wp kernels
@@ -292,22 +334,34 @@ def test_weierstrass_pole_on_lattice():
             weierstrass_nu(3, z, 0.7j)
 
 
+@pytest.mark.parametrize("point", [1.0, 3 + 1.4j])
+@pytest.mark.parametrize("direction", [1, -1, 1j, (1 + 1j) / math.sqrt(2)])
+def test_weierstrass_pole_tolerance(point, direction):
+    # within POLE_TOL of a lattice point is a pole; 10 POLE_TOL away is not
+    with pytest.raises(PoleError):
+        weierstrass_nu(3, point + 0.5 * POLE_TOL * direction, 0.7j)
+    val = weierstrass_nu(3, point + 10 * POLE_TOL * direction, 0.7j)
+    # wp_nu(z) ~ 1/(z - pole) up to a sign near a lattice point
+    assert 0.5 < abs(val) * 10 * POLE_TOL < 2
+
+
 def test_weierstrass_rejects_nu():
     for nu in (0, 1, 5):
         with pytest.raises(DomainError):
             weierstrass_nu(nu, 0.3, 1j)
 
 
-def test_weierstrass_path_equivalence_sweep():
-    # direct series vs modular-inverted evaluation across the full aspect range
-    rng = np.random.default_rng(11)
-    for _ in range(150):
-        R = float(np.exp(rng.uniform(np.log(0.05), np.log(50.0))))
-        z = float(rng.uniform(0.02, 0.98))
+def test_weierstrass_matches_mpmath_across_frames():
+    for R in ORACLE_RADII:
+        tau = 1j * R
+        d1 = mp_theta_nu(1, 0, tau, derivative=1)
         for nu in (2, 3, 4):
-            a = weierstrass_nu_log(nu, z, 1j * R, path="direct").value
-            b = weierstrass_nu_log(nu, z, 1j * R, path="inverted").value
-            assert rel(a, b) < 1e-9, (nu, R, z)
+            t0 = mp_theta_nu(nu, 0, tau)
+            for z in (0.02, 0.1, 0.37, 0.73, 0.98):
+                ref = (mp_theta_nu(nu, z, tau) * d1
+                       / (mp_theta_nu(1, z, tau) * t0))
+                got = weierstrass_nu_log(nu, z, tau).value
+                assert rel(got, ref) < 1e-12, (nu, R, z)
 
 
 def test_weierstrass_matches_theta_ratio_oracle():
