@@ -350,12 +350,14 @@ def build_state(spec, geom):
 
 
 def momentum_eigenvalue(spec):
-    """Predicted one-site translation eigenvalue of the block state.
+    """Predicted one-site translation eigenvalue of the block state,
+    exactly +1 or -1.
 
     T psi_0 = e^{i pi N/2} psi_0, T psi_1/2 = e^{i pi (N/2+1)} psi_1/2;
     psi_2 is odd under translation, psi_3 and psi_4 even.
     """
     if spec.model == SU2_1:
-        shift = 0.0 if spec.label == 0.0 else 1.0
-        return complex(np.exp(1j * math.pi * (spec.N / 2 + shift)))
-    return complex(-1.0 if spec.label == 2 else 1.0)
+        odd = (spec.N // 2 + (spec.label == 0.5)) % 2
+    else:
+        odd = spec.label == 2
+    return complex(-1.0 if odd else 1.0)

@@ -600,8 +600,8 @@ def test_build_states_sz_neutral():
 MOMENTA = {
     # T psi_0 = e^{i pi N/2}, T psi_1/2 = e^{i pi (N/2+1)}, psi_2 -> -1,
     # psi_3 -> +1, psi_4 -> +1
-    ("su2_1", 0.0): lambda N: complex(np.exp(1j * math.pi * N / 2)),
-    ("su2_1", 0.5): lambda N: complex(np.exp(1j * math.pi * (N / 2 + 1))),
+    ("su2_1", 0.0): lambda N: complex((-1) ** (N // 2)),
+    ("su2_1", 0.5): lambda N: complex((-1) ** (N // 2 + 1)),
     ("su2_2", 2): lambda N: -1 + 0j,
     ("su2_2", 3): lambda N: 1 + 0j,
     ("su2_2", 4): lambda N: 1 + 0j,
@@ -615,7 +615,8 @@ def test_momentum_eigenvalues():
             v = build_state(spec, ModularParam(1.0))
             tv = translate(v)
             want = lam(N)
-            assert abs(momentum_eigenvalue(spec) - want) < 1e-15
+            # exactly +-1, so a state file records no roundoff imaginary part
+            assert momentum_eigenvalue(spec) == want
             res = np.linalg.norm(tv.amplitudes - want * v.amplitudes)
             assert res < 1e-8, (model, label, N)
 
