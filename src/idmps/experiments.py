@@ -10,7 +10,8 @@ flavor basis and are rotated site-by-site into the spin basis before they
 meet a spin-basis chain.
 
 A scan orthonormalizes its chain's ground space once (a hilbert.Subspace)
-and scores every point against it. The block states do not depend on the
+and scores every point against it; where that space holds no singlet of
+the block's momentum, every fidelity is an exact 0. The block states do not depend on the
 chain, so a phase sweep builds each grid state once and shares it between
 its scans, up to SWEEP_STATE_BYTES of stored states; refinement points are
 never stored, and nothing is kept once the sweep returns.
@@ -22,8 +23,8 @@ import numpy as np
 from . import blocks, hamiltonians, refstates
 from .errors import ConsistencyError, Error, InputError
 from .hilbert import (Subspace, apply_site_unitary, fidelity_per_site,
-                      fidelity_per_site_subspace, total_spin_quantum,
-                      translate)
+                      fidelity_per_site_subspace, spin_matrices,
+                      total_spin_quantum, translate)
 from .numerics import minimize_scalar, pfaffian
 from .special import modular_residual
 
@@ -32,9 +33,10 @@ R_MAX = 30.0
 GRID_POINTS = 25
 # the most radii one scan accepts, 400 times the default grid
 MAX_GRID_POINTS = 10_000
-# a ground-space translation eigenvalue within this of the block's counts as
-# the block's momentum; distinct momenta differ by at least 2 sin(pi/N)
-MOMENTUM_TOL = 1e-6
+# the ground space holds a singlet of the block's momentum when _holds_singlet
+# finds an eigenvalue at or below this; without one, all are at least
+# min(4 sin^2(pi/N), 2)
+SINGLET_TOL = 1e-6
 # infidelities at or below this are converged; monotone checks and the
 # variational bound are enforced only above it
 FLOOR = 1e-12
@@ -179,9 +181,9 @@ def _scan(spec, ham, grid, objective, states):
     # operator are never held at once
     e0, ground = hamiltonians.ground_states(ham)
     h = hamiltonians.build(ham)
-    space = (Subspace(ground)
-             if _has_momentum(ground, blocks.momentum_eigenvalue(spec))
-             else None)
+    space = Subspace(ground)
+    if not _holds_singlet(space, blocks.momentum_eigenvalue(spec)):
+        space = None
 
     def point(R, on_grid=False):
         # a refinement point reuses a stored grid state (Brent samples the
@@ -214,15 +216,28 @@ def _scan(spec, ham, grid, objective, states):
                       objective, at_lower_edge, unbounded)
 
 
-def _has_momentum(ground, lam):
-    """Whether the translation T has an eigenvalue within MOMENTUM_TOL of
-    lam on the ground space, from the eigenvalues of G^dagger T G with G
-    the ground vectors. A block of any other momentum is orthogonal to the
-    ground space, so its fidelity is an exact 0 rather than roundoff."""
-    g = np.column_stack([v.amplitudes for v in ground])
-    tg = np.column_stack([translate(v).amplitudes for v in ground])
-    return bool(np.abs(np.linalg.eigvals(g.conj().T @ tg) - lam).min()
-                <= MOMENTUM_TOL)
+def _holds_singlet(space, lam):
+    """Whether the ground space holds a singlet of translation eigenvalue
+    lam, as every block state is (total spin 0, momentum lam); if not, the
+    block is orthogonal to it and its fidelity is an exact 0, not roundoff.
+
+    With G the orthonormal basis of the space (Sz = 0 vectors of one
+    level), T and S^2 commute on span G, so
+    M = ((T - lam) G)^dagger (T - lam) G + (S^+ G)^dagger S^+ G, where
+    S^2 = S^- S^+ on Sz = 0, has the eigenvalues |mu - lam|^2 + S(S+1) of
+    their joint eigenvectors: 0 for such a singlet, else at least
+    4 sin^2(pi/N) (distinct momenta) or 2 (S >= 1).
+    """
+    N, d = space.N, space.d
+    g = space.q.reshape((d,) * N + (-1,))
+    # T moves site axis 0 last, as hilbert.translate does
+    shifted = np.moveaxis(g, 0, N - 1) - lam * g
+    sx, sy, _ = spin_matrices(d)
+    raised = sum(np.moveaxis(np.tensordot(sx + 1j * sy, g, axes=(1, i)), 0, i)
+                 for i in range(N))
+    cols = [x.reshape(-1, g.shape[-1]) for x in (shifted, raised)]
+    m = sum(c.conj().T @ c for c in cols)
+    return bool(np.linalg.eigvalsh(m).min() <= SINGLET_TOL)
 
 
 def _edge_flags(grid, r_opt, first_score, last_score, opt_score):

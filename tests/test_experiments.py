@@ -14,12 +14,13 @@ from idmps.errors import ConsistencyError, InputError
 from idmps.experiments import (EDGE_TOL, MAX_GRID_POINTS, PSD_TOL, R_MAX,
                                R_MIN, REFINE_TOL, SWEEP_STATE_BYTES,
                                UNBOUNDED_SHARE, VARIATIONAL_TOL, _edge_flags,
-                               _has_momentum, _parent_check,
+                               _holds_singlet, _parent_check,
                                block_state_spin_basis, identity_suite,
                                j1j2_family, limit_convergence, qbq_family,
                                scan_radius, sweep_csv, sweep_phase_diagram)
 from idmps.hamiltonians import HamiltonianSpec, ground_states
-from idmps.hilbert import fidelity_per_site_subspace
+from idmps.hilbert import (StateVector, Subspace, enumerate_sector,
+                          fidelity_per_site_subspace, total_spin_quantum)
 
 GRID = np.geomspace(0.02, 30, 10)
 
@@ -194,17 +195,44 @@ def test_wrong_momentum_fidelity_is_exactly_zero(spec, ham):
     # overlap is roundoff and the fidelity must read exactly 0
     _, ground = ground_states(ham)
     lam = blocks.momentum_eigenvalue(spec)
-    assert not _has_momentum(ground, lam) and _has_momentum(ground, -lam)
+    space = Subspace(ground)
+    assert not _holds_singlet(space, lam) and _holds_singlet(space, -lam)
     res = scan_radius(spec, ham, R_grid=np.geomspace(0.05, 5.0, 3))
     assert [f for _, _, f in res.rows] == [0.0] * 3
     assert res.optimum[2] == 0.0 and res.to_dict()["fidelity_opt"] == 0.0
+
+
+def test_non_singlet_ground_level_fidelity_is_exactly_zero():
+    # the ferromagnetic qbq ground level has S = N: every block is a
+    # singlet, so the overlap is roundoff and the fidelity must read 0
+    spec, ham = BlockSpec("su2_2", 4, 8), HamiltonianSpec("qbq", 8, theta=2.0)
+    _, ground = ground_states(ham)
+    assert total_spin_quantum(ground[0])[0] == pytest.approx(8.0)
+    space = Subspace(ground)
+    assert not _holds_singlet(space, 1.0) and not _holds_singlet(space, -1.0)
+    res = scan_radius(spec, ham, R_grid=np.geomspace(0.02, 30.0, 5))
+    assert [f for _, _, f in res.rows] == [0.0] * 5
+    assert res.optimum[2] == 0.0 and res.to_dict()["fidelity_opt"] == 0.0
+
+
+def test_singlet_test_needs_spin_and_momentum_on_one_vector():
+    # span{Dicke S=2 state (momentum +1), MG singlet of momentum -1} holds
+    # momentum +1 and a singlet, but a singlet of momentum -1 only
+    sector = enumerate_sector(4, 2, 0.0)
+    amps = np.zeros(16, dtype=complex)
+    amps[sector.ranks] = 1.0
+    dicke = StateVector(4, 2, amps).normalize()
+    space = Subspace([dicke, refstates.mg_combination(4, -1)])
+    assert _holds_singlet(space, -1.0) and not _holds_singlet(space, 1.0)
+    assert _holds_singlet(Subspace([refstates.mg_combination(4, 1)]), 1.0)
 
 
 def test_matching_momentum_fidelity_is_the_subspace_fidelity():
     # at the Majumdar-Ghosh point the ground space holds momenta +1 and -1
     spec, ham = BlockSpec("su2_1", 0, 8), HamiltonianSpec("j1j2", 8, J2=0.5)
     _, ground = ground_states(ham)
-    assert _has_momentum(ground, 1.0) and _has_momentum(ground, -1.0)
+    space = Subspace(ground)
+    assert _holds_singlet(space, 1.0) and _holds_singlet(space, -1.0)
     res = scan_radius(spec, ham, R_grid=np.geomspace(0.05, 5.0, 3))
     for R, _, fid in res.rows:
         assert fid == fidelity_per_site_subspace(
