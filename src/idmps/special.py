@@ -20,9 +20,10 @@ Each function has one evaluation path, and its frame depends on tau alone.
 The direct series converges geometrically for |q| = |exp(i pi tau)| <= 1/2
 (NOME_SPLIT). For |q| > 1/2 (thin torus, Im tau < ln 2 / pi) every theta is
 summed through the S-transform at -1/tau, where for tau = iR the nome is
-below 7e-7; prefactors of the form exp(i pi z^2 / tau) are kept in log form
-because they overflow doubles long before the region of interest ends. The
-prime form and wp_nu are ratios of such thetas, each in its own frame.
+below 7e-7; a tau whose -1/tau also lies past NOME_SPLIT (Im tau small
+against |Re tau|) is refused (DomainError). Prefactors of the form
+exp(i pi z^2 / tau) are kept in log form because they overflow doubles
+long before the region of interest ends. The prime form and wp_nu are ratios of such thetas, each in its own frame.
 A z is refused (DomainError) where the series' largest exponent, about
 pi (Im z)^2 / Im tau, would pass EXPONENT_MAX; below that, a direct series
 whose peak index |Im z| / Im tau passes about 2^53 has no distinct terms
@@ -183,8 +184,14 @@ def theta_char_log(c, z, tau):
     m = math.trunc(z.real)
     if m:
         z = complex(z.real - m, z.imag)
-    val = _inverted_log(a, b, z, tau) if _inverted(tau) \
-        else _series_log(a, b, z, tau)
+    if not _inverted(tau):
+        val = _series_log(a, b, z, tau)
+    elif _inverted(-1.0 / tau):
+        raise DomainError(
+            f"tau={tau} and -1/tau both have a nome above NOME_SPLIT = "
+            f"{NOME_SPLIT}, so neither frame sums the theta series")
+    else:
+        val = _inverted_log(a, b, z, tau)
     # e^{2 pi i a m} is (-1)^m for a = 1/2
     return -val if a and m % 2 else val
 

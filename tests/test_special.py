@@ -162,6 +162,16 @@ def test_theta_rejects_bad_input():
         theta_nu(3, 0.1, -1j)
 
 
+def test_tau_thin_in_both_frames_is_refused():
+    # Im tau small against |Re tau|: -1/tau is past NOME_SPLIT as well, so
+    # the S-transform would send it back (this used to recurse without end)
+    tau = 5 + 0.1j
+    for f in (lambda: theta_nu(3, 0.1, tau), lambda: prime_form(0.1, tau),
+              lambda: weierstrass_nu(4, 0.1, tau)):
+        with pytest.raises(DomainError, match="NOME_SPLIT"):
+            f()
+
+
 @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf,
                                complex(0.1, math.inf), complex(math.nan, 0.2)])
 def test_non_finite_z_is_a_domain_error(z):
