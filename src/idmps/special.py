@@ -9,29 +9,32 @@ The theta function with characteristics (a, b) is
 
 summed over all integers n, with Im(tau) > 0. The named functions are
 theta1 = -theta[1/2;1/2], theta2 = theta[1/2;0], theta3 = theta[0;0],
-theta4 = theta[0;1/2]. The prime form is E(z|tau) = theta1(z|tau)/theta1'(0|tau)
-and the generalized Weierstrass functions are
+theta4 = theta[0;1/2]. The prime form is E(z|tau) = theta1(z|tau)/theta1'(0|tau),
+with theta1'(0|tau) = pi theta2(0|tau) theta3(0|tau) theta4(0|tau) (Jacobi's
+identity), and the generalized Weierstrass functions are
 
     wp_nu(z|tau) = theta_nu(z|tau) / (E(z|tau) theta_nu(0|tau)),   nu = 2, 3, 4.
 
 Evaluation strategy
 -------------------
-Each function has one evaluation path, and its frame depends on tau alone.
-The direct series converges geometrically for |q| = |exp(i pi tau)| <= 1/2
-(NOME_SPLIT). For |q| > 1/2 (thin torus, Im tau < ln 2 / pi) every theta is
-summed through the S-transform at -1/tau, where for tau = iR the nome is
-below 7e-7; a tau whose -1/tau also lies past NOME_SPLIT (Im tau small
-against |Re tau|) is refused (DomainError). Prefactors of the form
+Every value is a product or ratio of thetas, and each theta has one path
+whose frame depends on tau alone. The direct series converges
+geometrically for |q| = |exp(i pi tau)| <= 1/2 (NOME_SPLIT). For |q| > 1/2
+(thin torus, Im tau < ln 2 / pi) it is summed through the one S-transform
+to -1/tau, where for tau = iR the nome is below 7e-7; a tau whose -1/tau
+is past NOME_SPLIT too is refused (DomainError). Prefactors of the form
 exp(i pi z^2 / tau) are kept in log form because they overflow doubles
-long before the region of interest ends. The prime form and wp_nu are ratios of such thetas, each in its own frame.
-A z is refused (DomainError) where the series' largest exponent, about
-pi (Im z)^2 / Im tau, would pass EXPONENT_MAX; below that, a direct series
-whose peak index |Im z| / Im tau passes about 2^53 has no distinct terms
-left and fails to converge (AccuracyError). All *_log variants return
-LogComplex; the plain variants return complex and may overflow for extreme
-arguments by design.
+long before the region of interest ends. The three z = 0 thetas, which
+theta1'(0) and every wp_nu share, are summed once per tau for the last
+few tau. A z is refused (DomainError) where the series' largest exponent,
+about pi (Im z)^2 / Im tau, would pass EXPONENT_MAX; below that, a direct
+series whose peak index |Im z| / Im tau passes about 2^53 has no distinct
+terms left and fails to converge (AccuracyError). All *_log variants
+return LogComplex; the plain variants return complex and may overflow for
+extreme arguments by design.
 """
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -54,14 +57,13 @@ EXPONENT_MAX = 2.0 ** 1022
 POLE_TOL = 1e-12
 # torus radii accepted by ModularParam, bounds included: below and above,
 # block states drift from their thin-torus and cylinder limits without an
-# error, and at R = 1e-300 the theta1' prefactor divides by zero
+# error
 RADIUS_RANGE = (1e-8, 1e8)
 
 _NU_CHAR = {1: (0.5, 0.5), 2: (0.5, 0.0), 3: (0.0, 0.0), 4: (0.0, 0.5)}
 # S-transform permutation: theta_nu(z/tau|-1/tau) maps to theta_{swap(nu)}(z|tau)
 _NU_SWAP = {1: 1, 2: 4, 3: 3, 4: 2}
-_CHAR_NU = {(0.5, 0.5): (1, -1.0), (0.5, 0.0): (2, 1.0),
-            (0.0, 0.0): (3, 1.0), (0.0, 0.5): (4, 1.0)}
+_CHAR_NU = {c: (nu, -1.0 if nu == 1 else 1.0) for nu, c in _NU_CHAR.items()}
 
 
 class ModularParam:
@@ -95,15 +97,10 @@ def _check_tau(tau):
     return tau
 
 
-def _series_log(a, b, z, tau, order=0):
-    """Theta series (optionally term-wise d/dz differentiated) as LogComplex.
-
-    Sums exp(i pi tau (n+a)^2 + 2 pi i (z+b)(n+a)) (times (2 pi i (n+a))^order
-    when order=1) over a window centered where the term magnitude peaks,
-    doubling the half-width until the edge terms are negligible.
-    """
-    z = complex(z)
-    tau = complex(tau)
+def _series_log(a, b, z, tau):
+    """theta[a;b](z|tau) as LogComplex by its direct series, summed over a
+    window centered where the term magnitude peaks and doubled until the
+    edge terms are negligible; z and tau are complex."""
     center = int(round(-z.imag / tau.imag - a))
     half = 8
     while True:
@@ -111,8 +108,6 @@ def _series_log(a, b, z, tau, order=0):
         ex = (1j * math.pi * tau) * (n * n) + (2j * math.pi * (z + b)) * n
         m = ex.real.max()
         terms = np.exp(ex - m)
-        if order:
-            terms = terms * (2j * math.pi * n)
         mags = np.abs(terms)
         tmax = mags.max()
         if max(mags[0], mags[-1]) <= SERIES_RTOL * tmax:
@@ -184,14 +179,11 @@ def theta_char_log(c, z, tau):
     m = math.trunc(z.real)
     if m:
         z = complex(z.real - m, z.imag)
-    if not _inverted(tau):
-        val = _series_log(a, b, z, tau)
-    elif _inverted(-1.0 / tau):
-        raise DomainError(
-            f"tau={tau} and -1/tau both have a nome above NOME_SPLIT = "
-            f"{NOME_SPLIT}, so neither frame sums the theta series")
-    else:
-        val = _inverted_log(a, b, z, tau)
+    if _inverted(tau) and _inverted(-1.0 / tau):
+        raise DomainError(f"tau={tau} and -1/tau both have a nome above "
+                          f"NOME_SPLIT = {NOME_SPLIT}: no frame converges")
+    val = _inverted_log(a, b, z, tau) if _inverted(tau) \
+        else _series_log(a, b, z, tau)
     # e^{2 pi i a m} is (-1)^m for a = 1/2
     return -val if a and m % 2 else val
 
@@ -213,18 +205,18 @@ def theta_nu(nu, z, tau):
     return theta_nu_log(nu, z, tau).value
 
 
+@functools.lru_cache(maxsize=4)
+def _thetas_at_zero(tau):
+    """(theta2, theta3, theta4)(0|tau) as LogComplex, summed once per tau
+    while it is among the last four used (a build uses one)."""
+    return tuple(theta_nu_log(nu, 0.0, tau) for nu in (2, 3, 4))
+
+
 def theta1_prime0_log(tau):
-    """theta1'(0|tau) by the term-wise differentiated series."""
-    tau = _check_tau(tau)
-    if not _inverted(tau):
-        return -_series_log(0.5, 0.5, 0.0, tau, order=1)
-    # theta1'(0|tau) = i tau^{-1} (-i tau)^{-1/2} theta1'(0|-1/tau)
-    pref = LogComplex.from_value(1j / (tau * cmath.sqrt(-1j * tau)))
-    return pref * theta1_prime0_log(-1.0 / tau)
-
-
-def theta1_prime0(tau):
-    return theta1_prime0_log(tau).value
+    """theta1'(0|tau) = pi theta2(0|tau) theta3(0|tau) theta4(0|tau), by
+    Jacobi's identity (Whittaker & Watson, Modern Analysis, 21.41)."""
+    t2, t3, t4 = _thetas_at_zero(tau)
+    return LogComplex(math.log(math.pi), 0.0) * t2 * t3 * t4
 
 
 def prime_form_log(z, tau):
@@ -250,7 +242,7 @@ def weierstrass_nu_log(nu, z, tau):
     if _on_lattice(_check_z(z, tau), tau):
         raise PoleError(f"wp_{nu} has a pole at z={z} on the period lattice")
     num = theta_nu_log(nu, z, tau)
-    den = prime_form_log(z, tau) * theta_nu_log(nu, 0.0, tau)
+    den = prime_form_log(z, tau) * _thetas_at_zero(tau)[nu - 2]
     return num / den
 
 

@@ -10,8 +10,8 @@ masked. Two kinds of case:
   compare by the SHA-256 of each file.
 - "numbers": outputs of a Lanczos solve (the su2_2 scans at N=8, whose
   Sz=0 sector lies above numerics.DENSE_DIM_MAX) compare their numbers:
-  scan energies and the ground energy within ENERGY_RTOL (relative),
-  fidelities within FIDELITY_ATOL, the radius grid exactly, edge flags
+  scan energies and the ground energy within ENERGY_RTOL (relative, floor
+  1), fidelities within FIDELITY_ATOL, the radius grid and edge flags
   exactly, and R_opt within REFINE_TOL where both edge flags are false (on
   a flat plateau the refinement may stop anywhere, so there only
   energy_opt is compared, within EDGE_TOL). Their manifests and file
@@ -28,8 +28,9 @@ parent commit's DIR and the change's), run
 
     PYTHONPATH=src python tests/test_pinned_outputs.py diff OLD_DIR NEW_DIR
 
-which prints, for each file whose bytes differ, its largest change
-relative to the largest magnitude among the numbers of the same field.
+which prints, for each file whose bytes differ, each field whose numbers
+moved and its largest change relative to the largest magnitude in that
+field.
 """
 import contextlib
 import csv
@@ -283,9 +284,10 @@ def _numbers(path):
 
 
 def diff(old_dir, new_dir):
-    """[(file, largest relative change)] for each file under both
-    directories whose bytes differ; a change is measured against the
-    largest magnitude in its field, and is nan where the fields differ."""
+    """[(file, {field: largest relative change})] for each file under both
+    directories whose bytes differ, over the fields whose numbers moved; a
+    change is measured against the largest magnitude in its field, and is
+    nan where a field's length differs or it is missing on one side."""
     report = []
     for root, _, names in sorted(os.walk(new_dir)):
         for name in sorted(names):
@@ -296,15 +298,16 @@ def diff(old_dir, new_dir):
                 if _masked(name, fa.read()) == _masked(name, fb.read()):
                     continue
             a, b = _numbers(other), _numbers(path)
-            worst = 0.0
-            if a.keys() != b.keys() or any(len(a[k]) != len(b[k]) for k in a):
-                worst = math.nan
-            else:
-                for key in a:
-                    scale = max(abs(x) for x in a[key]) or 1.0
-                    worst = max([worst] + [abs(x - y) / scale
-                                           for x, y in zip(a[key], b[key])])
-            report.append((rel, worst))
+            moved = {}
+            for key in sorted(a.keys() | b.keys()):
+                x, y = a.get(key), b.get(key)
+                if x is None or y is None or len(x) != len(y):
+                    moved[key] = math.nan
+                elif x != y:
+                    scale = max(abs(v) for v in x) or 1.0
+                    moved[key] = max(abs(u - v) / scale
+                                     for u, v in zip(x, y))
+            report.append((rel, moved))
     return report
 
 
@@ -318,8 +321,10 @@ def main(argv):
         print("\n".join(f"changed {f}" for f in changed)
               or "no digest changed")
     elif argv[:1] == ["diff"] and len(argv) == 3:
-        for rel, worst in diff(argv[1], argv[2]):
-            print(f"{rel}: largest relative change {worst:.3g}")
+        for rel, moved in diff(argv[1], argv[2]):
+            print(f"{rel}: " + (", ".join(f"{key} {change:.3g}"
+                                           for key, change in moved.items())
+                                or "no number moved"))
     else:
         print(__doc__.split("\n\n")[0], file=sys.stderr)
         print("usage: test_pinned_outputs.py write [DIR] | "

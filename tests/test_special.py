@@ -8,11 +8,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from idmps import special
+from idmps.blocks import BlockSpec, build_state
 from idmps.errors import AccuracyError, DomainError, PoleError
 from idmps.special import (
     EXPONENT_MAX, NOME_SPLIT, POLE_TOL, RADIUS_RANGE, ModularParam,
     _inverted_log, _series_log, modular_residual, prime_form, prime_form_log,
-    theta1_prime0, theta_char, theta_nu, theta_nu_log, weierstrass_nu,
+    theta1_prime0_log, theta_char, theta_nu, theta_nu_log, weierstrass_nu,
     weierstrass_nu_log,
 )
 
@@ -146,11 +148,63 @@ def test_theta_thin_torus_uses_inversion():
         assert mine.log == pytest.approx(ref_log, rel=1e-12)
 
 
+# radii from 0.01 to 30, on both sides of NOME_SPLIT
+PRIME0_RADII = tuple(np.geomspace(0.01, 30.0, 25))
+
+
+def log_form_tol(log):
+    # 1e-14 relative, plus two units in the last place of log|value|: the
+    # log form holds a value no finer than that (at R = 0.01, log|theta1'(0)|
+    # is -70 and its ulp 1.4e-14)
+    return 1e-14 + 2 * math.ulp(log)
+
+
 def test_theta1_prime0_matches_mpmath():
-    for tau in (0.9j, 1j, 0.05j, 0.4 + 1.2j):
-        q = mp.exp(1j * mp.pi * mp.mpc(tau))
-        ref = complex(mp.pi * mp.jtheta(1, 0, q, 1))
-        assert rel(theta1_prime0(tau), ref) < 1e-12
+    # theta1'(0) = pi theta2 theta3 theta4 at z = 0 (Jacobi's identity)
+    for tau in (0.9j, 1j, 0.05j, 0.4 + 1.2j) + tuple(1j * R
+                                                    for R in PRIME0_RADII):
+        mine = theta1_prime0_log(tau)
+        # near q = 1 the 30-digit jtheta derivative loses 8 digits
+        with mp.workdps(60):
+            q = mp.exp(1j * mp.pi * mp.mpc(tau))
+            ref = complex(mp.pi * mp.jtheta(1, 0, q, 1))
+            ref_log = float(mp.log(abs(mp.pi * mp.jtheta(1, 0, q, 1))))
+        assert abs(mine.log - ref_log) <= log_form_tol(mine.log), tau
+        assert rel(mine.value / abs(mine.value), ref / abs(ref)) < 1e-14
+
+
+@pytest.mark.parametrize("R", PRIME0_RADII)
+def test_prime_form_slope_at_zero_is_one(R):
+    # E'(0) = 1 by Cauchy's formula: the mean of E(z)/z over a circle, which
+    # the trapezoid rule sums to roundoff; the radius shrinks with sqrt(R)
+    # so E's growth e^{pi |z|^2 / R} in the thin frame stays bounded
+    tau = 1j * R
+    z = 0.1 * min(1.0, math.sqrt(R)) * np.exp(
+        2j * math.pi * (np.arange(32) + 0.5) / 32)
+    slope = np.mean([prime_form(x, tau) / x for x in z])
+    assert abs(slope - 1) <= log_form_tol(theta1_prime0_log(tau).log)
+
+
+@pytest.mark.parametrize("R", [0.05, 1.0])
+@pytest.mark.parametrize("spec,most", [
+    (BlockSpec("su2_1", 0, 14), 14), (BlockSpec("su2_2", 4, 8), 11)],
+    ids=["psi0-14", "psi4-8"])
+def test_a_build_sums_the_z0_thetas_once(spec, most, R, monkeypatch):
+    # theta1'(0) and wp_nu's theta_nu(0) come from one memo of theta2,3,4
+    # at z = 0, so a second build at the same tau sums three series fewer
+    calls = []
+    series = special._series_log
+
+    def counted(*args):
+        calls.append(args)
+        return series(*args)
+
+    monkeypatch.setattr(special, "_series_log", counted)
+    special._thetas_at_zero.cache_clear()
+    build_state(spec, R)
+    first = len(calls)
+    build_state(spec, R)
+    assert first <= most and len(calls) == 2 * first - 3
 
 
 def test_theta_rejects_bad_input():
@@ -167,7 +221,8 @@ def test_tau_thin_in_both_frames_is_refused():
     # the S-transform would send it back (this used to recurse without end)
     tau = 5 + 0.1j
     for f in (lambda: theta_nu(3, 0.1, tau), lambda: prime_form(0.1, tau),
-              lambda: weierstrass_nu(4, 0.1, tau)):
+              lambda: weierstrass_nu(4, 0.1, tau),
+              lambda: theta1_prime0_log(tau)):
         with pytest.raises(DomainError, match="NOME_SPLIT"):
             f()
 
