@@ -11,10 +11,11 @@ meet a spin-basis chain.
 
 A scan orthonormalizes its chain's ground space once (a hilbert.Subspace)
 and scores every point against it; where that space holds no singlet of
-the block's momentum, every fidelity is an exact 0. The block states do not depend on the
-chain, so a phase sweep builds each grid state once and shares it between
-its scans, up to SWEEP_STATE_BYTES of stored states; refinement points are
-never stored, and nothing is kept once the sweep returns.
+the block's momentum, every fidelity is an exact 0. The block states do
+not depend on the chain, so a phase sweep builds each grid state once and
+shares it between its scans, up to SWEEP_STATE_BYTES of stored states;
+refinement points are never stored, and nothing is kept once the sweep
+returns.
 """
 import math
 

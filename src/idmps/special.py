@@ -63,7 +63,7 @@ RADIUS_RANGE = (1e-8, 1e8)
 _NU_CHAR = {1: (0.5, 0.5), 2: (0.5, 0.0), 3: (0.0, 0.0), 4: (0.0, 0.5)}
 # S-transform permutation: theta_nu(z/tau|-1/tau) maps to theta_{swap(nu)}(z|tau)
 _NU_SWAP = {1: 1, 2: 4, 3: 3, 4: 2}
-_CHAR_NU = {c: (nu, -1.0 if nu == 1 else 1.0) for nu, c in _NU_CHAR.items()}
+_CHAR_NU = {c: nu for nu, c in _NU_CHAR.items()}
 
 
 class ModularParam:
@@ -155,12 +155,12 @@ def _inverted_log(a, b, z, tau):
     The transformed theta goes through theta_nu_log, which reduces
     Re(z/tau) by its integer part.
     """
-    nu, sign = _CHAR_NU[(a, b)]
+    nu = _CHAR_NU[(a, b)]
     ser = theta_nu_log(_NU_SWAP[nu], z / tau, -1.0 / tau)
     pref = LogComplex.from_value((1j if nu == 1 else 1.0) / cmath.sqrt(-1j * tau))
     expo = -1j * math.pi * z * z / tau
     val = pref * LogComplex(expo.real, expo.imag) * ser
-    return -val if sign < 0 else val
+    return -val if nu == 1 else val
 
 
 def theta_char_log(c, z, tau):
