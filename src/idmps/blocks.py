@@ -19,21 +19,23 @@ on a torus ModularParam or, for geom=None, on the cylinder tau -> i infinity
 (the infinite-dimensional MPS limit, with sin/tan/cos closed forms). Every
 kernel and theta factor is folded onto the half period by its parity and
 period (_fold): each function is evaluated once per r in [0, N/2], its zero
-at 1/2 (theta2, wp_2) is exact by symmetry, and the su2_2 kernel is real
-(tau = iR), so its Pfaffians run in real arithmetic. K is block-diagonal by
-flavor, so psi_nu(s) = sign(pi_s) prod_f Pf K[S_f] (pi_s sorts the sites by
-flavor). A rotation or reflection g of the ring maps K onto itself up to
-signs, so Pf K[gS] = +-Pf K[S]: one Pfaffian per dihedral orbit of subsets,
-and none where S is odd or some g with g(S) = S flips the sign
-(_orbit_table, built once per N and kernel symmetry). The flavor masks and
-sign(pi_s) of all 3^N rows depend on N alone and are built once per N
-(_all_flavor_rows). The su2_1 pair products are summed per table X (log|E|
-and arg E, symmetric with a zero diagonal) as 1/4 (sum X + s^T X s): one
-matmul s @ X over all Sz=0 rows, listed once per N.
-Everything is accumulated in log-magnitude/phase form: at small R the raw
-amplitudes overflow doubles, so the builder subtracts the maximum log before
-exponentiating and records the discarded global scale. The CLI, not this
-module, reports which reference state a thin-torus block approaches.
+at 1/2 (theta2, wp_2) is exact by symmetry, and at tau = iR every value it
+evaluates is positive real (checked within REAL_TOL), so the sign of a
+factor is the fold's alone and the su2_2 Pfaffians run in real arithmetic.
+K is block-diagonal by flavor, so psi_nu(s) = sign(pi_s) prod_f Pf K[S_f]
+(pi_s sorts the sites by flavor). A rotation or reflection g of the ring
+maps K onto itself up to signs, so Pf K[gS] = +-Pf K[S]: one Pfaffian per
+dihedral orbit of subsets, and none where S is odd or some g with g(S) = S
+flips the sign (_orbit_table, built once per N and kernel symmetry). The
+flavor masks and sign(pi_s) of all 3^N rows depend on N alone and are built
+once per N (_all_flavor_rows). The su2_1 pair products are summed over the
+one table X = log|E| (symmetric with a zero diagonal) as 1/4 (sum X + s^T X
+s): one matmul s @ X over all Sz=0 rows, listed once per N.
+An amplitude is held as log|psi| and an integer sign in {+1, -1, 0}: at
+small R the raw amplitudes overflow doubles, so the builder subtracts the
+maximum log before exponentiating and records the discarded global scale.
+The states are exactly real. The CLI, not this module, reports which
+reference state a thin-torus block approaches.
 """
 import functools
 import math
@@ -41,8 +43,8 @@ import math
 import numpy as np
 
 from .errors import ConsistencyError, InputError
-from .hilbert import LABELS, StateVector, all_configs, check_size, \
-    enumerate_sector
+from .hilbert import LABELS, StateVector, all_configs, check_sites, \
+    check_size, enumerate_sector
 from .logcomplex import LogComplex
 from .numerics import pfaffian_log
 from .special import ModularParam, prime_form_log, theta_char_log, \
@@ -61,17 +63,19 @@ class BlockSpec:
     def __init__(self, model, label, N):
         if model not in (SU2_1, SU2_2):
             raise InputError(f"model must be 'su2_1' or 'su2_2', got {model!r}")
-        N = int(N)
-        if N < 2 or N % 2:
+        N = check_sites(N)
+        if N % 2:
             raise InputError(f"N must be even and >= 2, got {N}")
         if model == SU2_1:
             try:
                 label = _K_ALIASES[label]
             except (KeyError, TypeError):
                 raise InputError(f"su2_1 label must be 0 or 1/2, got {label!r}")
+        elif label in (2, 3, 4):
+            # 4.0 is the block 4, named psi4
+            label = int(label)
         else:
-            if label not in (2, 3, 4):
-                raise InputError(f"su2_2 label must be 2, 3 or 4, got {label!r}")
+            raise InputError(f"su2_2 label must be 2, 3 or 4, got {label!r}")
         self.model = model
         self.label = label
         self.N = N
@@ -104,7 +108,8 @@ def marshall_sign(config):
 
 # ---------------------------------------------------- kernels and amplitudes
 
-# |Im K| / |K| above which an su2_2 kernel value at tau = iR is not real
+# |arg f| above which a value f(r/N), r in [0, N/2], of a block function at
+# tau = iR or on the cylinder is not positive real
 REAL_TOL = 1e-12
 
 # fn: (parity, period, f(x, tau), cylinder f(x)), f(-x) = parity f(x) and
@@ -141,40 +146,43 @@ def _fold(n, N, parity, period):
 
 
 def _folded(fn, geom, n, N):
-    """log|f(n/N)| and arg f(n/N) of _FUNCTIONS[fn] for an integer array n,
-    on the torus geom or the cylinder (None). f is evaluated once per
-    folded r, and log = -inf marks an exact zero."""
+    """log|f(n/N)| and sign f(n/N) in {+1, -1, 0} of _FUNCTIONS[fn] for an
+    integer array n, on the torus geom or the cylinder (None). f is
+    evaluated once per folded r, where it must be positive real within
+    REAL_TOL (else ConsistencyError), so the sign is the fold's; sign 0 and
+    log = -inf mark an exact zero."""
     parity, period, torus, cylinder = _FUNCTIONS[fn]
     r, sign = _fold(n, N, parity, period)
     live = sign != 0
     rs, inv = np.unique(r[live], return_inverse=True)
     vals = [LogComplex.from_value(cylinder(k / N)) if geom is None
             else torus(k / N, geom.tau) for k in rs.tolist()]
+    if not all(v.log > -math.inf
+               and abs(math.remainder(v.arg, 2 * math.pi)) <= REAL_TOL
+               for v in vals):
+        raise ConsistencyError(
+            f"{fn!r} on {geom or 'the cylinder'} is not positive real on "
+            f"[0, 1/2] within REAL_TOL = {REAL_TOL:g}")
     logs = np.full(r.shape, -np.inf)
-    args = np.where(sign < 0, math.pi, 0.0)
     logs[live] = np.array([v.log for v in vals])[inv]
-    args[live] += np.array([v.arg for v in vals])[inv]
-    # phases to [-pi, pi], so sums over many factors keep their precision
-    return logs, args - 2 * math.pi * np.round(args / (2 * math.pi))
+    return logs, sign
 
 
 def _kernel_table(spec, geom):
     """Pair kernels with a zero diagonal on the torus geom, or the cylinder
-    for geom=None: su2_1 the symmetric tables log|E| and arg E at
-    -|i - j|/N; su2_2 the real antisymmetric K[i,j] = wp_nu((i - j)/N)
-    / e^shift and shift = max log|wp_nu|, so no small R underflows K to 0."""
+    for geom=None: su2_1 the symmetric table log|E| at -|i - j|/N; su2_2
+    the real antisymmetric K[i,j] = wp_nu((i - j)/N) / e^shift and shift =
+    max log|wp_nu|, so no small R underflows K to 0."""
     N = spec.N
     diff = np.subtract.outer(np.arange(N), np.arange(N))
     dist = np.abs(diff)
     if spec.model == SU2_1:
-        logs, args = _folded("E", geom, -np.arange(1, N), N)
-        return np.append(0.0, logs)[dist], np.append(0.0, args)[dist]
-    logs, args = _folded(spec.label, geom, np.arange(1, N), N)
-    if np.any(np.abs(np.sin(args)) > REAL_TOL):
-        raise ConsistencyError(
-            f"wp_{spec.label} kernel of {spec!r} is not real within {REAL_TOL}")
+        # the sign, -1 at every distance, cancels (see _su2_1_logs)
+        logs, _ = _folded("E", geom, -np.arange(1, N), N)
+        return np.append(0.0, logs)[dist]
+    logs, sign = _folded(spec.label, geom, np.arange(1, N), N)
     shift = logs.max() if np.isfinite(logs.max()) else 0.0
-    vals = np.exp(logs - shift) * np.cos(args)
+    vals = sign * np.exp(logs - shift)
     return np.sign(diff) * np.append(0.0, vals)[dist], shift
 
 
@@ -248,8 +256,9 @@ def _all_flavor_rows(N):
 
 
 def _su2_2_logs(spec, geom, rows):
-    """log|psi| and arg psi of su2_2 for the _flavor_rows rows: one
-    Pfaffian per orbit representative that does not vanish by symmetry."""
+    """log|psi| and sign psi of su2_2 for the _flavor_rows rows: one
+    Pfaffian per orbit representative that does not vanish by symmetry;
+    sign 0 and log = -inf mark an exact zero."""
     N = spec.N
     kernel, shift = _kernel_table(spec, geom)
     masks, index, parity = rows
@@ -260,31 +269,32 @@ def _su2_2_logs(spec, geom, rows):
     pfs = [pfaffian_log(kernel[np.ix_(m, m)])
            for m in (reps[:, None] >> np.arange(N)) % 2 == 1]
     logs = np.full(len(masks), -np.inf)
-    args = np.where(sign < 0, math.pi, 0.0)
-    pf_logs, pf_args = np.array([(pf.log, pf.arg)
-                                 for pf in pfs]).reshape(-1, 2).T
-    logs[live] = pf_logs[at]
-    args[live] += pf_args[at]
-    logs, args = logs[index].sum(axis=0), args[index].sum(axis=0)
-    # Pf phases are k pi
-    args = math.pi * ((np.round(args / math.pi) + parity) % 2)
+    logs[live] = np.array([pf.log for pf in pfs])[at]
+    # three parities: the orbit sign, the real Pfaffian's arg k pi and
+    # sign(pi_s)
+    flips = (sign < 0).astype(np.int64)
+    flips[live] += np.array([round(pf.arg / math.pi) for pf in pfs],
+                            dtype=np.int64)[at]
+    logs, flips = logs[index].sum(axis=0), flips[index].sum(axis=0) + parity
     # N/2 kernel factors, each scaled by e^-shift
-    return logs + N / 2 * shift, args
+    return (logs + N / 2 * shift,
+            np.where(logs > -np.inf, 1 - 2 * (flips % 2), 0))
 
 
 def _su2_1_logs(spec, geom, labels):
-    """log|psi| and arg psi of su2_1 for each charge-neutral row of labels;
-    log = -inf marks an exact zero."""
+    """log|psi| and sign psi of su2_1 for each charge-neutral row of labels;
+    sign 0 and log = -inf mark an exact zero."""
     s = labels.astype(float)
     # sum_{i<j,[s_i=s_j]} X_ij = 1/4 (sum_ij X_ij + s^T X s) for the
-    # symmetric, zero-diagonal tables X = log|E| and arg E
-    logs, args = (0.25 * (table.sum() + ((s @ table) * s).sum(axis=-1))
-                  for table in _kernel_table(spec, geom))
-    args += np.where(marshall_sign(labels) < 0, math.pi, 0.0)
+    # symmetric, zero-diagonal table X = log|E|; each of the even number
+    # (N/2)(N/2 - 1) of such pairs has E(z_i - z_j) < 0, so the sign is the
+    # Marshall sign times the theta factor's
+    table = _kernel_table(spec, geom)
+    logs = 0.25 * (table.sum() + ((s @ table) * s).sum(axis=-1))
     # the theta factor sees a configuration only through n = sum s_j j
-    tlogs, targs = _folded(spec.label, geom,
+    tlogs, tsign = _folded(spec.label, geom,
                            labels @ np.arange(1, spec.N + 1), spec.N)
-    return logs + tlogs, args + targs
+    return logs + tlogs, marshall_sign(labels) * tsign
 
 
 def _build(spec, geom):
@@ -293,18 +303,18 @@ def _build(spec, geom):
     if spec.model == SU2_1:
         sector = enumerate_sector(spec.N, 2, 0.0)
         ranks = sector.ranks
-        logs, args = _su2_1_logs(spec, geom, sector.configs())
+        logs, sign = _su2_1_logs(spec, geom, sector.configs())
     else:
         ranks = np.arange(check_size(spec.N, 3))
-        logs, args = _su2_2_logs(spec, geom, _all_flavor_rows(spec.N))
-    live = logs > -np.inf
+        logs, sign = _su2_2_logs(spec, geom, _all_flavor_rows(spec.N))
+    live = sign != 0
     if not np.any(live):
         raise InputError(
             f"all amplitudes of {spec.model} label {spec.label} at "
             f"N={spec.N} vanish identically")
     m = logs[live].max()
     amps = np.zeros(spec.d ** spec.N, dtype=complex)
-    amps[ranks[live]] = np.exp(logs[live] - m + 1j * args[live])
+    amps[ranks[live]] = sign[live] * np.exp(logs[live] - m)
     nrm = np.linalg.norm(amps)
     state = StateVector(spec.N, spec.d, amps / nrm, normalized=True)
     return state, float(m + math.log(nrm))
@@ -320,9 +330,10 @@ def _geometry(geom):
 # ----------------------------------------------------------------- public API
 
 def amplitude(spec, geom, config):
-    """One amplitude of the block as a plain complex number at torus radius
-    R (a float or a ModularParam), or on the cylinder for geom=None; labels
-    are +-1 for su2_1 and the flavors 1, 0, -1 for su2_2."""
+    """One amplitude of the block, sign * e^log, as a plain complex number
+    with imaginary part 0, at torus radius R (a float or a ModularParam),
+    or on the cylinder for geom=None; labels are +-1 for su2_1 and the
+    flavors 1, 0, -1 for su2_2."""
     s = np.asarray(config, dtype=np.int64)
     if len(s) != spec.N or not set(np.unique(s)) <= set(LABELS[spec.d]):
         raise InputError(f"bad {spec.model} configuration {config!r}")
@@ -330,10 +341,10 @@ def amplitude(spec, geom, config):
         return 0j
     geom = _geometry(geom)
     if spec.model == SU2_1:
-        logs, args = _su2_1_logs(spec, geom, s[None, :])
+        logs, sign = _su2_1_logs(spec, geom, s[None, :])
     else:
-        logs, args = _su2_2_logs(spec, geom, _flavor_rows(s[None, :]))
-    return LogComplex(logs[0], args[0]).value
+        logs, sign = _su2_2_logs(spec, geom, _flavor_rows(s[None, :]))
+    return complex(sign[0] * np.exp(logs[0]))
 
 
 def build_record(spec, geom):

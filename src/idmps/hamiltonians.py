@@ -24,7 +24,7 @@ import numpy as np
 
 from . import blocks
 from .errors import ConsistencyError, InputError
-from .hilbert import (StateVector, check_size, embed_sector,
+from .hilbert import (StateVector, check_sites, check_size, embed_sector,
                       enumerate_sector, spin_matrices)
 from .numerics import DEGENERACY_TOL, LinearOperator, eig_smallest
 
@@ -61,9 +61,7 @@ class HamiltonianSpec:
         kind = str(kind).lower()
         if kind not in _KINDS:
             raise InputError(f"kind must be one of {_KINDS}, got {kind!r}")
-        N = int(N)
-        if N < 2:
-            raise InputError(f"N must be >= 2, got {N}")
+        N = check_sites(N)
         takes = {J1J2: ("J1", "J2"), QBQ: ("theta",)}.get(kind, ())
         extra = [name for name, v in (("J1", J1), ("J2", J2), ("theta", theta))
                  if v is not None and name not in takes]

@@ -43,6 +43,18 @@ def _check_dim(d):
         raise InputError(f"local dimension must be 2 or 3, got {d}")
 
 
+def check_sites(N):
+    """N as an int, or InputError unless N is an integer >= 2: 4.5 sites
+    is refused, not truncated to 4."""
+    try:
+        n = int(N)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != N or n < 2:
+        raise InputError(f"N must be an integer >= 2, got {N!r}")
+    return n
+
+
 def check_size(N, d):
     """d^N, or InputError stating MAX_CONFIGS when d^N exceeds it; checked
     before anything of that size is allocated."""
@@ -130,10 +142,9 @@ def enumerate_sector(N, d, Sz):
     later call; the sectors of one (N, d) partition its d^N ranks, so its
     listings hold at most d^N ranks in all.
     """
-    if N < 2:
-        raise InputError(f"need N >= 2, got {N}")
+    N = check_sites(N)
     _check_dim(d)
-    return _listed_sector(int(N), int(d), float(Sz))
+    return _listed_sector(N, int(d), float(Sz))
 
 
 class StateVector:

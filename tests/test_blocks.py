@@ -1,6 +1,7 @@
 """Conformal-block state builders on the torus and the cylinder."""
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from idmps import blocks, experiments, hamiltonians
 from idmps.blocks import (BlockSpec, amplitude, build_record, build_state,
                           insertion_points, marshall_sign, momentum_eigenvalue)
-from idmps.errors import InputError
+from idmps.errors import ConsistencyError, InputError
 from idmps.hilbert import (all_configs, apply_site_unitary,
                            enumerate_sector, fidelity_per_site,
                            fidelity_per_site_subspace, total_spin_quantum,
@@ -18,8 +19,8 @@ from idmps.hilbert import (all_configs, apply_site_unitary,
 from idmps.logcomplex import LogComplex
 from idmps.numerics import pfaffian
 from idmps.refstates import U_CIRC_TO_SPIN, spin1_dimer_combinations
-from idmps.special import (ModularParam, prime_form_log, theta_char_log,
-                           weierstrass_nu, weierstrass_nu_log)
+from idmps.special import (RADIUS_RANGE, ModularParam, prime_form_log,
+                           theta_char_log, weierstrass_nu, weierstrass_nu_log)
 from test_hilbert import config_rank
 
 
@@ -68,18 +69,55 @@ def test_fold_matches_direct_evaluation(fn, Nn, R):
     # odd functions vanish (E) or have a pole (wp) on the lattice
     assume(parity > 0 or n % N)
     geom = None if R is None else ModularParam(R)
-    logs, args = blocks._folded(fn, geom, np.array([n]), N)
+    logs, sign = blocks._folded(fn, geom, np.array([n]), N)
     want = direct_value(fn, n / N, R)
     if parity * period < 0 and (2 * n) % (2 * N) == N:
         # f(1/2) = -f(1/2): the fold makes the midpoint an exact zero, where
         # direct evaluation leaves at most roundoff
-        assert logs[0] == -math.inf
+        assert logs[0] == -math.inf and sign[0] == 0
         ref = direct_value(fn, 0.25, R)
         assert want.is_zero or want.log - ref.log < math.log(1e-12)
         return
-    got = LogComplex(logs[0], args[0])
-    gap = LogComplex(got.log - want.log, got.arg - want.arg).value - 1
-    assert abs(gap) <= 1e-12, (got, want)
+    # the fold's sign times e^log against the direct value
+    gap = sign[0] * LogComplex(logs[0] - want.log, -want.arg).value - 1
+    assert abs(gap) <= 1e-12, (logs, sign, want)
+
+
+def test_folded_values_are_positive_real():
+    # the sign of every factor is the fold's alone: each block function at
+    # tau = iR or on the cylinder is positive real at every r/N in
+    # [0, 1/2] that a build evaluates (no pole, no exact zero of the fold)
+    geoms = [ModularParam(R) for R in np.geomspace(*RADIUS_RANGE, 40)]
+    worst = 0.0
+    for fn, (parity, period, torus, cylinder) in blocks._FUNCTIONS.items():
+        xs = set()
+        for N in range(2, 21, 2):
+            r = np.arange(0 if parity > 0 else 1, N // 2 + 1)
+            _, sign = blocks._fold(r, N, parity, period)
+            xs |= {Fraction(int(k), N) for k in r[sign != 0]}
+        for x in map(float, sorted(xs)):
+            vals = [torus(x, geom.tau) for geom in geoms]
+            vals.append(LogComplex.from_value(cylinder(x)))
+            for v in vals:
+                assert v.log > -math.inf, (fn, x)
+                worst = max(worst, abs(math.remainder(v.arg, 2 * math.pi)))
+    assert worst <= blocks.REAL_TOL
+
+
+@pytest.mark.parametrize("name, spec", [
+    ("prime_form_log", BlockSpec("su2_1", 0, 6)),
+    ("weierstrass_nu_log", BlockSpec("su2_2", 4, 4))])
+@pytest.mark.parametrize("broken", [
+    lambda v: -v, lambda v: v * LogComplex(0.0, 1e-6)],
+    ids=["negated", "complex"])
+def test_a_factor_that_is_not_positive_real_is_refused(monkeypatch, name,
+                                                       spec, broken):
+    real = getattr(blocks, name)
+    monkeypatch.setattr(blocks, name, lambda *args: broken(real(*args)))
+    with pytest.raises(ConsistencyError, match="REAL_TOL"):
+        build_state(spec, 0.9)
+    with pytest.raises(ConsistencyError, match="REAL_TOL"):
+        amplitude(spec, 0.9, [1, -1] * (spec.N // 2))
 
 
 def test_fold_evaluates_once_per_half_period_distance(monkeypatch):
@@ -178,6 +216,15 @@ def test_block_spec_validation():
         BlockSpec("su2_1", 0, 5)
     with pytest.raises(InputError):
         BlockSpec("su3", 0, 4)
+    # a non-integral site count is refused, not truncated to 4
+    for N in (4.5, 3.999, "4"):
+        with pytest.raises(InputError, match="integer"):
+            BlockSpec("su2_1", 0, N)
+    assert BlockSpec("su2_1", 0, 4.0).N == 4
+    # an integral su2_2 label is stored as an int, so its name is psi4
+    spec = BlockSpec("su2_2", 4.0, 4)
+    assert type(spec.label) is int and spec.name == "psi4"
+    assert type(BlockSpec("su2_2", np.int64(3), 4).label) is int
 
 
 def test_oversized_su2_2_build_refuses_before_allocating():
@@ -231,25 +278,23 @@ def test_su2_1_amplitude_matches_builder():
 
 
 def _einsum_su2_1(spec, geom):
-    """su2_1 amplitudes with both pair sums in one einsum over the stacked
-    tables, normalized as _build does; None where all vanish."""
+    """su2_1 amplitudes with the pair sum in one einsum over the log|E|
+    table, normalized as _build does; None where all vanish."""
     N = spec.N
     sector = enumerate_sector(N, 2, 0.0)
     labels = sector.configs()
     s = labels.astype(float)
-    table = np.stack(blocks._kernel_table(spec, geom))
-    logs, args = 0.25 * (table.sum(axis=(1, 2))[:, None]
-                         + np.einsum("mi,kij,mj->km", s, table, s))
-    args += np.where(marshall_sign(labels) < 0, math.pi, 0.0)
-    tlogs, targs = blocks._folded(spec.label, geom,
+    table = blocks._kernel_table(spec, geom)
+    logs = 0.25 * (table.sum() + np.einsum("mi,ij,mj->m", s, table, s))
+    tlogs, tsign = blocks._folded(spec.label, geom,
                                   labels @ np.arange(1, N + 1), N)
-    logs, args = logs + tlogs, args + targs
-    live = logs > -np.inf
+    logs, sign = logs + tlogs, marshall_sign(labels) * tsign
+    live = sign != 0
     if not np.any(live):
         return None
     amps = np.zeros(2 ** N, dtype=complex)
-    amps[sector.ranks[live]] = np.exp(logs[live] - logs[live].max()
-                                      + 1j * args[live])
+    amps[sector.ranks[live]] = sign[live] * np.exp(logs[live]
+                                                   - logs[live].max())
     return amps / np.linalg.norm(amps)
 
 
@@ -571,6 +616,44 @@ def test_build_two_site_singlet():
         down_up = v.amplitudes[config_rank([-1, 1], 2)]
         assert abs(up_down) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
         assert up_down == pytest.approx(-down_up, rel=1e-12)
+
+
+BLOCKS = (("su2_1", 0), ("su2_1", 0.5), ("su2_2", 2), ("su2_2", 3),
+          ("su2_2", 4))
+
+
+def _built_specs():
+    """(spec, geom, state, log_scale) of every block that does not vanish
+    identically, N <= 8, at four radii and on the cylinder."""
+    for model, label in BLOCKS:
+        for N in (2, 4, 6, 8):
+            spec = BlockSpec(model, label, N)
+            for geom in (0.02, 0.2, 0.9, 3.0, None):
+                if N == 2 and label in (0.5, 2):
+                    continue
+                yield (spec, geom) + build_record(spec, geom)
+
+
+def test_built_states_are_exactly_real():
+    for spec, geom, state, _ in _built_specs():
+        assert not np.any(state.amplitudes.imag), (spec, geom)
+
+
+def test_amplitude_matches_every_built_entry():
+    # same sign, magnitude within 1e-13; every entry of su2_1 and of su2_2
+    # up to N = 4, a fixed sample of 100 su2_2 rows at N = 6 and 8
+    rng = np.random.default_rng(7)
+    for spec, geom, state, log_scale in _built_specs():
+        configs = all_configs(spec.N, spec.d)
+        if len(configs) > 256:
+            configs = configs[rng.choice(len(configs), 100, replace=False)]
+        ranks = [config_rank(c, spec.d) for c in configs]
+        built = state.amplitudes.real[ranks] * math.exp(log_scale)
+        got = np.array([amplitude(spec, geom, c) for c in configs])
+        assert not np.any(got.imag)
+        assert np.array_equal(np.sign(got.real), np.sign(built)), spec
+        np.testing.assert_allclose(np.abs(got.real), np.abs(built),
+                                   rtol=1e-13, atol=0)
 
 
 def test_build_identically_zero_blocks_raise():

@@ -71,6 +71,13 @@ def test_scan_validation():
         scan_radius(spec, ham, R_grid=GRID, objective="prettiness")
 
 
+def test_scan_labels_an_integral_float_block_as_its_int():
+    # BlockSpec stores the su2_2 label 4.0 as 4: the scan reports psi4
+    res = scan_radius(BlockSpec("su2_2", 4.0, 4), HamiltonianSpec("qbq", 4),
+                      R_grid=np.geomspace(0.1, 1.0, 2))
+    assert res.to_dict()["label"] == "psi4"
+
+
 @pytest.mark.parametrize("grid", [[0.1, math.nan, 1.0], [0.1, math.inf],
                                   [-math.inf, 1.0]])
 def test_non_finite_radii_are_refused_before_any_build(monkeypatch, grid):

@@ -529,6 +529,12 @@ def test_spec_validation():
         HamiltonianSpec("xyz", 4)
     with pytest.raises(InputError):
         HamiltonianSpec("hs", 1)
+    # a non-integral site count is refused, not truncated to 6
+    for N in (6.9, 6.5, "6", float("nan"), None):
+        with pytest.raises(InputError, match="integer"):
+            HamiltonianSpec("hs", N)
+    assert HamiltonianSpec("hs", 6.0).N == 6
+    assert type(HamiltonianSpec("hs", np.int64(6)).N) is int
     with pytest.raises(InputError):
         ground_subspace(HamiltonianSpec("hs", 4), 0)
     with pytest.raises(InputError):

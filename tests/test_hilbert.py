@@ -88,6 +88,14 @@ def test_sector_counts():
     assert enumerate_sector(2, 2, 2).size == 0
 
 
+def test_sector_refuses_a_non_integral_site_count():
+    # 4.5 sites is refused, not truncated to 4
+    for N in (4.5, 1, float("inf")):
+        with pytest.raises(InputError, match="integer"):
+            enumerate_sector(N, 2, 0)
+    assert enumerate_sector(4.0, 2, 0) is enumerate_sector(4, 2, 0)
+
+
 def test_sector_sizes_partition_space():
     for N, d, szs in ((4, 2, np.arange(-2, 3)), (3, 3, np.arange(-3, 4))):
         total = sum(enumerate_sector(N, d, s).size for s in szs)
