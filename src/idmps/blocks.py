@@ -42,7 +42,7 @@ import math
 
 import numpy as np
 
-from .errors import ConsistencyError, InputError
+from .errors import ConsistencyError, InputError, NumericalError
 from .hilbert import LABELS, StateVector, all_configs, check_sites, \
     check_size, enumerate_sector
 from .logcomplex import LogComplex
@@ -333,7 +333,8 @@ def amplitude(spec, geom, config):
     """One amplitude of the block, sign * e^log, as a plain complex number
     with imaginary part 0, at torus radius R (a float or a ModularParam),
     or on the cylinder for geom=None; labels are +-1 for su2_1 and the
-    flavors 1, 0, -1 for su2_2."""
+    flavors 1, 0, -1 for su2_2. An amplitude past double range is a
+    NumericalError naming log|psi| (build_record splits the scale off)."""
     s = np.asarray(config, dtype=np.int64)
     if len(s) != spec.N or not set(np.unique(s)) <= set(LABELS[spec.d]):
         raise InputError(f"bad {spec.model} configuration {config!r}")
@@ -344,7 +345,12 @@ def amplitude(spec, geom, config):
         logs, sign = _su2_1_logs(spec, geom, s[None, :])
     else:
         logs, sign = _su2_2_logs(spec, geom, _flavor_rows(s[None, :]))
-    return complex(sign[0] * np.exp(logs[0]))
+    with np.errstate(over="ignore"):
+        value = sign[0] * np.exp(logs[0])
+    if not np.isfinite(value):
+        raise NumericalError(f"amplitude overflows a double: log|psi| = "
+                             f"{float(logs[0])!r}")
+    return complex(value)
 
 
 def build_record(spec, geom):

@@ -24,7 +24,7 @@ import numpy as np
 from . import blocks, hamiltonians, refstates
 from .errors import ConsistencyError, Error, InputError
 from .hilbert import (Subspace, apply_site_unitary, fidelity_per_site,
-                      fidelity_per_site_subspace, spin_matrices,
+                      fidelity_per_site_subspace, raise_total,
                       total_spin_quantum, translate)
 from .numerics import minimize_scalar, pfaffian
 from .special import modular_residual
@@ -233,10 +233,8 @@ def _holds_singlet(space, lam):
     g = space.q.reshape((d,) * N + (-1,))
     # T moves site axis 0 last, as hilbert.translate does
     shifted = np.moveaxis(g, 0, N - 1) - lam * g
-    sx, sy, _ = spin_matrices(d)
-    raised = sum(np.moveaxis(np.tensordot(sx + 1j * sy, g, axes=(1, i)), 0, i)
-                 for i in range(N))
-    cols = [x.reshape(-1, g.shape[-1]) for x in (shifted, raised)]
+    cols = [x.reshape(-1, g.shape[-1])
+            for x in (shifted, raise_total(g, d, N))]
     m = sum(c.conj().T @ c for c in cols)
     return bool(np.linalg.eigvalsh(m).min() <= SINGLET_TOL)
 

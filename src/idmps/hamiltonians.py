@@ -12,8 +12,10 @@ lies in the sector of lowest |Sz|, which holds a member of every
 multiplet: ground_states solves that sector alone, while ground_subspace
 can still merge all of them. The cotangent parent chain carries long-range
 couplings built from w_jk = i cot(pi (z_j - z_k)) at uniform z_j = j/N;
-every w product is real there, which the build asserts rather than
-assumes.
+every w product is minus a product of two real cotangents, so the
+couplings are real by construction and are built from the cotangents
+alone. The gates are built from the real ladder operators of
+hilbert.spin_ladder, so no operator passes through complex arithmetic.
 
 scipy.sparse is imported in _scatter_matrix, at the first operator build,
 so importing this module (and the package) loads no scipy module.
@@ -25,7 +27,7 @@ import numpy as np
 from . import blocks
 from .errors import ConsistencyError, InputError
 from .hilbert import (StateVector, check_sites, check_size, embed_sector,
-                      enumerate_sector, spin_matrices)
+                      enumerate_sector, spin_ladder)
 from .numerics import DEGENERACY_TOL, LinearOperator, eig_smallest
 
 HS = "hs"
@@ -34,7 +36,6 @@ QBQ = "qbq"
 PARENT = "parent"
 _KINDS = (HS, J1J2, QBQ, PARENT)
 
-IMAG_TOL = 1e-12
 # gate entries at or below this magnitude are left out of the sparse matrix
 GATE_ENTRY_TOL = 1e-14
 # coupling scale max(|J1|, |J2|) that HamiltonianSpec accepts besides
@@ -97,18 +98,11 @@ class HamiltonianSpec:
         return f"HamiltonianSpec({self.kind!r}, N={self.N}{extra})"
 
 
-def _real_part(m, what):
-    m = np.asarray(m)
-    if np.abs(m.imag).max() > IMAG_TOL * max(1.0, np.abs(m).max()):
-        raise ConsistencyError(f"{what} has non-real entries")
-    return np.ascontiguousarray(m.real)
-
-
 def heisenberg_gate(d):
-    """Two-site S.S as a d^2 x d^2 real symmetric matrix."""
-    sx, sy, sz = spin_matrices(d)
-    g = np.kron(sx, sx) + np.kron(sy, sy) + np.kron(sz, sz)
-    return _real_part(g, "S.S gate")
+    """Two-site S.S = Sz Sz + (S^+ S^- + S^- S^+)/2 as a d^2 x d^2 real
+    symmetric matrix."""
+    sp, sz = spin_ladder(d)
+    return np.kron(sz, sz) + (np.kron(sp, sp.T) + np.kron(sp.T, sp)) / 2
 
 
 def biquadratic_gate(d):
@@ -122,18 +116,21 @@ def _parent_terms(N, gate):
 
     H = -sum_{i<j} [w_ij^2/4 + (1/3)(w_ij^2 + sum_{k!=i,j} w_ki w_kj) S_i.S_j]
     with w_jk = i cot(pi (z_j - z_k)) on the uniform layout z_j = j/N.
+    With c_jk = cot(pi (z_j - z_k)), every product of two w's is
+    -c c, so H = sum_{i<j} [c_ij^2/4 + (1/3)(c_ij^2 + sum_k c_ki c_kj) S_i.S_j]
+    in real arithmetic.
     """
     z = blocks.insertion_points(N)
     diff = z[:, None] - z[None, :]
     np.fill_diagonal(diff, 0.25)
-    w = 1j / np.tan(np.pi * diff)
-    np.fill_diagonal(w, 0.0)
-    wsq = _real_part(w ** 2, "w_ij^2")
-    # [i,j] = sum_k w_ki w_kj; the k = i, j terms drop since w_kk = 0
-    cross = _real_part(w.T @ w, "w_ki w_kj cross sums")
+    c = 1 / np.tan(np.pi * diff)
+    np.fill_diagonal(c, 0.0)
+    csq = c * c
+    # [i,j] = sum_k c_ki c_kj; the k = i, j terms drop since c_kk = 0
+    cross = c.T @ c
     iu, ju = np.triu_indices(N, k=1)
-    const = -float(wsq[iu, ju].sum()) / 4.0
-    coup = -(wsq + cross) / 3.0
+    const = float(csq[iu, ju].sum()) / 4.0
+    coup = (csq + cross) / 3.0
     pairs = [(float(coup[i, j]), int(i), int(j), gate)
              for i, j in zip(iu, ju)]
     return const, pairs

@@ -4,9 +4,10 @@ Local labels are physical: d=2 uses s in {+1,-1} (spin 1/2 in units of 2 Sz),
 d=3 uses s in {+1,0,-1} (spin 1). Configuration rank is big-endian in the
 site index: site 1 is the most significant digit, with label order (+1,-1)
 for d=2 and (+1,0,-1) for d=3, so files and sector listings are reproducible
-byte for byte. A fidelity against a target subspace goes through a
-Subspace, which orthonormalizes the target's spanning set once, however many
-states are scored against it.
+byte for byte. Spin operators are real: spin_ladder gives S^+ and Sz,
+and gates and total-spin sweeps are built from them alone. A fidelity
+against a target subspace goes through a Subspace, which orthonormalizes
+the target's spanning set once, however many states are scored against it.
 """
 import functools
 import json
@@ -23,8 +24,6 @@ MAGIC = b"IDMPS1"
 LABELS = {2: (1, -1), 3: (1, 0, -1)}
 # spin carried by each digit
 SPINS = {2: (0.5, -0.5), 3: (1.0, 0.0, -1.0)}
-# a configuration is in the sector Sz when its total spin is this close
-SZ_MATCH_TOL = 1e-9
 # largest configuration count d^N a table or state vector may span; only
 # all_configs and SectorIndex.configs() hold N labels per rank, 8 N bytes
 # each (168 MB for all_configs at N=20, d=2)
@@ -130,21 +129,24 @@ class SectorIndex:
 
 @functools.cache
 def _listed_sector(N, d, Sz):
-    table = total_sz_table(N, d)
-    ranks = np.nonzero(np.abs(table - Sz) < SZ_MATCH_TOL)[0]
-    return SectorIndex(N, d, Sz, ranks)
+    # sums of +-1/2 and +-1 are exact, so the match is exact too
+    return SectorIndex(N, d, Sz, np.flatnonzero(total_sz_table(N, d) == Sz))
 
 
 def enumerate_sector(N, d, Sz):
     """All configurations with total spin-z equal to Sz, ascending rank.
 
-    Each sector is listed once per (N, d, Sz) and shared read-only by every
-    later call; the sectors of one (N, d) partition its d^N ranks, so its
-    listings hold at most d^N ranks in all.
+    Sz must be a multiple of 1/2 (InputError otherwise). Each sector is
+    listed once per (N, d, Sz) and shared read-only by every later call;
+    the sectors of one (N, d) partition its d^N ranks, so its listings hold
+    at most d^N ranks in all.
     """
     N = check_sites(N)
     _check_dim(d)
-    return _listed_sector(N, int(d), float(Sz))
+    Sz = float(Sz)
+    if not (2 * Sz).is_integer():
+        raise InputError(f"Sz must be a multiple of 1/2, got {Sz!r}")
+    return _listed_sector(N, int(d), Sz)
 
 
 class StateVector:
@@ -261,7 +263,9 @@ def apply_site_unitary(v, u):
 
 
 def spin_matrices(d):
-    """(Sx, Sy, Sz) in the label basis (+1,-1) or (+1,0,-1)."""
+    """(Sx, Sy, Sz) in the label basis (+1,-1) or (+1,0,-1), as complex
+    matrices; spin_ladder is the real form that gates and total-spin
+    sweeps use."""
     _check_dim(d)
     if d == 2:
         sx = np.array([[0, 1], [1, 0]]) / 2
@@ -276,25 +280,48 @@ def spin_matrices(d):
     return sx.astype(complex), sy.astype(complex), sz
 
 
+def spin_ladder(d):
+    """(S^+, Sz) as real matrices in the label basis (+1,-1) or (+1,0,-1).
+
+    S^+ equals Sx + i Sy of spin_matrices bit for bit: its spin-1 entries
+    are the sum 1/sqrt(2) + 1/sqrt(2) of the two parts, which as a double is
+    2 / sqrt(2), one ulp off math.sqrt(2). S^- is its transpose.
+    """
+    _check_dim(d)
+    up = [1.0] if d == 2 else [2 / math.sqrt(2)] * 2
+    return np.diag(up, 1), np.diag(SPINS[d])
+
+
+def raise_total(t, d, N):
+    """sum_i S^+_i applied to the first N axes of the tensor t, each of
+    length d; further axes (columns of a basis, say) ride along."""
+    up = np.diagonal(spin_ladder(d)[0], 1)
+    out = np.zeros_like(t)
+    for i in range(N):
+        # S^+ on site i takes label digit k + 1 to k with weight up[k]
+        np.moveaxis(out, i, -1)[..., :-1] += \
+            np.moveaxis(t, i, -1)[..., 1:] * up
+    return out
+
+
 def _apply_one_site(t, m, i):
     return np.moveaxis(np.tensordot(m, t, axes=([1], [i])), 0, i)
 
 
 def total_spin_quantum(v):
-    """(S, Sz) from <S_tot^2> = S(S+1) and <Sz_tot> on a normalized state."""
+    """(S, Sz) from <S_tot^2> = S(S+1) and <Sz_tot> on a normalized state.
+
+    S^2 = S^- S^+ + Sz (Sz + 1), and Sz is diagonal in the ranks
+    (total_sz_table), so <S^2> = |S^+ v|^2 + <Sz (Sz + 1)>: one real sweep
+    of S^+ over the real and imaginary parts side by side.
+    """
     v = v if v.normalized else v.normalize()
-    t = v.tensor()
-    s2 = 0.0
-    sz_expect = 0.0
-    for axis, m in enumerate(spin_matrices(v.d)):
-        tot = np.zeros_like(t)
-        for i in range(v.N):
-            tot += _apply_one_site(t, m, i)
-        s2 += float(np.vdot(tot, tot).real)
-        if axis == 2:
-            sz_expect = float(np.vdot(t, tot).real)
-    s = 0.5 * (-1.0 + math.sqrt(1.0 + 4.0 * s2))
-    return s, sz_expect
+    parts = v.amplitudes.view(float).reshape((v.d,) * v.N + (2,))
+    raised = raise_total(parts, v.d, v.N)
+    weight = (parts * parts).reshape(-1, 2).sum(axis=1)
+    sz = total_sz_table(v.N, v.d)
+    s2 = float(np.vdot(raised, raised)) + float(weight @ (sz * (sz + 1)))
+    return 0.5 * (-1.0 + math.sqrt(1.0 + 4.0 * s2)), float(weight @ sz)
 
 
 def fidelity_per_site(a, b):

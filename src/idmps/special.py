@@ -27,9 +27,9 @@ exp(i pi z^2 / tau) are kept in log form because they overflow doubles
 long before the region of interest ends. The three z = 0 thetas, which
 theta1'(0) and every wp_nu share, are summed once per tau for the last
 few tau. A z is refused (DomainError) where the series' largest exponent,
-about pi (Im z)^2 / Im tau, would pass EXPONENT_MAX; below that, a direct
-series whose peak index |Im z| / Im tau passes about 2^53 has no distinct
-terms left and fails to converge (AccuracyError). All *_log variants
+about pi (Im z)^2 / Im tau, would pass EXPONENT_MAX; below that, Im z is
+brought within Im tau / 2 by the quasi-period before the direct series
+runs, so its window sits near n = 0. All *_log variants
 return LogComplex; the plain variants return complex and may overflow for
 extreme arguments by design.
 """
@@ -166,8 +166,12 @@ def _inverted_log(a, b, z, tau):
 def theta_char_log(c, z, tau):
     """theta[a;b](z|tau) as LogComplex.
 
-    z must be finite and within the EXPONENT_MAX bound. Re z is first
-    reduced by its integer part m, using
+    z must be finite and within the EXPONENT_MAX bound. Where the direct
+    series runs, Im z is first reduced by the quasi-period,
+    theta[a;b](z + k tau) = e^{-i pi k^2 tau - 2 pi i k (z + b)} theta[a;b](z)
+    with k = round(Im z / Im tau), so the series peaks near n = 0 however
+    far z lies off the real axis; for |Im z| <= Im tau / 2, k = 0. Then
+    Re z is reduced by its integer part m, using
     theta[a;b](z + m) = e^{2 pi i a m} theta[a;b](z), so a z far out on the
     real axis is evaluated at its exact double (every double above 2^53 is
     an integer) rather than through a phase that has lost every digit; for
@@ -176,14 +180,21 @@ def theta_char_log(c, z, tau):
     a, b = _validate_char(c)
     tau = _check_tau(tau)
     z = _check_z(z, tau)
-    m = math.trunc(z.real)
-    if m:
-        z = complex(z.real - m, z.imag)
     if _inverted(tau) and _inverted(-1.0 / tau):
         raise DomainError(f"tau={tau} and -1/tau both have a nome above "
                           f"NOME_SPLIT = {NOME_SPLIT}: no frame converges")
+    k = 0 if _inverted(tau) else round(z.imag / tau.imag)
+    if k:
+        z = z - k * tau
+    m = math.trunc(z.real)
+    if m:
+        z = complex(z.real - m, z.imag)
     val = _inverted_log(a, b, z, tau) if _inverted(tau) \
         else _series_log(a, b, z, tau)
+    if k:
+        # e^{2 pi i k m} = 1, so the reduced z serves in the factor too
+        ex = -1j * math.pi * k * k * tau - 2j * math.pi * k * (z + b)
+        val = LogComplex(ex.real, ex.imag) * val
     # e^{2 pi i a m} is (-1)^m for a = 1/2
     return -val if a and m % 2 else val
 

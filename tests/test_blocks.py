@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from idmps import blocks, experiments, hamiltonians
 from idmps.blocks import (BlockSpec, amplitude, build_record, build_state,
                           insertion_points, marshall_sign, momentum_eigenvalue)
-from idmps.errors import ConsistencyError, InputError
+from idmps.errors import ConsistencyError, InputError, NumericalError
 from idmps.hilbert import (all_configs, apply_site_unitary,
                            enumerate_sector, fidelity_per_site,
                            fidelity_per_site_subspace, total_spin_quantum,
@@ -21,7 +21,7 @@ from idmps.numerics import pfaffian
 from idmps.refstates import U_CIRC_TO_SPIN, spin1_dimer_combinations
 from idmps.special import (RADIUS_RANGE, ModularParam, prime_form_log,
                            theta_char_log, weierstrass_nu, weierstrass_nu_log)
-from test_hilbert import config_rank
+from test_hilbert import config_rank, three_axis_total_spin
 
 
 # ------------------------------------------------------------ symmetry fold
@@ -656,6 +656,23 @@ def test_amplitude_matches_every_built_entry():
                                    rtol=1e-13, atol=0)
 
 
+def test_amplitude_past_double_range_is_refused():
+    # log|psi| = 997.8 at [1, -1] * 7 (the build's scale is 999.9), where
+    # e^log overflows; an entry of the same build at log|psi| = 683.6 is
+    # still a double and equals the built entry
+    spec = BlockSpec("su2_1", 0, 14)
+    with pytest.raises(NumericalError, match=r"log\|psi\| = 997\.8"):
+        amplitude(spec, 0.02, [1, -1] * 7)
+    config = [1] * 5 + [-1] * 7 + [1] * 2
+    state, log_scale = build_record(spec, 0.02)
+    built = state.amplitudes.real[config_rank(config, 2)]
+    got = amplitude(spec, 0.02, config)
+    assert got.imag == 0 and np.sign(got.real) == np.sign(built)
+    assert math.log(abs(got.real)) == pytest.approx(
+        math.log(abs(built)) + log_scale, rel=1e-13)
+    assert 683 < math.log(abs(got.real)) < 684
+
+
 def test_build_identically_zero_blocks_raise():
     # theta2(+-1/2|2tau) = 0 kills k=1/2 at N=2; wp_2(1/2) = 0 kills nu=2,
     # on the torus and on the cylinder alike
@@ -717,6 +734,18 @@ def test_su2_1_states_are_singlets():
         v = build_state(BlockSpec("su2_1", label, 6), ModularParam(0.7))
         s, _ = total_spin_quantum(v)
         assert s == pytest.approx(0.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("model,label", [("su2_1", 0), ("su2_1", 0.5),
+                                         ("su2_2", 2), ("su2_2", 3),
+                                         ("su2_2", 4)])
+def test_block_total_spin_matches_the_three_axis_formula(model, label):
+    for N in (4, 6):
+        spec = BlockSpec(model, label, N)
+        for geom in (0.05, 1.0, 10.0, None):
+            v = experiments.block_state_spin_basis(spec, geom)
+            got, want = total_spin_quantum(v), three_axis_total_spin(v)
+            assert np.allclose(got, want, rtol=0, atol=1e-12), (N, geom)
 
 
 def test_float_radius_and_cylinder_geometry():

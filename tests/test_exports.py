@@ -61,17 +61,45 @@ def test_scipy_loads_only_where_it_runs(tmp_path):
     # module; an operator build loads scipy.sparse, and nothing loads
     # scipy.optimize
     watched = ["scipy.sparse", "scipy.sparse.linalg", "scipy.optimize"]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE, json.dumps(watched),
-         str(tmp_path)], env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    steps = json.loads(proc.stdout.strip().splitlines()[-1])
+    steps = json.loads(_fresh_python(IMPORT_PROBE, json.dumps(watched),
+                                     str(tmp_path)))
     for name in ("import", "special eval", "state build", "state reference"):
         assert steps[name] == [], name
     assert steps["scan radius"] == ["scipy.sparse", "scipy.sparse.linalg"]
+
+
+# run in a fresh interpreter: prints the size of every per-size or per-tau
+# cache after the package and its CLI are imported
+CACHE_PROBE = """
+import json
+import idmps, idmps.cli
+from idmps import blocks, hilbert, special
+print(json.dumps({
+    "blocks._orbit_table": blocks._orbit_table.cache_info().currsize,
+    "blocks._all_flavor_rows": blocks._all_flavor_rows.cache_info().currsize,
+    "hilbert._listed_sector": hilbert._listed_sector.cache_info().currsize,
+    "special._thetas_at_zero": special._thetas_at_zero.cache_info().currsize,
+}))
+"""
+
+
+def _fresh_python(code, *args):
+    """The last stdout line of code run in a fresh interpreter that imports
+    idmps from this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def test_import_fills_no_cache():
+    # importing the package and its CLI does no per-size or per-tau work:
+    # every such cache fills only when a command runs
+    sizes = json.loads(_fresh_python(CACHE_PROBE))
+    assert sizes == dict.fromkeys(sizes, 0) and len(sizes) == 4
 
 
 def _third_party_imports(directory):

@@ -119,6 +119,48 @@ def test_operators_store_at_most_one_diagonal_entry_per_row(spec):
         assert on_diag.max(initial=0) <= 1
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_gates_match_the_complex_kronecker_construction(d):
+    # the real ladder form keeps every bit of sum_a Sa x Sa
+    sx, sy, sz = spin_matrices(d)
+    g = np.kron(sx, sx) + np.kron(sy, sy) + np.kron(sz, sz)
+    assert not g.imag.any()
+    assert np.array_equal(heisenberg_gate(d), g.real)
+    assert np.array_equal(biquadratic_gate(d), g.real @ g.real)
+
+
+def complex_w_parent_terms(N):
+    """(constant, [coupling of each pair i < j]) of the parent chain from
+    the complex w_jk = i cot(pi (z_j - z_k)), the form that the real
+    cotangents replaced."""
+    z = blocks.insertion_points(N)
+    diff = z[:, None] - z[None, :]
+    np.fill_diagonal(diff, 0.25)
+    w = 1j / np.tan(np.pi * diff)
+    np.fill_diagonal(w, 0.0)
+    wsq, cross = w ** 2, w.T @ w
+    assert not wsq.imag.any()
+    assert np.abs(cross.imag).max() <= 1e-12 * np.abs(cross).max()
+    iu, ju = np.triu_indices(N, k=1)
+    const = -float(wsq.real[iu, ju].sum()) / 4.0
+    return const, (-(wsq.real + cross.real) / 3.0)[iu, ju]
+
+
+@pytest.mark.parametrize("N", range(2, 21))
+def test_parent_couplings_match_the_complex_w_construction(N):
+    const, pairs = hamiltonians._parent_terms(N, None)
+    want_const, want = complex_w_parent_terms(N)
+    got = np.array([c for c, _, _, _ in pairs])
+    assert [(i, j) for _, i, j, _ in pairs] == \
+        list(zip(*map(list, np.triu_indices(N, k=1))))
+    assert const == want_const
+    if N <= 10:
+        assert np.array_equal(got, want)
+    else:
+        # the real and complex matmuls round the cross sums differently
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
 def test_heisenberg_gate_spin_half_literal():
     g = heisenberg_gate(2)
     ref = np.array([[0.25, 0, 0, 0],

@@ -9,12 +9,12 @@ import pytest
 from idmps import blocks, experiments, hamiltonians, hilbert
 from idmps.errors import InputError
 from idmps.hilbert import (
-    MAX_CONFIGS, NORM_TOL, QR_RANK_TOL, SZ_MATCH_TOL, UNITARY_TOL,
+    MAX_CONFIGS, NORM_TOL, QR_RANK_TOL, UNITARY_TOL,
     SectorIndex, StateVector,
     LABELS, Subspace, all_configs, apply_site_unitary, check_size,
     embed_sector, enumerate_sector, fidelity_per_site,
-    fidelity_per_site_subspace, rank_config, total_spin_quantum,
-    total_sz_table, translate,
+    fidelity_per_site_subspace, raise_total, rank_config, spin_ladder,
+    spin_matrices, total_spin_quantum, total_sz_table, translate,
 )
 
 
@@ -42,6 +42,21 @@ def random_state(N, d, seed=0):
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=d ** N) + 1j * rng.normal(size=d ** N)
     return StateVector(N, d, amps).normalize()
+
+
+def three_axis_total_spin(v):
+    """(S, Sz) from <S^2> = sum over Sx, Sy, Sz of |S_a v|^2, each total
+    S_a applied site by site in complex arithmetic: the path that the real
+    S^+ sweep of total_spin_quantum replaced."""
+    v = v.normalize()
+    t = v.tensor()
+    s2 = 0.0
+    for m in spin_matrices(v.d):
+        tot = sum(np.moveaxis(np.tensordot(m, t, axes=(1, i)), 0, i)
+                  for i in range(v.N))
+        s2 += float(np.vdot(tot, tot).real)
+    sz = float(np.vdot(t, tot).real)
+    return 0.5 * (-1.0 + math.sqrt(1.0 + 4.0 * s2)), sz
 
 
 # -------------------------------------------------------------------- indexing
@@ -176,9 +191,15 @@ def test_scan_lists_each_sector_once(monkeypatch):
 
 # ------------------------------------------------------------------- operators
 
-def test_sector_match_tolerance():
-    assert enumerate_sector(4, 2, 0.5 * SZ_MATCH_TOL).size == 6
-    assert enumerate_sector(4, 2, 2 * SZ_MATCH_TOL).size == 0
+def test_sector_sz_must_be_a_multiple_of_one_half():
+    # the Sz sums are exact, so a sector is matched exactly and an Sz off
+    # the half-integers is refused rather than rounded to a neighbor
+    for sz in (0.3, 1e-10, -0.5 + 1e-12, math.nan, math.inf):
+        with pytest.raises(InputError, match="multiple of 1/2"):
+            enumerate_sector(4, 2, sz)
+    assert enumerate_sector(4, 2, -0.0) is enumerate_sector(4, 2, 0)
+    assert enumerate_sector(4, 3, 0.5).size == 0
+    assert enumerate_sector(5, 2, -1.5).size == 5
 
 
 def test_translate_two_site():
@@ -242,6 +263,41 @@ def test_translate_commutes_with_uniform_unitary():
 
 
 # ------------------------------------------------------------------ total spin
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_spin_ladder_is_sx_plus_i_sy_bit_for_bit(d):
+    sx, sy, sz = spin_matrices(d)
+    sp, sz_real = spin_ladder(d)
+    assert sp.dtype == sz_real.dtype == np.float64
+    assert np.array_equal(sp, sx + 1j * sy)
+    assert np.array_equal(sz_real, sz)
+    if d == 3:
+        assert sp[0, 1] == sp[1, 2] == 2 / math.sqrt(2) != math.sqrt(2)
+
+
+@pytest.mark.parametrize("N,d", [(1, 2), (4, 2), (3, 3)])
+def test_raise_total_matches_kronecker_sum(N, d):
+    sp, _ = spin_ladder(d)
+    full = sum(np.kron(np.kron(np.eye(d ** i), sp), np.eye(d ** (N - i - 1)))
+               for i in range(N))
+    rng = np.random.default_rng(N + d)
+    # a trailing axis of two columns rides along
+    cols = rng.normal(size=(d ** N, 2)) + 1j * rng.normal(size=(d ** N, 2))
+    got = raise_total(cols.reshape((d,) * N + (2,)), d, N)
+    assert np.allclose(got.reshape(-1, 2), full @ cols, rtol=0, atol=1e-14)
+
+
+def test_total_spin_matches_the_three_axis_formula():
+    seed = 0
+    for d, sizes in ((2, range(2, 7)), (3, range(2, 5))):
+        for N in sizes:
+            for _ in range(3):
+                seed += 1
+                v = random_state(N, d, seed=seed)
+                got = total_spin_quantum(v)
+                want = three_axis_total_spin(v)
+                assert np.allclose(got, want, rtol=0, atol=1e-12), (N, d)
+
 
 def test_total_spin_singlet():
     amps = np.zeros(4, dtype=complex)

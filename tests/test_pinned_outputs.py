@@ -29,8 +29,8 @@ parent commit's DIR and the change's), run
     PYTHONPATH=src python tests/test_pinned_outputs.py diff OLD_DIR NEW_DIR
 
 which prints, for each file whose bytes differ, each field whose numbers
-moved and its largest change relative to the largest magnitude in that
-field.
+moved, its largest change relative to the largest magnitude in that field,
+and its largest absolute change, as `total_spin[] 0.00213 (abs 2.1e-37)`.
 """
 import contextlib
 import csv
@@ -237,6 +237,16 @@ def test_every_case_is_pinned():
     assert sorted(_pinned()) == sorted(name for name, _, _ in CASES)
 
 
+def test_diff_prints_absolute_next_to_relative_changes(tmp_path, capsys):
+    for side, sz in (("old", 1e-34), ("new", 1e-34 + 2.1e-37)):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "state.json").write_text(json.dumps(
+            {"total_spin": [0.0, sz], "N": 4}))
+    assert main(["diff", str(tmp_path / "old"), str(tmp_path / "new")]) == 0
+    assert capsys.readouterr().out == \
+        "state.json: .total_spin[] 0.0021 (abs 2.1e-37)\n"
+
+
 # ------------------------------------------------------------ regeneration
 
 def write(outdir):
@@ -284,10 +294,11 @@ def _numbers(path):
 
 
 def diff(old_dir, new_dir):
-    """[(file, {field: largest relative change})] for each file under both
-    directories whose bytes differ, over the fields whose numbers moved; a
-    change is measured against the largest magnitude in its field, and is
-    nan where a field's length differs or it is missing on one side."""
+    """[(file, {field: (largest relative change, largest absolute
+    change)})] for each file under both directories whose bytes differ,
+    over the fields whose numbers moved; a relative change is measured
+    against the largest magnitude in its field, and both are nan where a
+    field's length differs or it is missing on one side."""
     report = []
     for root, _, names in sorted(os.walk(new_dir)):
         for name in sorted(names):
@@ -302,11 +313,11 @@ def diff(old_dir, new_dir):
             for key in sorted(a.keys() | b.keys()):
                 x, y = a.get(key), b.get(key)
                 if x is None or y is None or len(x) != len(y):
-                    moved[key] = math.nan
+                    moved[key] = (math.nan, math.nan)
                 elif x != y:
                     scale = max(abs(v) for v in x) or 1.0
-                    moved[key] = max(abs(u - v) / scale
-                                     for u, v in zip(x, y))
+                    change = max(abs(u - v) for u, v in zip(x, y))
+                    moved[key] = (change / scale, change)
             report.append((rel, moved))
     return report
 
@@ -322,9 +333,10 @@ def main(argv):
               or "no digest changed")
     elif argv[:1] == ["diff"] and len(argv) == 3:
         for rel, moved in diff(argv[1], argv[2]):
-            print(f"{rel}: " + (", ".join(f"{key} {change:.3g}"
-                                           for key, change in moved.items())
-                                or "no number moved"))
+            print(f"{rel}: " + (", ".join(
+                f"{key} {relative:.3g} (abs {change:.2g})"
+                for key, (relative, change) in moved.items())
+                or "no number moved"))
     else:
         print(__doc__.split("\n\n")[0], file=sys.stderr)
         print("usage: test_pinned_outputs.py write [DIR] | "

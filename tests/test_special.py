@@ -14,8 +14,8 @@ from idmps.errors import AccuracyError, DomainError, PoleError
 from idmps.special import (
     EXPONENT_MAX, NOME_SPLIT, POLE_TOL, RADIUS_RANGE, ModularParam,
     _inverted_log, _series_log, modular_residual, prime_form, prime_form_log,
-    theta1_prime0_log, theta_char, theta_nu, theta_nu_log, weierstrass_nu,
-    weierstrass_nu_log,
+    theta1_prime0_log, theta_char, theta_char_log, theta_nu, theta_nu_log,
+    weierstrass_nu, weierstrass_nu_log,
 )
 
 mp.mp.dps = 30
@@ -319,21 +319,38 @@ def test_z_just_inside_the_exponent_bound_stays_finite(R):
     y = (math.sqrt(EXPONENT_MAX / math.pi) / math.sqrt(R) - 1) * R
     tau = 1j * R
     for z in (0.3 + 0.999999j * y, -0.7 - 0.999999j * y):
-        try:
-            val = theta_nu_log(3, z, tau)
-        except AccuracyError:
-            # the direct window cannot resolve indices past 2^53
-            assert tau.imag > -math.log(NOME_SPLIT) / math.pi
-        else:
-            assert math.isfinite(val.log) and val.log > 0.99 * EXPONENT_MAX
+        val = theta_nu_log(3, z, tau)
+        assert math.isfinite(val.log) and val.log > 0.99 * EXPONENT_MAX
     with pytest.raises(DomainError):
         theta_nu_log(3, 0.3 + 1.00001j * y, tau)
 
 
-def test_values_inside_the_exponent_bound_keep_their_bytes():
-    # quasi-periodicity gives pi 1e30 = 3.141592653589793e30; the series
-    # lands one ulp above, as it did before the bound existed
-    assert theta_nu_log(3, 0.3 + 1e15j, 1j).log == 3.141592653589794e30
+def test_values_inside_the_exponent_bound_are_exact_by_quasi_period():
+    # Im z = 1e15 is reduced by k = 1e15 periods, so log|theta3| is
+    # pi k^2 + log|theta3(0.3|i)| = pi 1e30 = 3.141592653589793e30 to the
+    # double
+    assert theta_nu_log(3, 0.3 + 1e15j, 1j).log == 3.141592653589793e30
+
+
+def test_quasi_period_reaches_past_a_peak_index_of_2_to_53():
+    # unreduced, the direct window's float indices collapse past 2^53 and
+    # the series never converges
+    want = math.pi * 2.0 ** 120 + theta_nu_log(3, 0.3, 1j).log
+    got = theta_nu_log(3, 0.3 + 2 ** 60 * 1j, 1j)
+    assert got.log == pytest.approx(want, rel=1e-15)
+
+
+@pytest.mark.parametrize("tau", [1j, 0.3 + 1.1j, -0.4 + 0.8j])
+def test_quasi_period_matches_mpmath(tau):
+    # k = round(Im z / Im tau) from -4 to 6, Re tau != 0 included
+    for c in CHARS:
+        for z in (0.3 + 2.7j, -0.2 - 3.3j, 1.7 + 5.1j):
+            q = mp.exp(1j * mp.pi * mp.mpc(tau))
+            a, b = c
+            want = complex(mp.nsum(lambda n: q ** ((n + a) ** 2) * mp.exp(
+                2j * mp.pi * (mp.mpc(z) + b) * (n + a)), [-mp.inf, mp.inf]))
+            got = theta_char_log(c, z, tau).value
+            assert rel(got, want) < 1e-13, (c, z)
 
 
 # ------------------------------------------------------------------ prime form
