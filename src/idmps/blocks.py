@@ -28,9 +28,14 @@ maps K onto itself up to signs, so Pf K[gS] = +-Pf K[S]: one Pfaffian per
 dihedral orbit of subsets, and none where S is odd or some g with g(S) = S
 flips the sign (_orbit_table, built once per N and kernel symmetry). The
 flavor masks and sign(pi_s) of all 3^N rows depend on N alone and are built
-once per N (_all_flavor_rows). The su2_1 pair products are summed over the
-one table X = log|E| (symmetric with a zero diagonal) as 1/4 (sum X + s^T X
-s): one matmul s @ X over all Sz=0 rows, listed once per N.
+once per N (_all_flavor_rows). Each su2_1 block is a D_N eigenstate:
+translation gives momentum_eigenvalue and the site reversal (-1)^(N/2), so
+psi(g s) = chi(g) psi(s). The builder sums the su2_1 pair products over
+the one table X = log|E| (symmetric with a zero diagonal) as 1/4 (sum X +
+s^T X s) for one Sz=0 row per dihedral orbit (_sz0_orbit_table, built once
+per N: 133 of 3,432 rows at N=14), exponentiates once per orbit and signs
+each row by chi of the g that takes it to its representative; an orbit
+that a g with chi(g) = -1 fixes vanishes exactly.
 An amplitude is held as log|psi| and an integer sign in {+1, -1, 0}: at
 small R the raw amplitudes overflow doubles, so the builder subtracts the
 maximum log before exponentiating and records the discarded global scale.
@@ -231,6 +236,52 @@ def _orbit_table(N, parity, period):
     return rep, sign
 
 
+@functools.cache
+def _sz0_orbit_table(N):
+    """The D_N orbits of the su2_1 Sz=0 rows (enumerate_sector order), as
+    (reps, orbit, cls, stab), built once per N and shared read-only.
+
+    A row is the mask of its up spins; T rotates a mask by one site and P
+    reverses it (site a -> N - 1 - a), and every g in D_N is T^k or T^k P.
+    reps holds the labels of each orbit's representative, its least mask;
+    orbit[i] is the orbit of row i and cls[i] = k % 2 + 2 [g reflects] for
+    a g that takes row i to its representative. stab[o] has bit c set
+    where a g of class c fixes the representative. The class is a
+    homomorphism onto Z2 x Z2, so every one-dimensional character of D_N
+    is one sign per class (_characters), and the stabilizers of one orbit,
+    which are conjugate, hold the same classes."""
+    a = np.arange(N)
+    members = enumerate_sector(N, 2, 0.0).configs() > 0
+    masks = members @ (1 << a)
+    full = (1 << N) - 1
+    rep = masks.copy()
+    cls = np.zeros(len(masks), np.int8)
+    fixed = np.zeros(len(masks), np.int8)
+    for reflects, start in enumerate((masks, members @ (1 << a[::-1]))):
+        for k in range(N):
+            moved = ((start << k) | (start >> (N - k))) & full
+            c = k % 2 + 2 * reflects
+            fixed[moved == masks] |= 1 << c
+            lower = moved < rep
+            rep[lower] = moved[lower]
+            cls[lower] = c
+    reps, first, orbit = np.unique(rep, return_index=True,
+                                   return_inverse=True)
+    table = (2 * ((reps[:, None] >> a) & 1) - 1, orbit, cls, fixed[first])
+    for part in table:
+        part.flags.writeable = False
+    return table
+
+
+def _characters(spec):
+    """The su2_1 block's sign chi(g) = lambda^k p^[g reflects] of g = T^k
+    or T^k P for each class of _sz0_orbit_table: lambda the
+    momentum_eigenvalue, p = (-1)^(N/2) the eigenvalue of P."""
+    lam = int(momentum_eigenvalue(spec).real)
+    p = -1 if spec.N // 2 % 2 else 1
+    return np.array([1, lam, p, lam * p])
+
+
 def _flavor_rows(labels):
     """The sites S_f of flavors f = 1, 0, -1 in each row of labels, as bit
     masks: (masks, index, parity) with the distinct masks, a (3, rows) index
@@ -299,11 +350,16 @@ def _su2_1_logs(spec, geom, labels):
 
 def _build(spec, geom):
     """Normalized state over the nonvanishing sector and the discarded log
-    scale."""
+    scale. su2_1 evaluates one row per D_N orbit and signs the others by
+    _characters; an orbit that a g with chi(g) = -1 fixes vanishes."""
     if spec.model == SU2_1:
-        sector = enumerate_sector(spec.N, 2, 0.0)
-        ranks = sector.ranks
-        logs, sign = _su2_1_logs(spec, geom, sector.configs())
+        ranks = enumerate_sector(spec.N, 2, 0.0).ranks
+        reps, orbit, cls, stab = _sz0_orbit_table(spec.N)
+        chi = _characters(spec)
+        logs, sign = _su2_1_logs(spec, geom, reps)
+        # psi(rep) = chi(g) psi(rep) for each g that fixes rep
+        odd = (chi < 0) @ (1 << np.arange(4))
+        sign[(stab & odd) != 0] = 0
     else:
         ranks = np.arange(check_size(spec.N, 3))
         logs, sign = _su2_2_logs(spec, geom, _all_flavor_rows(spec.N))
@@ -313,8 +369,12 @@ def _build(spec, geom):
             f"all amplitudes of {spec.model} label {spec.label} at "
             f"N={spec.N} vanish identically")
     m = logs[live].max()
+    mag = np.zeros(len(logs))
+    np.exp(logs - m, out=mag, where=live)
+    if spec.model == SU2_1:
+        mag, sign = mag[orbit], sign[orbit] * chi[cls]
     amps = np.zeros(spec.d ** spec.N, dtype=complex)
-    amps[ranks[live]] = sign[live] * np.exp(logs[live] - m)
+    amps[ranks] = sign * mag
     nrm = np.linalg.norm(amps)
     state = StateVector(spec.N, spec.d, amps / nrm, normalized=True)
     return state, float(m + math.log(nrm))

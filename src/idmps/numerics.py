@@ -121,7 +121,10 @@ class LinearOperator:
     matrix @ v.real + 1j * (matrix @ v.imag): scipy would otherwise cast
     every stored entry to complex for each product (16 bytes per nonzero),
     and the split gives the same bits, since an imaginary part of +0
-    adds nothing to either sum. Only eig_smallest densifies a sparse
+    adds nothing to either sum. Where v.imag is all zero, as in every
+    block state, the second product is +-0 and adds nothing either: the
+    first alone, cast to complex, gives the split's bits (a CSR row sum
+    starts at +0, so it is never -0). Only eig_smallest densifies a sparse
     matrix, and only up to DENSE_DIM_MAX.
     """
 
@@ -136,6 +139,8 @@ class LinearOperator:
     def apply(self, v):
         m = self.matrix
         if np.iscomplexobj(v) and not np.iscomplexobj(m):
+            if not v.imag.any():
+                return (m @ v.real).astype(complex)
             return m @ v.real + 1j * (m @ v.imag)
         return m @ v
 

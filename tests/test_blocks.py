@@ -12,7 +12,7 @@ from idmps import blocks, experiments, hamiltonians
 from idmps.blocks import (BlockSpec, amplitude, build_record, build_state,
                           insertion_points, marshall_sign, momentum_eigenvalue)
 from idmps.errors import ConsistencyError, InputError, NumericalError
-from idmps.hilbert import (all_configs, apply_site_unitary,
+from idmps.hilbert import (StateVector, all_configs, apply_site_unitary,
                            enumerate_sector, fidelity_per_site,
                            fidelity_per_site_subspace, total_spin_quantum,
                            total_sz_table, translate)
@@ -278,8 +278,9 @@ def test_su2_1_amplitude_matches_builder():
 
 
 def _einsum_su2_1(spec, geom):
-    """su2_1 amplitudes with the pair sum in one einsum over the log|E|
-    table, normalized as _build does; None where all vanish."""
+    """su2_1 amplitudes of every Sz=0 row, the pair sum in one einsum over
+    the log|E| table, normalized as _build does: (amplitudes, log_scale),
+    or None where all vanish."""
     N = spec.N
     sector = enumerate_sector(N, 2, 0.0)
     labels = sector.configs()
@@ -292,26 +293,100 @@ def _einsum_su2_1(spec, geom):
     live = sign != 0
     if not np.any(live):
         return None
+    m = logs[live].max()
     amps = np.zeros(2 ** N, dtype=complex)
-    amps[sector.ranks[live]] = sign[live] * np.exp(logs[live]
-                                                   - logs[live].max())
-    return amps / np.linalg.norm(amps)
+    amps[sector.ranks[live]] = sign[live] * np.exp(logs[live] - m)
+    nrm = np.linalg.norm(amps)
+    return amps / nrm, m + math.log(nrm)
 
 
-@pytest.mark.parametrize("N", range(2, 15, 2))
+# the radii of the su2_1 equivalence test: fixed ones and 11 across the
+# whole RADIUS_RANGE
+EQUIVALENCE_RADII = (0.02, 0.05, 0.2, 0.9, 3.0, 30.0,
+                     *np.geomspace(*RADIUS_RANGE, 11))
+
+
+@pytest.mark.parametrize("N", range(2, 17, 2))
 def test_su2_1_pair_sums_match_einsum(N):
+    # the orbit path against every row's own pair sum. Both round each
+    # log|psi| to about eps sum|log|E||, which at N = 16 is 3e-6 at R = 1e-8
+    # and 1.2e-12 at R = 0.02, so the amplitudes agree within 1e-13 of the
+    # largest plus that; the absolute 1e-13 holds from R = 0.02 up
+    eps = np.finfo(float).eps
     for label in (0.0, 0.5):
         spec = BlockSpec("su2_1", label, N)
-        for R in (0.02, 0.05, 0.2, 0.9, 3.0, 30.0, None):
+        for R in EQUIVALENCE_RADII + (None,):
             geom = None if R is None else ModularParam(R)
             ref = _einsum_su2_1(spec, geom)
             if ref is None:
                 with pytest.raises(InputError):
                     build_state(spec, geom)
                 continue
-            got = build_state(spec, geom).amplitudes
-            assert np.abs(got - ref).max() <= 1e-13
-            assert np.array_equal(got == 0, ref == 0)
+            ref, ref_scale = ref
+            state, log_scale = build_record(spec, geom)
+            got = state.amplitudes
+            err, top = np.abs(got - ref).max(), np.abs(ref).max()
+            rounding = eps * np.abs(blocks._kernel_table(spec, geom)).sum()
+            assert err <= (1e-13 + rounding) * top, (label, R)
+            if R is None or R >= 0.02:
+                assert err <= 1e-13, (label, R)
+            assert abs(log_scale - ref_scale) <= 1e-13 * abs(ref_scale)
+            assert np.array_equal(got == 0, ref == 0), (label, R)
+
+
+@pytest.mark.parametrize("label", [0.0, 0.5])
+def test_su2_1_blocks_are_dihedral_eigenstates(label):
+    # translation gives momentum_eigenvalue and the site reversal
+    # (-1)^(N/2), for the all-rows amplitudes and the built state alike
+    for N in range(4, 17, 2):
+        spec = BlockSpec("su2_1", label, N)
+        lam, p = momentum_eigenvalue(spec), (-1) ** (N // 2)
+        for geom in (0.02, 0.2, 3.0, None):
+            ref, _ = _einsum_su2_1(spec, None if geom is None
+                                   else ModularParam(geom))
+            for amps in (ref, build_state(spec, geom).amplitudes):
+                v = StateVector(N, 2, amps)
+                shifted = translate(v).amplitudes
+                reversed_ = v.tensor().transpose(range(N)[::-1]).ravel()
+                assert np.abs(shifted - lam * amps).max() <= 1e-13
+                assert np.abs(reversed_ - p * amps).max() <= 1e-13
+
+
+@pytest.mark.parametrize("N", range(2, 11, 2))
+def test_sz0_orbits_match_rolled_rows(N):
+    # every row against its 2N images T^k s and T^k P s by np.roll
+    reps, orbit, cls, stab = blocks._sz0_orbit_table(N)
+    rows = enumerate_sector(N, 2, 0.0).configs()
+    weights = 1 << np.arange(N)
+    assert len(orbit) == len(rows) and orbit.max() == len(reps) - 1
+    for row, o, c in zip(rows, orbit, cls):
+        images = [((np.roll(start, k) > 0) @ weights, k % 2 + 2 * reflects)
+                  for reflects, start in enumerate((row, row[::-1]))
+                  for k in range(N)]
+        least = min(mask for mask, _ in images)
+        assert (reps[o] > 0) @ weights == least
+        assert (least, c) in images
+        mine = (row > 0) @ weights
+        fixed = {c for mask, c in images if mask == mine}
+        assert fixed == {c for c in range(4) if stab[o] >> c & 1}
+
+
+def test_sz0_orbit_counts():
+    assert [len(blocks._sz0_orbit_table(N)[0]) for N in (14, 18)] \
+        == [133, 1387]
+
+
+def test_stabilizer_zeros_are_fold_zeros():
+    # an orbit that a g with chi(g) = -1 fixes vanishes; no pair product
+    # does, so the theta factor's fold must zero it too
+    for N in range(2, 19, 2):
+        reps, _, _, stab = blocks._sz0_orbit_table(N)
+        for label in (0.0, 0.5):
+            spec = BlockSpec("su2_1", label, N)
+            chi = blocks._characters(spec)
+            killed = (stab & (chi < 0) @ (1 << np.arange(4))) != 0
+            _, sign = blocks._su2_1_logs(spec, None, reps)
+            assert np.all(sign[killed] == 0), (N, label)
 
 
 def test_su2_1_cylinder_amplitude_exact_zero():

@@ -17,6 +17,7 @@ from idmps.hamiltonians import (COUPLING_RANGE, DEGENERACY_TOL,
 from idmps.hilbert import (StateVector, digits, enumerate_sector,
                            fidelity_per_site, fidelity_per_site_subspace,
                            spin_matrices, total_spin_quantum, translate)
+from idmps.numerics import LinearOperator
 
 
 # ---------------------------------------------------------------- oracle
@@ -552,6 +553,48 @@ def test_real_operator_on_complex_scan_states_is_bit_identical(spec, ham):
     for R in np.geomspace(0.02, 30.0, 12):
         amps = experiments.block_state_spin_basis(spec, R).amplitudes
         assert h.apply(amps).tobytes() == (cast @ amps).tobytes()
+
+
+class _CountingMatrix:
+    """A real matrix that counts the products taken with it."""
+
+    def __init__(self, matrix):
+        self.matrix, self.dtype, self.products = matrix, matrix.dtype, 0
+
+    def __matmul__(self, v):
+        self.products += 1
+        return self.matrix @ v
+
+
+@pytest.mark.parametrize("spec,ham", [
+    (blocks.BlockSpec("su2_1", 0, 10), HamiltonianSpec("j1j2", 10, J2=0.3)),
+    (blocks.BlockSpec("su2_2", 4, 6), HamiltonianSpec("qbq", 6, theta=0.2))],
+    ids=["su2_1", "su2_2"])
+def test_real_parts_alone_take_one_product_with_the_split_bits(spec, ham):
+    # a zero imaginary part (+0 or -0) skips the second product; the
+    # result and the energy keep the bits of the two-product split
+    m = build(ham).matrix
+    op = LinearOperator(m)
+    op.matrix = counting = _CountingMatrix(m)
+    rng = np.random.default_rng(3)
+    vectors = [experiments.block_state_spin_basis(spec, R).amplitudes
+               for R in np.geomspace(0.02, 30.0, 12)]
+    # conj gives every entry an imaginary part of -0
+    vectors.append(np.conj(rng.standard_normal(m.shape[0]) + 0j))
+    for v in vectors:
+        assert not np.any(v.imag)
+        split = m @ v.real + 1j * (m @ v.imag)
+        counting.products = 0
+        got = op.apply(v)
+        assert counting.products == 1
+        assert got.tobytes() == split.tobytes()
+        assert np.vdot(v, got).tobytes() == np.vdot(v, split).tobytes()
+    # a nonzero imaginary part still takes both products, bit for bit
+    for v in (np.exp(1j * np.arange(m.shape[0])), vectors[0] + 1e-3j):
+        counting.products = 0
+        got = op.apply(v)
+        assert counting.products == 2
+        assert got.tobytes() == (m @ v.real + 1j * (m @ v.imag)).tobytes()
 
 
 def test_gate_entries_at_the_cut_are_left_out():
