@@ -32,10 +32,12 @@ once per N (_all_flavor_rows). Each su2_1 block is a D_N eigenstate:
 translation gives momentum_eigenvalue and the site reversal (-1)^(N/2), so
 psi(g s) = chi(g) psi(s). The builder sums the su2_1 pair products over
 the one table X = log|E| (symmetric with a zero diagonal) as 1/4 (sum X +
-s^T X s) for one Sz=0 row per dihedral orbit (_sz0_orbit_table, built once
-per N: 133 of 3,432 rows at N=14), exponentiates once per orbit and signs
-each row by chi of the g that takes it to its representative; an orbit
-that a g with chi(g) = -1 fixes vanishes exactly.
+s^T X s) for one Sz=0 row per dihedral orbit (_sz0_orbit_table, found by
+the walk _orbit_table takes, _orbit_walk, once per N: 133 of 3,432 rows at
+N=14), exponentiates once per orbit and signs each row by chi of the g
+that takes it to its representative. An orbit that a g with chi(g) = -1
+fixes vanishes, and it does so already as a fold zero of the theta
+factor: no pair product or Marshall sign is zero.
 An amplitude is held as log|psi| and an integer sign in {+1, -1, 0}: at
 small R the raw amplitudes overflow doubles, so the builder subtracts the
 maximum log before exponentiating and records the discarded global scale.
@@ -191,6 +193,31 @@ def _kernel_table(spec, geom):
     return np.sign(diff) * np.append(0.0, vals)[dist], shift
 
 
+def _orbit_walk(members):
+    """Walk D_N over the rows of members (rows x N site indicators) toward
+    each row's orbit representative, its least image mask. Yields (rep,
+    moved, lower, g) for each g = (wrap, reflects, k) of D_N in turn: the
+    rotation g a = a + t - N w_a = T^t a and the reflection g a = t - a +
+    N w_a = T^(t+1) P a (P a = N - 1 - a), with w_a = wrap[a], for t =
+    0..N-1, so k = t + [g reflects]. moved holds the masks g(S), lower the
+    rows where moved undercuts every earlier image, and rep, updated in
+    place before the yield, the least image so far."""
+    N = members.shape[1]
+    a = np.arange(N)
+    full = (1 << N) - 1
+    # the masks of S and P(S); T^k rotates a mask by k bits
+    starts = members @ (1 << a), members @ (1 << a[::-1])
+    rep = starts[0].copy()
+    for reflects, start in enumerate(starts):
+        for t in range(N):
+            k = t + reflects
+            moved = ((start << k) | (start >> (N - k))) & full
+            lower = moved < rep
+            rep[lower] = moved[lower]
+            wrap = a > t if reflects else a + t >= N
+            yield rep, moved, lower, (wrap, reflects, k)
+
+
 @functools.cache
 def _orbit_table(N, parity, period):
     """Orbit representative (the least mask in its D_N orbit) and sign in
@@ -203,16 +230,11 @@ def _orbit_table(N, parity, period):
     marks an odd |S| and an S that some g with g(S) = S maps to -Pf K[S]:
     both vanish exactly. Shared read-only by every build; the 2^N masks are
     held to hilbert.MAX_CONFIGS."""
-    a = np.arange(N)
-    # g a = a + t - N w_a and g a = t - a + N w_a: (image, w, reflects)
-    group = ([((a + t) % N, a + t >= N, False) for t in range(N)]
-             + [((t - a) % N, a > t, True) for t in range(N)])
     masks = np.arange(check_size(N, 2))
-    members = (masks[:, None] >> a) & 1
+    members = (masks[:, None] >> np.arange(N)) & 1
     size = members.sum(axis=1)
-    rep, sign, zero = masks.copy(), np.ones(len(masks), np.int8), size % 2 == 1
-    for image, wrap, reflects in group:
-        moved = members @ (1 << image)
+    sign, zero = np.ones(len(masks), np.int8), size % 2 == 1
+    for rep, moved, lower, (wrap, reflects, _) in _orbit_walk(members):
         wrapped = members @ wrap
         kept = size - wrapped
         # pairs of S that g puts out of order: a rotation moves the wrapped
@@ -227,8 +249,6 @@ def _orbit_table(N, parity, period):
             flips += wrapped
         odd = flips % 2 == 1
         zero |= (moved == masks) & odd
-        lower = moved < rep
-        rep[lower] = moved[lower]
         sign[lower] = np.where(odd[lower], -1, 1)
     sign[zero] = 0
     rep.flags.writeable = False
@@ -239,35 +259,18 @@ def _orbit_table(N, parity, period):
 @functools.cache
 def _sz0_orbit_table(N):
     """The D_N orbits of the su2_1 Sz=0 rows (enumerate_sector order), as
-    (reps, orbit, cls, stab), built once per N and shared read-only.
-
-    A row is the mask of its up spins; T rotates a mask by one site and P
-    reverses it (site a -> N - 1 - a), and every g in D_N is T^k or T^k P.
-    reps holds the labels of each orbit's representative, its least mask;
+    (reps, orbit, cls), built by _orbit_walk once per N and shared
+    read-only: reps holds the labels of each orbit's representative,
     orbit[i] is the orbit of row i and cls[i] = k % 2 + 2 [g reflects] for
-    a g that takes row i to its representative. stab[o] has bit c set
-    where a g of class c fixes the representative. The class is a
-    homomorphism onto Z2 x Z2, so every one-dimensional character of D_N
-    is one sign per class (_characters), and the stabilizers of one orbit,
-    which are conjugate, hold the same classes."""
-    a = np.arange(N)
+    a g = T^k or T^k P that takes row i to its representative. The class
+    is a homomorphism onto Z2 x Z2, so every one-dimensional character of
+    D_N is one sign per class (_characters)."""
     members = enumerate_sector(N, 2, 0.0).configs() > 0
-    masks = members @ (1 << a)
-    full = (1 << N) - 1
-    rep = masks.copy()
-    cls = np.zeros(len(masks), np.int8)
-    fixed = np.zeros(len(masks), np.int8)
-    for reflects, start in enumerate((masks, members @ (1 << a[::-1]))):
-        for k in range(N):
-            moved = ((start << k) | (start >> (N - k))) & full
-            c = k % 2 + 2 * reflects
-            fixed[moved == masks] |= 1 << c
-            lower = moved < rep
-            rep[lower] = moved[lower]
-            cls[lower] = c
-    reps, first, orbit = np.unique(rep, return_index=True,
-                                   return_inverse=True)
-    table = (2 * ((reps[:, None] >> a) & 1) - 1, orbit, cls, fixed[first])
+    cls = np.zeros(len(members), np.int8)
+    for rep, _, lower, (_, reflects, k) in _orbit_walk(members):
+        cls[lower] = k % 2 + 2 * reflects
+    reps, orbit = np.unique(rep, return_inverse=True)
+    table = (2 * ((reps[:, None] >> np.arange(N)) & 1) - 1, orbit, cls)
     for part in table:
         part.flags.writeable = False
     return table
@@ -351,15 +354,11 @@ def _su2_1_logs(spec, geom, labels):
 def _build(spec, geom):
     """Normalized state over the nonvanishing sector and the discarded log
     scale. su2_1 evaluates one row per D_N orbit and signs the others by
-    _characters; an orbit that a g with chi(g) = -1 fixes vanishes."""
+    _characters."""
     if spec.model == SU2_1:
         ranks = enumerate_sector(spec.N, 2, 0.0).ranks
-        reps, orbit, cls, stab = _sz0_orbit_table(spec.N)
-        chi = _characters(spec)
+        reps, orbit, cls = _sz0_orbit_table(spec.N)
         logs, sign = _su2_1_logs(spec, geom, reps)
-        # psi(rep) = chi(g) psi(rep) for each g that fixes rep
-        odd = (chi < 0) @ (1 << np.arange(4))
-        sign[(stab & odd) != 0] = 0
     else:
         ranks = np.arange(check_size(spec.N, 3))
         logs, sign = _su2_2_logs(spec, geom, _all_flavor_rows(spec.N))
@@ -372,7 +371,7 @@ def _build(spec, geom):
     mag = np.zeros(len(logs))
     np.exp(logs - m, out=mag, where=live)
     if spec.model == SU2_1:
-        mag, sign = mag[orbit], sign[orbit] * chi[cls]
+        mag, sign = mag[orbit], sign[orbit] * _characters(spec)[cls]
     amps = np.zeros(spec.d ** spec.N, dtype=complex)
     amps[ranks] = sign * mag
     nrm = np.linalg.norm(amps)

@@ -23,11 +23,11 @@ import numpy as np
 
 from . import blocks, hamiltonians, refstates
 from .errors import ConsistencyError, Error, InputError
-from .hilbert import (Subspace, apply_site_unitary, fidelity_per_site,
-                      fidelity_per_site_subspace, raise_total,
-                      total_spin_quantum, translate)
+from .hilbert import (Subspace, apply_site_unitary, enumerate_sector,
+                      fidelity_per_site, fidelity_per_site_subspace,
+                      raise_total, total_spin_quantum, translate)
 from .numerics import minimize_scalar, pfaffian
-from .special import modular_residual
+from .special import ModularParam, modular_residual
 
 R_MIN = 0.02
 R_MAX = 30.0
@@ -393,12 +393,30 @@ def _block_residuals(name, sizes, radii, measure):
     return _check(name, worst, 1e-8, details=details, skipped=skipped)
 
 
+def _su2_1_row_residual(spec, R, lam):
+    """||T psi - lam psi|| for the normalized su2_1 amplitudes of every
+    Sz=0 row, each row evaluated on its own. The builder signs each row by
+    the character of its dihedral orbit, so its states are eigenstates by
+    construction; this measures the amplitudes themselves, in log form
+    (blocks._su2_1_logs), since they overflow doubles at small R."""
+    rows = enumerate_sector(spec.N, 2, 0.0).configs()
+    geom = ModularParam(R)
+    logs, sign = blocks._su2_1_logs(spec, geom, rows)
+    tlogs, tsign = blocks._su2_1_logs(spec, geom, np.roll(rows, 1, axis=1))
+    top = logs[sign != 0].max()
+    psi, shifted = sign * np.exp(logs - top), tsign * np.exp(tlogs - top)
+    return float(np.linalg.norm(shifted - lam * psi) / np.linalg.norm(psi))
+
+
 def _momentum_check(sizes, radii):
     def measure(spec, R):
         lam = blocks.momentum_eigenvalue(spec)
         state = blocks.build_state(spec, R)
-        return float(np.linalg.norm(
+        res = float(np.linalg.norm(
             translate(state).amplitudes - lam * state.amplitudes))
+        if spec.model == blocks.SU2_1:
+            res = max(res, _su2_1_row_residual(spec, R, lam))
+        return res
 
     return _block_residuals("momentum_eigenvalues", sizes, radii, measure)
 

@@ -337,8 +337,9 @@ def test_su2_1_pair_sums_match_einsum(N):
 @pytest.mark.parametrize("label", [0.0, 0.5])
 def test_su2_1_blocks_are_dihedral_eigenstates(label):
     # translation gives momentum_eigenvalue and the site reversal
-    # (-1)^(N/2), for the all-rows amplitudes and the built state alike
-    for N in range(4, 17, 2):
+    # (-1)^(N/2), for the all-rows amplitudes and the built state alike, up
+    # to the largest N that hilbert.MAX_CONFIGS allows
+    for N in range(4, 21, 2):
         spec = BlockSpec("su2_1", label, N)
         lam, p = momentum_eigenvalue(spec), (-1) ** (N // 2)
         for geom in (0.02, 0.2, 3.0, None):
@@ -355,7 +356,7 @@ def test_su2_1_blocks_are_dihedral_eigenstates(label):
 @pytest.mark.parametrize("N", range(2, 11, 2))
 def test_sz0_orbits_match_rolled_rows(N):
     # every row against its 2N images T^k s and T^k P s by np.roll
-    reps, orbit, cls, stab = blocks._sz0_orbit_table(N)
+    reps, orbit, cls = blocks._sz0_orbit_table(N)
     rows = enumerate_sector(N, 2, 0.0).configs()
     weights = 1 << np.arange(N)
     assert len(orbit) == len(rows) and orbit.max() == len(reps) - 1
@@ -366,9 +367,6 @@ def test_sz0_orbits_match_rolled_rows(N):
         least = min(mask for mask, _ in images)
         assert (reps[o] > 0) @ weights == least
         assert (least, c) in images
-        mine = (row > 0) @ weights
-        fixed = {c for mask, c in images if mask == mine}
-        assert fixed == {c for c in range(4) if stab[o] >> c & 1}
 
 
 def test_sz0_orbit_counts():
@@ -377,16 +375,27 @@ def test_sz0_orbit_counts():
 
 
 def test_stabilizer_zeros_are_fold_zeros():
-    # an orbit that a g with chi(g) = -1 fixes vanishes; no pair product
-    # does, so the theta factor's fold must zero it too
-    for N in range(2, 19, 2):
-        reps, _, _, stab = blocks._sz0_orbit_table(N)
+    # psi(g s) = chi(g) psi(s), so an orbit that a g with chi(g) = -1 fixes
+    # vanishes. No pair product or Marshall sign is zero, so the theta
+    # factor's fold must zero it, and the builder needs no zeroing of its
+    # own. The stabilizers come from np.roll, not from the orbit table
+    killed_any = False
+    for N in range(2, 21, 2):
+        reps = blocks._sz0_orbit_table(N)[0]
         for label in (0.0, 0.5):
             spec = BlockSpec("su2_1", label, N)
-            chi = blocks._characters(spec)
-            killed = (stab & (chi < 0) @ (1 << np.arange(4))) != 0
+            lam, p = momentum_eigenvalue(spec).real, (-1) ** (N // 2)
+            killed = np.zeros(len(reps), bool)
+            for reflects, start in enumerate((reps, reps[:, ::-1])):
+                for k in range(N):
+                    if lam ** k * p ** reflects < 0:
+                        fixed = np.all(np.roll(start, k, axis=1) == reps,
+                                       axis=1)
+                        killed |= fixed
             _, sign = blocks._su2_1_logs(spec, None, reps)
             assert np.all(sign[killed] == 0), (N, label)
+            killed_any |= killed.any()
+    assert killed_any
 
 
 def test_su2_1_cylinder_amplitude_exact_zero():

@@ -506,6 +506,20 @@ def test_identity_suite_trivial_at_two_sites():
     assert skipped == 4
 
 
+def test_identity_suite_detects_a_wrong_su2_1_momentum(monkeypatch):
+    # the builder signs each su2_1 row by the character momentum_eigenvalue
+    # gives, so its state follows even a wrong eigenvalue; the check also
+    # measures the rows' own amplitudes
+    true = blocks.momentum_eigenvalue
+    monkeypatch.setattr(blocks, "momentum_eigenvalue", lambda spec: (
+        -true(spec) if spec.model == "su2_1" else true(spec)))
+    report = identity_suite(sizes=(4, 6), radii=(0.5,))
+    momentum = next(c for c in report["checks"]
+                    if c["name"] == "momentum_eigenvalues")
+    assert not report["pass"] and not momentum["pass"]
+    assert momentum["max_residual"] > 1.0
+
+
 def test_identity_suite_detects_marshall_sign_mutation(monkeypatch):
     monkeypatch.setattr(blocks, "marshall_sign", lambda labels: 1.0)
     report = identity_suite(sizes=(4,), radii=(0.5,))
