@@ -51,7 +51,7 @@ import numpy as np
 
 from .errors import ConsistencyError, InputError, NumericalError
 from .hilbert import LABELS, StateVector, all_configs, check_sites, \
-    check_size, enumerate_sector
+    check_size, enumerate_sector, norm
 from .logcomplex import LogComplex
 from .numerics import pfaffian_log
 from .special import ModularParam, prime_form_log, theta_char_log, \
@@ -354,13 +354,14 @@ def _su2_1_logs(spec, geom, labels):
 def _build(spec, geom):
     """Normalized state over the nonvanishing sector and the discarded log
     scale. su2_1 evaluates one row per D_N orbit and signs the others by
-    _characters."""
+    _characters. The norm and the division run over the values that can
+    be nonzero (the Sz=0 rows of su2_1, the live rows of su2_2) before
+    they are scattered into the d^N amplitudes."""
     if spec.model == SU2_1:
         ranks = enumerate_sector(spec.N, 2, 0.0).ranks
         reps, orbit, cls = _sz0_orbit_table(spec.N)
         logs, sign = _su2_1_logs(spec, geom, reps)
     else:
-        ranks = np.arange(check_size(spec.N, 3))
         logs, sign = _su2_2_logs(spec, geom, _all_flavor_rows(spec.N))
     live = sign != 0
     if not np.any(live):
@@ -371,11 +372,14 @@ def _build(spec, geom):
     mag = np.zeros(len(logs))
     np.exp(logs - m, out=mag, where=live)
     if spec.model == SU2_1:
-        mag, sign = mag[orbit], sign[orbit] * _characters(spec)[cls]
+        values = sign[orbit] * _characters(spec)[cls] * mag[orbit]
+    else:
+        ranks = np.flatnonzero(live)
+        values = sign[live] * mag[live]
+    nrm = norm(values)
     amps = np.zeros(spec.d ** spec.N, dtype=complex)
-    amps[ranks] = sign * mag
-    nrm = np.linalg.norm(amps)
-    state = StateVector(spec.N, spec.d, amps / nrm, normalized=True)
+    amps[ranks] = values / nrm
+    state = StateVector(spec.N, spec.d, amps, normalized=True)
     return state, float(m + math.log(nrm))
 
 

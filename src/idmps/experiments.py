@@ -24,8 +24,8 @@ import numpy as np
 from . import blocks, hamiltonians, refstates
 from .errors import ConsistencyError, Error, InputError
 from .hilbert import (Subspace, apply_site_unitary, enumerate_sector,
-                      fidelity_per_site, fidelity_per_site_subspace,
-                      raise_total, total_spin_quantum, translate)
+                      fidelity_per_site, fidelity_per_site_subspace, inner,
+                      norm, raise_total, total_spin_quantum, translate)
 from .numerics import minimize_scalar, pfaffian
 from .special import ModularParam, modular_residual
 
@@ -192,7 +192,8 @@ def _scan(spec, ham, grid, objective, states):
         shared = states is not None and (on_grid or R in states)
         state = block_state_spin_basis(spec, R, states if shared else None)
         amps = state.amplitudes
-        energy = float(np.vdot(amps, h.apply(amps)).real)
+        # Re <a|Ha> is the inner product of the two real views
+        energy = inner(amps.view(float), h.apply(amps).view(float)).real
         fid = 0.0 if space is None else \
             fidelity_per_site_subspace(state, space)
         return float(R), energy, fid
@@ -233,9 +234,9 @@ def _holds_singlet(space, lam):
     g = space.q.reshape((d,) * N + (-1,))
     # T moves site axis 0 last, as hilbert.translate does
     shifted = np.moveaxis(g, 0, N - 1) - lam * g
-    cols = [x.reshape(-1, g.shape[-1])
+    cols = [x.reshape(-1, g.shape[-1]).T
             for x in (shifted, raise_total(g, d, N))]
-    m = sum(c.conj().T @ c for c in cols)
+    m = sum(np.array([[inner(a, b) for b in c] for a in c]) for c in cols)
     return bool(np.linalg.eigvalsh(m).min() <= SINGLET_TOL)
 
 
@@ -405,15 +406,14 @@ def _su2_1_row_residual(spec, R, lam):
     tlogs, tsign = blocks._su2_1_logs(spec, geom, np.roll(rows, 1, axis=1))
     top = logs[sign != 0].max()
     psi, shifted = sign * np.exp(logs - top), tsign * np.exp(tlogs - top)
-    return float(np.linalg.norm(shifted - lam * psi) / np.linalg.norm(psi))
+    return norm(shifted - lam * psi) / norm(psi)
 
 
 def _momentum_check(sizes, radii):
     def measure(spec, R):
         lam = blocks.momentum_eigenvalue(spec)
         state = blocks.build_state(spec, R)
-        res = float(np.linalg.norm(
-            translate(state).amplitudes - lam * state.amplitudes))
+        res = norm(translate(state).amplitudes - lam * state.amplitudes)
         if spec.model == blocks.SU2_1:
             res = max(res, _su2_1_row_residual(spec, R, lam))
         return res

@@ -27,7 +27,7 @@ import numpy as np
 from . import blocks
 from .errors import ConsistencyError, InputError
 from .hilbert import (StateVector, check_sites, check_size, embed_sector,
-                      enumerate_sector, spin_ladder)
+                      enumerate_sector, norm, spin_ladder)
 from .numerics import DEGENERACY_TOL, LinearOperator, eig_smallest
 
 HS = "hs"
@@ -303,10 +303,10 @@ def eigenstate_residual(h, v, energy):
     amps = amps.astype(complex)
     if amps.shape != (h.dim,):
         raise InputError(f"state has length {amps.shape}, operator {h.dim}")
-    nrm = np.linalg.norm(amps)
+    nrm = norm(amps)
     if nrm == 0:
         raise InputError("residual of a zero state is undefined")
-    return float(np.linalg.norm(h.apply(amps) - energy * amps) / nrm)
+    return norm(h.apply(amps) - energy * amps) / nrm
 
 
 def parent_annihilation_check(N):

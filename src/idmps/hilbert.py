@@ -8,6 +8,15 @@ byte for byte. Spin operators are real: spin_ladder gives S^+ and Sz,
 and gates and total-spin sweeps are built from them alone. A fidelity
 against a target subspace goes through a Subspace, which orthonormalizes
 the target's spanning set once, however many states are scored against it.
+
+norm and inner are the package's one norm and one inner product of
+state-length vectors. Both sum with numpy's own einsum kernels on the
+real view of a vector (re, im interleaved), never through BLAS: a threaded
+BLAS call stalls for milliseconds whenever its worker thread has gone to
+sleep (in four N=14 radius scans on a 2-vCPU VM, 20 to 28 of 592 BLAS norms
+of 2^14 entries took 1 to 16 ms each, against a median of 19 us), and it
+splits its sums by thread count, so outputs would depend on the machine's
+core count.
 """
 import functools
 import json
@@ -35,6 +44,47 @@ QR_RANK_TOL = 1e-12
 NORM_TOL = 1e-12
 # a site matrix u is unitary when max |u^dagger u - 1| is at most this
 UNITARY_TOL = 1e-12
+
+
+def norm(x):
+    """Euclidean norm of a real or complex array, summed by einsum."""
+    r = _real_view(x)
+    return math.sqrt(np.einsum("i,i->", r, r))
+
+
+def inner(x, y):
+    """<x|y> = sum conj(x) y of two real or complex arrays of one size, as
+    a complex number, summed by einsum. Re <x|y> of complex x and y is
+    inner of their real views, one sum."""
+    x, y = np.ravel(x), np.ravel(y)
+    if x.shape != y.shape:
+        raise InputError(f"inner product of sizes {x.size} and {y.size}")
+    if not (np.iscomplexobj(x) or np.iscomplexobj(y)):
+        return complex(np.einsum("i,i->", _real_view(x), _real_view(y)))
+    x, y = x.astype(complex, copy=False), y.astype(complex, copy=False)
+    re, im = np.einsum("ij,j->i", _bra_rows(x), _real_view(y))
+    return complex(re, im)
+
+
+def _real_view(x):
+    """x flattened into a contiguous float array: a complex x as its real
+    view, re and im interleaved."""
+    x = np.ravel(x)
+    if np.iscomplexobj(x):
+        return np.ascontiguousarray(x, dtype=complex).view(float)
+    return np.ascontiguousarray(x, dtype=float)
+
+
+def _bra_rows(x):
+    """<x| as two real rows against the real view of a ket y: row 0 gives
+    Re <x|y>, row 1 Im <x|y>. A Subspace stacks these rows for each of its
+    vectors, and einsum sums a row the same way in either stack."""
+    p = _real_view(x).reshape(-1, 2)
+    rows = np.empty((2,) + p.shape)
+    rows[0] = p
+    rows[1, :, 0] = -p[:, 1]
+    rows[1, :, 1] = p[:, 0]
+    return rows.reshape(2, -1)
 
 
 def _check_dim(d):
@@ -167,7 +217,7 @@ class StateVector:
         if not np.all(np.isfinite(amps.view(float))):
             raise InputError("amplitudes contain non-finite entries")
         if normalized:
-            nrm = np.linalg.norm(amps)
+            nrm = norm(amps)
             if abs(nrm - 1.0) > NORM_TOL:
                 raise InputError(f"flagged normalized but |v| = {nrm!r}, "
                                  f"not within {NORM_TOL:g} of 1")
@@ -176,7 +226,7 @@ class StateVector:
         self.normalized = bool(normalized)
 
     def norm(self):
-        return float(np.linalg.norm(self.amplitudes))
+        return norm(self.amplitudes)
 
     def normalize(self):
         nrm = self.norm()
@@ -188,7 +238,7 @@ class StateVector:
     def overlap(self, other):
         """<self|other>."""
         _check_same_space(self, other)
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
+        return inner(self.amplitudes, other.amplitudes)
 
     def tensor(self):
         return self.amplitudes.reshape((self.d,) * self.N)
@@ -320,8 +370,8 @@ def total_spin_quantum(v):
     raised = raise_total(parts, v.d, v.N)
     weight = (parts * parts).reshape(-1, 2).sum(axis=1)
     sz = total_sz_table(v.N, v.d)
-    s2 = float(np.vdot(raised, raised)) + float(weight @ (sz * (sz + 1)))
-    return 0.5 * (-1.0 + math.sqrt(1.0 + 4.0 * s2)), float(weight @ sz)
+    s2 = inner(raised, raised).real + inner(weight, sz * (sz + 1)).real
+    return 0.5 * (-1.0 + math.sqrt(1.0 + 4.0 * s2)), inner(weight, sz).real
 
 
 def fidelity_per_site(a, b):
@@ -330,7 +380,7 @@ def fidelity_per_site(a, b):
     na, nb = a.norm(), b.norm()
     if na == 0 or nb == 0:
         raise InputError("fidelity of a zero state is undefined")
-    ov = abs(np.vdot(a.amplitudes, b.amplitudes)) / (na * nb)
+    ov = abs(inner(a.amplitudes, b.amplitudes)) / (na * nb)
     return float(ov ** (2.0 / a.N))
 
 
@@ -340,7 +390,10 @@ class Subspace:
 
     The basis vectors are orthonormalized by QR, so any spanning set of a
     degenerate target subspace is accepted; a QR direction whose diagonal
-    is at or below QR_RANK_TOL times the largest is dropped.
+    is at or below QR_RANK_TOL times the largest is dropped. The k kept
+    vectors q_j are laid out once as `rows`, one real (2k, 2 d^N) array
+    that stacks the _bra_rows of each, so a state's k overlaps are one
+    einsum against its real view; q (d^N, k) is a read-only view of it.
     """
 
     def __init__(self, basis):
@@ -353,8 +406,11 @@ class Subspace:
         cols = np.column_stack([b.amplitudes for b in basis])
         q, r = np.linalg.qr(cols)
         keep = np.abs(np.diag(r)) > QR_RANK_TOL * np.abs(np.diag(r)).max()
-        self.q = q[:, keep]
-        self.q.flags.writeable = False
+        rows = np.stack([_bra_rows(v) for v in q[:, keep].T])
+        rows.flags.writeable = False
+        self.rows = rows.reshape(-1, rows.shape[-1])
+        # row 0 of each pair is q_j's own real view
+        self.q = rows[:, 0].view(complex).T
 
     def __repr__(self):
         return f"Subspace(N={self.N}, d={self.d}, rank={self.q.shape[1]})"
@@ -372,8 +428,8 @@ def fidelity_per_site_subspace(a, basis):
     na = a.norm()
     if na == 0:
         raise InputError("fidelity of a zero state is undefined")
-    w = space.q.conj().T @ (a.amplitudes / na)
-    return float(np.linalg.norm(w) ** (2.0 / a.N))
+    w = np.einsum("ij,j->i", space.rows, a.amplitudes.view(float))
+    return norm(w / na) ** (2.0 / a.N)
 
 
 def embed_sector(reduced, sector, normalized=False):

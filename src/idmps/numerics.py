@@ -189,7 +189,9 @@ def _guarded_lanczos(m, k):
         def deflated(x):
             # einsum, not a BLAS dot: with one column in V, numpy's threaded
             # dot contends with ARPACK's BLAS threads (on 2 vCPUs the
-            # deflated solve at dim 48620 took 2.5x as long)
+            # deflated solve at dim 48620 took 2.5x as long); the same rule
+            # as hilbert.norm and hilbert.inner, the one norm and inner
+            # product of state-length vectors
             overlaps = np.einsum("ij,i->j", vecs.conj(), x)
             return m @ x + sigma * (vecs @ overlaps)
 
@@ -225,8 +227,11 @@ def eig_smallest(h, k=1):
     owns its data (no view into the full eigenvector matrix), and each
     residual ||Hv - lambda v|| is verified against 1e-8.
     """
-    # loaded here, not in the Lanczos branch (see the module docstring)
+    # loaded here, not in the Lanczos branch (see the module docstring);
+    # hilbert too, so that loading numerics loads nothing more
     import scipy.sparse.linalg
+
+    from .hilbert import norm
 
     if not isinstance(h, LinearOperator):
         h = LinearOperator(h)
@@ -246,8 +251,8 @@ def eig_smallest(h, k=1):
         vals, vecs = _guarded_lanczos(m, k)
     pairs = [(float(lam), vecs[:, i].copy()) for i, lam in enumerate(vals)]
     for lam, vec in pairs:
-        res = np.linalg.norm(h.apply(vec) - lam * vec)
-        if res > EIG_RESIDUAL_TOL * max(1.0, np.linalg.norm(vec)):
+        res = norm(h.apply(vec) - lam * vec)
+        if res > EIG_RESIDUAL_TOL * max(1.0, norm(vec)):
             raise AccuracyError(
                 f"eigenpair residual {res:.3e} exceeds {EIG_RESIDUAL_TOL}")
     return pairs

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .errors import ConsistencyError, InputError
-from .hilbert import (StateVector, apply_site_unitary, check_size,
+from .hilbert import (StateVector, apply_site_unitary, check_size, norm,
                       spin_matrices, translate)
 
 # local unitary between circular-polarization flavors (x, y, z) = labels
@@ -97,7 +97,7 @@ def mps_trace_state(tensors, N):
         c = np.einsum("mab,sbc->msac", c, t)
         c = c.reshape(-1, c.shape[-2], c.shape[-1])
     amps = np.trace(c, axis1=1, axis2=2)
-    nrm = np.linalg.norm(amps)
+    nrm = norm(amps)
     if nrm == 0:
         raise ConsistencyError("trace MPS evaluated to the zero state")
     return StateVector(N, d, amps / nrm, normalized=True)

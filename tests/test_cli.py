@@ -1,8 +1,11 @@
 """Command-line behavior: exit codes, file outputs, manifest replay."""
 import json
+import os
 import pathlib
 import re
 import shlex
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -278,6 +281,59 @@ def test_manifest_replay_is_byte_identical(tmp_path, capsys, argv, manifest,
     for name in man["outputs"]:
         assert (a / name).read_bytes() == (b / name).read_bytes()
     capsys.readouterr()
+
+
+# the commands whose files must not depend on the BLAS thread count: at
+# N >= 14 a threaded BLAS dot splits its sums by thread count
+THREAD_COMMANDS = [
+    ["state", "build", "--model", "su2_1", "--label", "0", "--N", "14",
+     "--R", "0.7", "--out", "n14.state"],
+    ["state", "build", "--model", "su2_1", "--label", "0", "--N", "16",
+     "--R", "0.7", "--out", "n16.state"],
+    ["scan", "radius", "--model", "su2_1", "--label", "0", "--N", "14",
+     "--ham", "j1j2", "--J2", "0.3", "--grid", "0.02,30,3",
+     "--out-dir", "scan"]]
+
+
+def _outputs_with_blas_threads(threads, workdir):
+    """{relative path: bytes} of THREAD_COMMANDS run in a fresh interpreter
+    in workdir with OpenBLAS and OpenMP set to the given thread count;
+    each manifest's wall_time_s is masked."""
+    workdir.mkdir()
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               OMP_NUM_THREADS=str(threads))
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import json, sys\nfrom idmps import cli\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert cli.run(argv) == 0, argv\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(THREAD_COMMANDS)],
+        cwd=workdir, env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    files = {}
+    for path in sorted(workdir.rglob("*")):
+        if path.is_file():
+            data = path.read_bytes()
+            if path.name.endswith("manifest.json"):
+                doc = json.loads(data)
+                doc["wall_time_s"] = None
+                data = cli._dump_json(doc).encode()
+            files[str(path.relative_to(workdir))] = data
+    return files
+
+
+def test_outputs_do_not_depend_on_blas_threads(tmp_path):
+    """State files and a scan at N >= 14 are byte-identical with one and
+    with two BLAS threads: no norm or overlap of a state goes through BLAS.
+    On a 1-core runner both runs are single-threaded, and the test
+    compares two single-threaded runs."""
+    one = _outputs_with_blas_threads(1, tmp_path / "one")
+    two = _outputs_with_blas_threads(2, tmp_path / "two")
+    assert len(one) == 9 and sorted(one) == sorted(two)
+    for name in one:
+        assert one[name] == two[name], name
 
 
 def test_scan_phase_cli(tmp_path):

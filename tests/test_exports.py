@@ -56,6 +56,22 @@ def test_no_environment_knobs():
         assert "os.environ" not in text and "os.getenv" not in text, path.name
 
 
+def test_no_blas_norm_or_overlap():
+    # state-length norms and overlaps go through hilbert.norm and
+    # hilbert.inner, which sum by einsum: a threaded BLAS reduction stalls
+    # when its worker thread sleeps and splits its sums by thread count
+    banned = {"linalg.norm", "vdot"}
+    for path in pathlib.Path(idmps.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute):
+                name = ast.unparse(node)
+                assert not any(name == b or name.endswith("." + b)
+                               for b in banned), (path.name, name)
+            elif isinstance(node, ast.ImportFrom):
+                assert not {a.name for a in node.names} & {"norm", "vdot"} \
+                    or node.level > 0, (path.name, node.module)
+
+
 def test_scipy_loads_only_where_it_runs(tmp_path):
     # the package and the commands that build no operator load no scipy
     # module; an operator build loads scipy.sparse, and nothing loads
