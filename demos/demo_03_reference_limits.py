@@ -35,7 +35,7 @@ for R, infid in rows:
 
 # same construction for the spin-1 blocks
 rows = limit_convergence(BlockSpec("su2_2", 4, 6),
-                         aklt_state(6, basis="circular"),
+                         [aklt_state(6, basis="circular")],
                          [0.4, 0.2, 0.1, 0.05])
 print("psi4 (N=6) vs circular-basis AKLT:")
 for R, infid in rows:

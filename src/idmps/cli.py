@@ -191,7 +191,7 @@ def _cmd_special_eval(args):
 def _state_files(path, state, meta):
     """The binary state file and its JSON twin (meta plus amplitudes)."""
     doc = dict(meta)
-    doc.update(json.loads(state.to_json()))
+    doc.update(state.to_dict())
     return [(path, state.to_bytes()), (path + ".json", _dump_json(doc))]
 
 
@@ -306,12 +306,11 @@ def _cmd_check_suite(args):
 
 def _limit_target(target, N):
     """The 1/sin^2 chain's exact ground space for hs; otherwise the
-    thin-torus references, as one state when there is only one."""
+    thin-torus references."""
     if target == "hs":
         _, ground = hamiltonians.ground_states(HamiltonianSpec("hs", N))
         return ground
-    states = [REFERENCES[name][0](N) for name in THIN_TORUS[target]]
-    return states if len(states) > 1 else states[0]
+    return [REFERENCES[name][0](N) for name in THIN_TORUS[target]]
 
 
 def _cmd_check_limits(args):

@@ -24,8 +24,8 @@ import numpy as np
 from . import blocks, hamiltonians, refstates
 from .errors import ConsistencyError, Error, InputError
 from .hilbert import (Subspace, apply_site_unitary, enumerate_sector,
-                      fidelity_per_site, fidelity_per_site_subspace, inner,
-                      norm, raise_total, total_spin_quantum, translate)
+                      fidelity_per_site_subspace, inner, norm, raise_total,
+                      total_spin_quantum, translate)
 from .numerics import minimize_scalar, pfaffian
 from .special import ModularParam, modular_residual
 
@@ -229,14 +229,16 @@ def _holds_singlet(space, lam):
     S^2 = S^- S^+ on Sz = 0, has the eigenvalues |mu - lam|^2 + S(S+1) of
     their joint eigenvectors: 0 for such a singlet, else at least
     4 sin^2(pi/N) (distinct momenta) or 2 (S >= 1).
+    The rows of q^dagger are conj(G); T, S^+ and lam are real, so their
+    Gram matrices sum to conj(M), with the eigenvalues of M.
     """
     N, d = space.N, space.d
-    g = space.q.reshape((d,) * N + (-1,))
+    g = space.qh.T.reshape((d,) * N + (-1,))
     # T moves site axis 0 last, as hilbert.translate does
     shifted = np.moveaxis(g, 0, N - 1) - lam * g
-    cols = [x.reshape(-1, g.shape[-1]).T
+    rows = [x.reshape(-1, g.shape[-1]).T
             for x in (shifted, raise_total(g, d, N))]
-    m = sum(np.array([[inner(a, b) for b in c] for a in c]) for c in cols)
+    m = sum(np.einsum("ik,jk->ij", np.conj(r), r) for r in rows)
     return bool(np.linalg.eigvalsh(m).min() <= SINGLET_TOL)
 
 
@@ -311,8 +313,9 @@ def qbq_family(N, theta_grid):
 
 
 def limit_convergence(spec, target, R_sequence):
-    """Infidelity (1 - fidelity per site) against a target state or
-    subspace along a radius schedule.
+    """Infidelity per site, 1 - F^(1/N), against the span of a list of
+    target states along a radius schedule; 1 - F is Subspace.residual, so
+    a row far below the rounding of F keeps its relative accuracy.
 
     The schedule must be strictly monotone: decreasing probes the thin-torus
     limit, increasing the cylinder limit. The last three infidelities must
@@ -325,16 +328,12 @@ def limit_convergence(spec, target, R_sequence):
     steps = np.diff(rs)
     if not (np.all(steps > 0) or np.all(steps < 0)):
         raise InputError("radius schedule must be strictly monotone")
-    space = (Subspace(target) if isinstance(target, (list, tuple))
-             else None)
+    space = Subspace(target)
     rows = []
     for R in rs:
-        state = blocks.build_state(spec, R)
-        if space is None:
-            fid = fidelity_per_site(state, target)
-        else:
-            fid = fidelity_per_site_subspace(state, space)
-        rows.append((R, max(0.0, 1.0 - fid)))
+        eps = space.residual(blocks.build_state(spec, R))
+        rows.append((R, 1.0 if eps >= 1.0
+                     else -math.expm1(math.log1p(-eps) / spec.N)))
     tail = [infid for _, infid in rows[-3:]]
     for a, b in zip(tail, tail[1:]):
         if b > a + FLOOR:

@@ -36,8 +36,6 @@ QBQ = "qbq"
 PARENT = "parent"
 _KINDS = (HS, J1J2, QBQ, PARENT)
 
-# gate entries at or below this magnitude are left out of the sparse matrix
-GATE_ENTRY_TOL = 1e-14
 # coupling scale max(|J1|, |J2|) that HamiltonianSpec accepts besides
 # J1 = J2 = 0, bounds included. Only J2/J1 shapes the state, but
 # DEGENERACY_TOL is absolute: roundoff grows with the scale (at 1e5 dense
@@ -175,15 +173,15 @@ def _terms(spec):
 
 
 def _gate_moves(gate, d):
-    """(diagonal, n_off, moves) of a two-site gate, entries at or below
-    GATE_ENTRY_TOL left out.
+    """(diagonal, n_off, moves) of a two-site gate, its exact zeros left
+    out.
 
     n_off[c] counts the off-diagonal entries of gate row c. moves[t] is
     (da, db, value), each indexed by a destination code c: the digit
     steps from c to the source code of the t-th such entry, by ascending
     source code, and the entry itself.
     """
-    kept = np.where(np.abs(gate) > GATE_ENTRY_TOL, gate, 0.0)
+    kept = np.array(gate)
     diagonal = np.diagonal(kept).copy()
     np.fill_diagonal(kept, 0.0)
     n_off = np.count_nonzero(kept, axis=1).astype(np.uint8)

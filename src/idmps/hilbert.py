@@ -5,18 +5,17 @@ d=3 uses s in {+1,0,-1} (spin 1). Configuration rank is big-endian in the
 site index: site 1 is the most significant digit, with label order (+1,-1)
 for d=2 and (+1,0,-1) for d=3, so files and sector listings are reproducible
 byte for byte. Spin operators are real: spin_ladder gives S^+ and Sz,
-and gates and total-spin sweeps are built from them alone. A fidelity
-against a target subspace goes through a Subspace, which orthonormalizes
-the target's spanning set once, however many states are scored against it.
+and gates and total-spin sweeps are built from them alone. Every fidelity
+goes through a Subspace, which orthonormalizes the target's spanning set
+once, however many states are scored against it.
 
 norm and inner are the package's one norm and one inner product of
-state-length vectors. Both sum with numpy's own einsum kernels on the
-real view of a vector (re, im interleaved), never through BLAS: a threaded
-BLAS call stalls for milliseconds whenever its worker thread has gone to
-sleep (in four N=14 radius scans on a 2-vCPU VM, 20 to 28 of 592 BLAS norms
-of 2^14 entries took 1 to 16 ms each, against a median of 19 us), and it
-splits its sums by thread count, so outputs would depend on the machine's
-core count.
+state-length vectors; they and a Subspace's overlaps sum with numpy's own
+einsum kernels, never through BLAS: a threaded BLAS call stalls for
+milliseconds whenever its worker thread has gone to sleep (in four N=14
+radius scans on a 2-vCPU VM, 20 to 28 of 592 BLAS norms of 2^14 entries
+took 1 to 16 ms each, against a median of 19 us), and it splits its sums
+by thread count, so outputs would depend on the machine's core count.
 """
 import functools
 import json
@@ -61,9 +60,7 @@ def inner(x, y):
         raise InputError(f"inner product of sizes {x.size} and {y.size}")
     if not (np.iscomplexobj(x) or np.iscomplexobj(y)):
         return complex(np.einsum("i,i->", _real_view(x), _real_view(y)))
-    x, y = x.astype(complex, copy=False), y.astype(complex, copy=False)
-    re, im = np.einsum("ij,j->i", _bra_rows(x), _real_view(y))
-    return complex(re, im)
+    return complex(np.einsum("i,i->", np.conj(x), y))
 
 
 def _real_view(x):
@@ -73,18 +70,6 @@ def _real_view(x):
     if np.iscomplexobj(x):
         return np.ascontiguousarray(x, dtype=complex).view(float)
     return np.ascontiguousarray(x, dtype=float)
-
-
-def _bra_rows(x):
-    """<x| as two real rows against the real view of a ket y: row 0 gives
-    Re <x|y>, row 1 Im <x|y>. A Subspace stacks these rows for each of its
-    vectors, and einsum sums a row the same way in either stack."""
-    p = _real_view(x).reshape(-1, 2)
-    rows = np.empty((2,) + p.shape)
-    rows[0] = p
-    rows[1, :, 0] = -p[:, 1]
-    rows[1, :, 1] = p[:, 0]
-    return rows.reshape(2, -1)
 
 
 def _check_dim(d):
@@ -245,11 +230,14 @@ class StateVector:
 
     # ------------------------------------------------------------- file forms
 
+    def to_dict(self):
+        """The JSON form as a dict, amplitudes as [re, im] pairs."""
+        return {"N": self.N, "d": self.d, "normalized": self.normalized,
+                "amplitudes": self.amplitudes.view(float).reshape(-1, 2)
+                .tolist()}
+
     def to_json(self):
-        amps = [[float(a.real), float(a.imag)] for a in self.amplitudes]
-        return json.dumps({"N": self.N, "d": self.d,
-                           "normalized": self.normalized,
-                           "amplitudes": amps})
+        return json.dumps(self.to_dict())
 
     @classmethod
     def from_json(cls, text):
@@ -260,10 +248,7 @@ class StateVector:
     def to_bytes(self):
         head = MAGIC + struct.pack("<BBI", self.d, int(self.normalized),
                                    self.N)
-        pairs = np.empty(2 * len(self.amplitudes))
-        pairs[0::2] = self.amplitudes.real
-        pairs[1::2] = self.amplitudes.imag
-        return head + pairs.astype("<f8").tobytes()
+        return head + self.amplitudes.astype("<c16").tobytes()
 
     @classmethod
     def from_bytes(cls, blob):
@@ -278,8 +263,7 @@ class StateVector:
         count, rest = divmod(len(blob) - 12, 16)
         if rest or N > count.bit_length() or count != d ** N:
             raise InputError("truncated IDMPS1 state file")
-        pairs = np.frombuffer(blob[12:], dtype="<f8")
-        amps = pairs[0::2] + 1j * pairs[1::2]
+        amps = np.frombuffer(blob[12:], dtype="<c16")
         return cls(N, d, amps, normalized=bool(normalized))
 
     def __repr__(self):
@@ -375,13 +359,9 @@ def total_spin_quantum(v):
 
 
 def fidelity_per_site(a, b):
-    """|<a|b>|^(2/N) after normalizing both states."""
-    _check_same_space(a, b)
-    na, nb = a.norm(), b.norm()
-    if na == 0 or nb == 0:
-        raise InputError("fidelity of a zero state is undefined")
-    ov = abs(inner(a.amplitudes, b.amplitudes)) / (na * nb)
-    return float(ov ** (2.0 / a.N))
+    """|<a|b>|^(2/N) after normalizing both states: the fidelity against
+    the one-dimensional Subspace of b."""
+    return fidelity_per_site_subspace(a, [b])
 
 
 class Subspace:
@@ -390,10 +370,11 @@ class Subspace:
 
     The basis vectors are orthonormalized by QR, so any spanning set of a
     degenerate target subspace is accepted; a QR direction whose diagonal
-    is at or below QR_RANK_TOL times the largest is dropped. The k kept
-    vectors q_j are laid out once as `rows`, one real (2k, 2 d^N) array
-    that stacks the _bra_rows of each, so a state's k overlaps are one
-    einsum against its real view; q (d^N, k) is a read-only view of it.
+    is at or below QR_RANK_TOL times the largest is dropped, and a set
+    with no direction left is an InputError. The k kept vectors q_j are
+    held once as qh, the read-only contiguous complex (k, d^N) array
+    q^dagger, so a state's k overlaps are one einsum against its
+    amplitudes.
     """
 
     def __init__(self, basis):
@@ -406,14 +387,31 @@ class Subspace:
         cols = np.column_stack([b.amplitudes for b in basis])
         q, r = np.linalg.qr(cols)
         keep = np.abs(np.diag(r)) > QR_RANK_TOL * np.abs(np.diag(r)).max()
-        rows = np.stack([_bra_rows(v) for v in q[:, keep].T])
-        rows.flags.writeable = False
-        self.rows = rows.reshape(-1, rows.shape[-1])
-        # row 0 of each pair is q_j's own real view
-        self.q = rows[:, 0].view(complex).T
+        if not keep.any():
+            raise InputError("target subspace has no direction: every QR "
+                             "diagonal is 0 (hilbert.QR_RANK_TOL)")
+        self.qh = np.ascontiguousarray(q[:, keep].T.conj())
+        self.qh.flags.writeable = False
+
+    def overlaps(self, a):
+        """(q^dagger a, |a|): the k overlaps <q_j|a> of a nonzero state a,
+        and its norm."""
+        _check_same_space(a, self)
+        na = a.norm()
+        if na == 0:
+            raise InputError("fidelity of a zero state is undefined")
+        return np.einsum("ij,j->i", self.qh, a.amplitudes), na
+
+    def residual(self, a):
+        """|a - P a|^2 / |a|^2 for the projector P = q q^dagger: the
+        infidelity 1 - <a|P|a> / |a|^2, taken from the complement, so it
+        keeps its relative accuracy where the fidelity rounds to 1."""
+        w, na = self.overlaps(a)
+        rest = a.amplitudes - np.einsum("ij,i->j", self.qh.conj(), w)
+        return (norm(rest) / na) ** 2
 
     def __repr__(self):
-        return f"Subspace(N={self.N}, d={self.d}, rank={self.q.shape[1]})"
+        return f"Subspace(N={self.N}, d={self.d}, rank={len(self.qh)})"
 
 
 def fidelity_per_site_subspace(a, basis):
@@ -424,12 +422,9 @@ def fidelity_per_site_subspace(a, basis):
     passes its Subspace so the QR runs once.
     """
     space = basis if isinstance(basis, Subspace) else Subspace(basis)
-    _check_same_space(a, space)
-    na = a.norm()
-    if na == 0:
-        raise InputError("fidelity of a zero state is undefined")
-    w = np.einsum("ij,j->i", space.rows, a.amplitudes.view(float))
-    return norm(w / na) ** (2.0 / a.N)
+    w, na = space.overlaps(a)
+    # w / na would multiply by 1/na, which rounds differently
+    return norm(w.view(float) / na) ** (2.0 / a.N)
 
 
 def embed_sector(reduced, sector, normalized=False):

@@ -12,8 +12,9 @@ bounded Brent method and loads no scipy module.
 
 The Pfaffian is computed by Parlett-Reid elimination (skew-symmetric analogue
 of LU) with partial pivoting, in real arithmetic for a real matrix; the pivot
-product is accumulated as a LogComplex because block amplitudes at small
-torus radius overflow doubles.
+product is accumulated as log|Pf| and arg Pf, two floats, because block
+amplitudes at small torus radius overflow doubles; pfaffian_log returns
+them as one LogComplex.
 
 A LinearOperator holds one matrix, usually scipy sparse (every Hamiltonian
 is). eig_smallest checks that it is Hermitian and is the only place that
@@ -58,27 +59,30 @@ def _breaks_symmetry(defect, a):
 
 
 def _pfaffian_eliminate(a):
-    """Destructive Parlett-Reid sweep; returns Pf as LogComplex."""
+    """Destructive Parlett-Reid sweep; returns (log|Pf|, arg Pf) as two
+    floats, log = -inf where Pf is 0."""
     n = a.shape[0]
-    acc = LogComplex.one()
+    log, arg = 0.0, 0.0
     for k in range(0, n - 1, 2):
         col = np.abs(a[k + 1:, k])
         kp = k + 1 + int(np.argmax(col))
-        if a[kp, k] == 0:
-            return LogComplex.zero()
+        # a[k, kp] is the pivot once the swap below is made
+        if a[kp, k] == 0 or a[k, kp] == 0:
+            return -math.inf, 0.0
         if kp != k + 1:
             # row+column swap is a det=-1 congruence: Pf flips sign
             a[[k + 1, kp], :] = a[[kp, k + 1], :]
             a[:, [k + 1, kp]] = a[:, [kp, k + 1]]
-            acc = -acc
-        pivot = a[k, k + 1]
-        acc = acc * LogComplex.from_value(pivot)
+            arg += math.pi
+        pivot = complex(a[k, k + 1])
+        log += math.log(abs(pivot))
+        arg += math.atan2(pivot.imag, pivot.real)
         if k + 2 < n:
-            t = a[k, k + 2:] / pivot
+            t = a[k, k + 2:] / a[k, k + 1]
             u = np.outer(t, a[k + 2:, k + 1])
             # u - u^T keeps the trailing block exactly antisymmetric
             a[k + 2:, k + 2:] += u - u.T
-    return acc
+    return log, arg
 
 
 def pfaffian_log(entries):
@@ -105,8 +109,8 @@ def pfaffian_log(entries):
     if scale == 0:
         return LogComplex.zero()
     a /= scale
-    pf = _pfaffian_eliminate(a)
-    return pf * LogComplex(0.5 * n * math.log(scale), 0.0)
+    log, arg = _pfaffian_eliminate(a)
+    return LogComplex(log + 0.5 * n * math.log(scale), arg)
 
 
 def pfaffian(entries):

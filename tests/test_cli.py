@@ -292,7 +292,14 @@ THREAD_COMMANDS = [
      "--R", "0.7", "--out", "n16.state"],
     ["scan", "radius", "--model", "su2_1", "--label", "0", "--N", "14",
      "--ham", "j1j2", "--J2", "0.3", "--grid", "0.02,30,3",
-     "--out-dir", "scan"]]
+     "--out-dir", "scan"],
+    # two rank-2 subspaces: the mg pair, and the 2-fold ground level of
+    # the Majumdar-Ghosh chain
+    ["check", "limits", "--model", "su2_1", "--label", "0", "--N", "14",
+     "--target", "mg", "--radii", "0.2,0.1,0.05", "--out-dir", "limits"],
+    ["scan", "radius", "--model", "su2_1", "--label", "0", "--N", "14",
+     "--ham", "j1j2", "--J2", "0.5", "--grid", "0.02,30,3",
+     "--out-dir", "scan-mg"]]
 
 
 def _outputs_with_blas_threads(threads, workdir):
@@ -325,13 +332,14 @@ def _outputs_with_blas_threads(threads, workdir):
 
 
 def test_outputs_do_not_depend_on_blas_threads(tmp_path):
-    """State files and a scan at N >= 14 are byte-identical with one and
-    with two BLAS threads: no norm or overlap of a state goes through BLAS.
+    """State files, scans and a limit table at N >= 14 are byte-identical
+    with one and with two BLAS threads: no norm or overlap of a state goes
+    through BLAS.
     On a 1-core runner both runs are single-threaded, and the test
     compares two single-threaded runs."""
     one = _outputs_with_blas_threads(1, tmp_path / "one")
     two = _outputs_with_blas_threads(2, tmp_path / "two")
-    assert len(one) == 9 and sorted(one) == sorted(two)
+    assert len(one) == 15 and sorted(one) == sorted(two)
     for name in one:
         assert one[name] == two[name], name
 

@@ -3,6 +3,7 @@ import json
 import math
 from collections import Counter
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -450,10 +451,40 @@ def test_limit_convergence_thin_torus():
     rows = limit_convergence(BlockSpec("su2_1", 0, 8), targets,
                              [0.4, 0.2, 0.1, 0.05])
     assert rows[-1][1] <= 1e-4
-    aklt = refstates.aklt_state(6, basis="circular")
+    aklt = [refstates.aklt_state(6, basis="circular")]
     rows = limit_convergence(BlockSpec("su2_2", 4, 6), aklt,
                              [0.4, 0.2, 0.1, 0.05])
     assert rows[-1][1] <= 1e-4
+
+
+@pytest.mark.parametrize("spec, target, R", [
+    (BlockSpec("su2_2", 3, 6),
+     [refstates.spin1_dimer_combinations(6, s) for s in (1, -1)], 0.05),
+    (BlockSpec("su2_1", 0, 8),
+     [refstates.mg_combination(8, s) for s in (1, -1)], 0.02),
+    (BlockSpec("su2_2", 4, 6), [refstates.aklt_state(6, basis="circular")],
+     0.05)], ids=("s1dimer", "mg", "aklt-circ"))
+def test_limit_infidelity_from_the_complement_matches_mpmath(spec, target,
+                                                             R):
+    # eps = |a - P a|^2 / |a|^2 in 50 digits from the same doubles: a's
+    # amplitudes and the rows of q^dagger
+    state = blocks.build_state(spec, R)
+    space = Subspace(target)
+    eps = space.residual(state)
+    with mp.workdps(50):
+        a = [mp.mpc(complex(x)) for x in state.amplitudes]
+        qh = [[mp.mpc(complex(x)) for x in row] for row in space.qh]
+        w = [mp.fsum(q * x for q, x in zip(row, a)) for row in qh]
+        rest = [x - mp.fsum(mp.conj(row[i]) * wj for row, wj in zip(qh, w))
+                for i, x in enumerate(a)]
+        want = (mp.fsum(abs(x) ** 2 for x in rest)
+                / mp.fsum(abs(x) ** 2 for x in a))
+        assert abs(eps - want) <= 1e-15 * mp.sqrt(want) + 1e-30
+        want_site = -mp.expm1(mp.log1p(-want) / spec.N)
+    # far below the rounding of 1 - F, yet measured, not 0
+    got = limit_convergence(spec, target, [4 * R, 2 * R, R])[-1][1]
+    assert 0 < got < 1e-16
+    assert abs(got - want_site) <= 1e-15 * mp.sqrt(want) / spec.N + 1e-30
 
 
 def test_limit_convergence_cylinder():
@@ -463,7 +494,7 @@ def test_limit_convergence_cylinder():
 
 
 def test_limit_convergence_rejects_bad_schedules():
-    target = refstates.mg_combination(6, -1)
+    target = [refstates.mg_combination(6, -1)]
     spec = BlockSpec("su2_1", 0, 6)
     with pytest.raises(InputError):
         limit_convergence(spec, target, [0.4, 0.1, 0.2])

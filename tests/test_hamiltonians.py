@@ -9,9 +9,8 @@ import scipy.sparse
 from idmps import blocks, experiments, hamiltonians, refstates
 from idmps.errors import ConsistencyError, InputError
 from idmps.hamiltonians import (COUPLING_RANGE, DEGENERACY_TOL,
-                                GATE_ENTRY_TOL, HamiltonianSpec,
-                                _scatter_matrix, biquadratic_gate, build,
-                                eigenstate_residual,
+                                HamiltonianSpec, _scatter_matrix,
+                                biquadratic_gate, build, eigenstate_residual,
                                 ground_states, ground_subspace,
                                 heisenberg_gate, parent_annihilation_check)
 from idmps.hilbert import (StateVector, digits, enumerate_sector,
@@ -420,7 +419,7 @@ def _masked_scatter(spec, ranks):
     rows, cols, vals = [np.arange(m)], [np.arange(m)], [np.full(m, const)]
     for coupling, i, j, gate in pairs:
         g4 = gate.reshape(d, d, d, d)
-        for a2, b2, a, b in np.argwhere(np.abs(g4) > GATE_ENTRY_TOL):
+        for a2, b2, a, b in np.argwhere(g4 != 0):
             sel = np.nonzero((site_digits[:, i] == a)
                              & (site_digits[:, j] == b))[0]
             dest = ranks[sel] + (a2 - a) * weight[i] + (b2 - b) * weight[j]
@@ -469,10 +468,9 @@ def _coo_scatter(N, d, const, pairs, ranks):
     diag = np.full(m, float(const))
     rows, cols, vals = [], [], []
     for coupling, i, j, gate in pairs:
-        kept = np.where(np.abs(gate) > GATE_ENTRY_TOL, gate, 0.0)
         code = site_digits[i] * d + site_digits[j]
-        diag += coupling * np.diagonal(kept)[code]
-        for dest_code, src_code in np.argwhere(kept):
+        diag += coupling * np.diagonal(gate)[code]
+        for dest_code, src_code in np.argwhere(gate != 0):
             if dest_code == src_code:
                 continue
             sel = np.nonzero(code == src_code)[0]
@@ -597,16 +595,18 @@ def test_real_parts_alone_take_one_product_with_the_split_bits(spec, ham):
         assert got.tobytes() == (m @ v.real + 1j * (m @ v.imag)).tobytes()
 
 
-def test_gate_entries_at_the_cut_are_left_out():
-    for entry, kept in ((0.5 * GATE_ENTRY_TOL, 0.0),
-                        (2 * GATE_ENTRY_TOL, 2 * GATE_ENTRY_TOL)):
-        gate = np.zeros((4, 4))
-        gate[0, 0] = 1.0
-        gate[3, 3] = entry
-        gate[1, 2] = gate[2, 1] = entry
-        m = _scatter_matrix(2, 2, 0.0, [(1.0, 0, 1, gate)], np.arange(4))
-        assert m[0, 0] == 1.0
-        assert m[3, 3] == kept and m[1, 2] == kept and m[2, 1] == kept
+@pytest.mark.parametrize("spec", (
+    HamiltonianSpec("hs", 5), HamiltonianSpec("j1j2", 6, J2=0.5),
+    HamiltonianSpec("parent", 4), HamiltonianSpec("parent", 5))
+    + tuple(HamiltonianSpec("qbq", 4, theta=th)
+            for th in (-math.pi / 2, math.atan(1 / 3), 0.2, math.pi)),
+    ids=repr)
+def test_gates_hold_no_entry_near_zero(spec):
+    # _gate_moves keeps every nonzero entry: none of a built gate lies in
+    # (0, 1e-10], where a cut between roundoff and entries would go
+    for _, _, _, gate in hamiltonians._terms(spec)[1]:
+        mags = np.abs(gate)
+        assert not np.any((mags > 0) & (mags <= 1e-10))
 
 
 def test_spec_validation():

@@ -406,12 +406,15 @@ def test_fidelity_subspace_rank_cut():
 
 def _qr_fidelity(a, basis):
     # the inline QR that Subspace replaced, kept as the reference; its
-    # overlaps and norm are taken one vector at a time by the helpers
+    # overlaps are one einsum of the rows of q^dagger, as a Subspace takes
+    # them (past 8192 entries a row of a 2-D einsum no longer sums as the
+    # 1-D einsum of that row does), and its norm is the helper's
     na = a.norm()
     cols = np.column_stack([b.amplitudes for b in basis])
     q, r = np.linalg.qr(cols)
     keep = np.abs(np.diag(r)) > QR_RANK_TOL * np.abs(np.diag(r)).max()
-    w = np.array([hilbert.inner(c, a.amplitudes) for c in q[:, keep].T])
+    qh = np.ascontiguousarray(q[:, keep].T.conj())
+    w = np.einsum("ij,j->i", qh, a.amplitudes)
     # divide the parts (numpy's complex division by na multiplies by 1/na)
     return hilbert.norm(w.view(float) / na) ** (2.0 / a.N)
 
@@ -431,7 +434,7 @@ def test_subspace_fidelity_matches_inline_qr_bit_for_bit():
         blocks.BlockSpec("su2_1", 0, 8), R) for R in (0.05, 0.5, 5.0)]))
     for basis, rank, states in cases:
         space = Subspace(basis)
-        assert space.q.shape[1] == rank
+        assert space.qh.shape == (rank, 2 ** basis[0].N)
         for v in states:
             want = _qr_fidelity(v, basis)
             assert fidelity_per_site_subspace(v, space) == want
@@ -447,7 +450,20 @@ def test_subspace_validation():
     with pytest.raises(InputError):
         fidelity_per_site_subspace(random_state(3, 2), Subspace([a]))
     with pytest.raises(ValueError):
-        Subspace([a]).q[0, 0] = 1.0
+        Subspace([a]).qh[0, 0] = 1.0
+    space = Subspace([a])
+    assert space.qh.flags.c_contiguous and space.qh.dtype == complex
+
+
+def test_subspace_of_zero_states_names_the_rank_cut():
+    zero = StateVector(2, 2, np.zeros(4))
+    a = random_state(2, 2)
+    for call in (lambda: Subspace([zero]),
+                 lambda: Subspace([zero, zero]),
+                 lambda: fidelity_per_site_subspace(a, [zero]),
+                 lambda: fidelity_per_site(a, zero)):
+        with pytest.raises(InputError, match="QR_RANK_TOL"):
+            call()
 
 
 def test_fidelity_zero_state_rejected():
@@ -473,6 +489,13 @@ def test_binary_round_trip():
     w = StateVector.from_bytes(blob)
     assert (w.N, w.d, w.normalized) == (2, 3, True)
     assert np.array_equal(w.amplitudes, v.amplitudes)
+    # the body is (re, im) little-endian doubles, signed zeros kept both ways
+    amps = np.array([complex(0.0, -0.0), complex(-0.0, 1.0), 0.5,
+                     complex(0.0, -2.0)])
+    v = StateVector(2, 2, amps)
+    pairs = np.array([0.0, -0.0, -0.0, 1.0, 0.5, 0.0, 0.0, -2.0])
+    assert v.to_bytes()[12:] == pairs.astype("<f8").tobytes()
+    assert StateVector.from_bytes(v.to_bytes()).to_bytes() == v.to_bytes()
 
 
 def test_binary_rejects_garbage():

@@ -189,6 +189,14 @@ def test_pfaffian_empty_is_one():
     assert pfaffian(np.zeros((0, 0))) == 1
 
 
+def test_pfaffian_of_a_zero_pivot_is_zero():
+    # antisymmetric within SYMMETRY_TOL (relative, floor 1), yet the
+    # pivot a[0, 1] is exactly 0 beside its nonzero mirror
+    assert pfaffian_log([[0.0, 0.0], [1e-13, 0.0]]).is_zero
+    assert pfaffian([[0.0, 0.0, 0.0, 0.0], [1e-13, 0.0, 0.0, 0.0],
+                     [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, 0.0]]) == 0
+
+
 def test_pfaffian_log_handles_huge_scales():
     rng = np.random.default_rng(5)
     a = random_antisym(6, rng)
