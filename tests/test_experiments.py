@@ -455,6 +455,11 @@ def test_limit_convergence_thin_torus():
     rows = limit_convergence(BlockSpec("su2_2", 4, 6), aklt,
                              [0.4, 0.2, 0.1, 0.05])
     assert rows[-1][1] <= 1e-4
+    # psi0 at N=6 has momentum -1, mg+ momentum +1: eps is exactly 1
+    rows = limit_convergence(BlockSpec("su2_1", 0, 6),
+                             [refstates.mg_combination(6, +1)],
+                             [0.4, 0.2, 0.1])
+    assert [infid for _, infid in rows] == [1.0] * 3
 
 
 @pytest.mark.parametrize("spec, target, R", [
