@@ -1,25 +1,37 @@
 """Spin-chain Hamiltonians and Sz-sector exact diagonalization.
 
 Four periodic chains share one representation: a constant plus a list of
-two-site terms (coupling, i, j, gate) where gate is a d^2 x d^2 matrix acting
-on sites i and j. Heisenberg exchange S_i.S_j and its square (S_i.S_j)^2 both
-conserve total Sz exactly, so operators restrict cleanly to Sz sectors.
-Every operator, full-space or sector, is one sparse CSR matrix filled in
-place with gate entries over configuration ranks: its arrays are allocated
-once, at final size, so a build peaks below 2x the CSR it returns (1.3x
-for j1j2). Every chain also conserves total spin, so the ground energy
-lies in the sector of lowest |Sz|, which holds a member of every
-multiplet: ground_states solves that sector alone, while ground_subspace
-can still merge all of them. The cotangent parent chain carries long-range
-couplings built from w_jk = i cot(pi (z_j - z_k)) at uniform z_j = j/N;
-every w product is minus a product of two real cotangents, so the
-couplings are real by construction and are built from the cotangents
-alone. The gates are built from the real ladder operators of
-hilbert.spin_ladder, so no operator passes through complex arithmetic.
+two-site terms (coupling, i, j, gate) where gate names a d^2 x d^2 matrix
+(S_i.S_j or its square) acting on sites i and j. Both conserve total Sz
+exactly, so operators restrict cleanly to Sz sectors. Every operator,
+full-space or sector, is one sparse CSR matrix over configuration ranks,
+made in two steps. The pattern of a chain shape (N, d, its bonds with
+their gate kinds, and the basis) holds the CSR's int32 indptr and
+indices and a uint8 code per stored entry (uint16 past 255 codes) that
+says which couplings times which gate entries it sums; it is built once,
+in place, and kept read-only in a cache of PATTERN_CACHE_SIZE = 2
+shapes: the Sz sector and the full space of one scan's chain. A build
+then fills only a fresh float64 data array from the spec's couplings and
+wraps it, with the shared indptr and indices, in a fresh CSR and
+LinearOperator. For j1j2 a pattern holds about 0.53x the CSR bytes
+(1.6 MB for a 3.0 MB CSR at N = 14, full space; 140 MB for 268 MB at
+N = 20), of which the indices are shared with every operator; a first
+build peaks at about 1.25x its CSR and a later one at about 0.7x.
+Every chain also conserves total
+spin, so the ground energy lies in the sector of lowest |Sz|, which holds
+a member of every multiplet: ground_states solves that sector alone,
+while ground_subspace can still merge all of them. The cotangent parent
+chain carries long-range couplings built from w_jk = i cot(pi (z_j - z_k))
+at uniform z_j = j/N; every w product is minus a product of two real
+cotangents, so the couplings are real by construction and are built from
+the cotangents alone. The gates are built once per d from the real
+ladder operators of hilbert.spin_ladder, so no operator passes through
+complex arithmetic.
 
-scipy.sparse is imported in _scatter_matrix, at the first operator build,
+scipy.sparse is imported by _Pattern.fill, at the first operator build,
 so importing this module (and the package) loads no scipy module.
 """
+import functools
 import math
 
 import numpy as np
@@ -44,6 +56,17 @@ _KINDS = (HS, J1J2, QBQ, PARENT)
 # 1e308 overflows the operator. At both ends the ground levels up to N = 16
 # match scale 1, in the time of scale 1.
 COUPLING_RANGE = (1e-2, 1e3)
+
+# gate kinds a bond can carry (see _GATES)
+HEISENBERG = "heisenberg"
+BIQUADRATIC = "biquadratic"
+
+# chain shapes whose CSR pattern build keeps: a scan builds its chain on
+# one Sz sector for ED and on the full space for its energies
+PATTERN_CACHE_SIZE = 2
+
+# stored entries a fill gathers per step, through a 32 kB index buffer
+GATHER_CHUNK = 4096
 
 
 class HamiltonianSpec:
@@ -96,17 +119,26 @@ class HamiltonianSpec:
         return f"HamiltonianSpec({self.kind!r}, N={self.N}{extra})"
 
 
+@functools.cache
 def heisenberg_gate(d):
     """Two-site S.S = Sz Sz + (S^+ S^- + S^- S^+)/2 as a d^2 x d^2 real
-    symmetric matrix."""
+    symmetric matrix, built once per d and read-only."""
     sp, sz = spin_ladder(d)
-    return np.kron(sz, sz) + (np.kron(sp, sp.T) + np.kron(sp.T, sp)) / 2
+    gate = np.kron(sz, sz) + (np.kron(sp, sp.T) + np.kron(sp.T, sp)) / 2
+    gate.flags.writeable = False
+    return gate
 
 
+@functools.cache
 def biquadratic_gate(d):
-    """Two-site (S.S)^2."""
+    """Two-site (S.S)^2, built once per d and read-only."""
     g = heisenberg_gate(d)
-    return g @ g
+    gate = g @ g
+    gate.flags.writeable = False
+    return gate
+
+
+_GATES = {HEISENBERG: heisenberg_gate, BIQUADRATIC: biquadratic_gate}
 
 
 def _parent_terms(N, gate):
@@ -135,17 +167,17 @@ def _parent_terms(N, gate):
 
 
 def _terms(spec):
-    """(constant, [(coupling, i, j, gate), ...]) with i < j throughout.
+    """(constant, [(coupling, i, j, gate), ...]) with i < j throughout and
+    each gate named by its kind, a key of _GATES.
 
     Periodic sums are kept literal: a bond reached from two values of the
     site index (N=2 nearest neighbor, N=4 next-nearest) appears twice, and a
     step that wraps onto its own site contributes the constant s(s+1).
     """
     N = spec.N
-    heis = heisenberg_gate(spec.d)
     if spec.kind == HS:
-        pairs = [(1.0 / math.sin(math.pi * (i - j) / N) ** 2, i, j, heis)
-                 for i in range(N) for j in range(i + 1, N)]
+        pairs = [(1.0 / math.sin(math.pi * (i - j) / N) ** 2, i, j,
+                  HEISENBERG) for i in range(N) for j in range(i + 1, N)]
         return 0.0, pairs
     if spec.kind == J1J2:
         const = 0.0
@@ -158,141 +190,231 @@ def _terms(spec):
                 if j == i:
                     const += coupling * 0.75
                 else:
-                    pairs.append((coupling, min(i, j), max(i, j), heis))
+                    pairs.append((coupling, min(i, j), max(i, j), HEISENBERG))
         return const, pairs
     if spec.kind == QBQ:
-        biq = biquadratic_gate(spec.d)
         pairs = []
         for i in range(N):
             j = (i + 1) % N
             a, b = min(i, j), max(i, j)
-            pairs.append((math.cos(spec.theta), a, b, heis))
-            pairs.append((math.sin(spec.theta), a, b, biq))
+            pairs.append((math.cos(spec.theta), a, b, HEISENBERG))
+            pairs.append((math.sin(spec.theta), a, b, BIQUADRATIC))
         return 0.0, pairs
-    return _parent_terms(N, heis)
+    return _parent_terms(N, HEISENBERG)
 
 
-def _gate_moves(gate, d):
-    """(diagonal, n_off, moves) of a two-site gate, its exact zeros left
-    out.
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
-    n_off[c] counts the off-diagonal entries of gate row c. moves[t] is
-    (da, db, value), each indexed by a destination code c: the digit
-    steps from c to the source code of the t-th such entry, by ascending
-    source code, and the entry itself.
+
+@functools.cache
+def _gate_moves(kinds, d):
+    """(n_off, dest, da, db, values) of the bonds on one site pair, whose
+    gates have these kinds, in bond order; every array is read-only.
+
+    An entry is a place off the diagonal where any of the gates is not
+    exactly zero. n_off[c] counts the entries in two-site row c. Entry e
+    lies in row dest[e], (da[e], db[e]) are the digit steps from there to
+    its column, and values[k, e] is gate k at it, 0 where gate k has none.
     """
-    kept = np.array(gate)
-    diagonal = np.diagonal(kept).copy()
-    np.fill_diagonal(kept, 0.0)
-    n_off = np.count_nonzero(kept, axis=1).astype(np.uint8)
-    dest = np.arange(d * d)
-    moves = []
-    for t in range(n_off.max(initial=0)):
-        # rows with fewer entries take code 0, which no row r then reads
-        src = np.array([np.flatnonzero(row)[t] if n > t else 0
-                        for row, n in zip(kept, n_off)])
-        moves.append((src // d - dest // d, src % d - dest % d,
-                      gate[dest, src]))
-    return diagonal, n_off, moves
+    gates = np.array([_GATES[kind](d) for kind in kinds])
+    kept = np.any(gates != 0, axis=0)
+    np.fill_diagonal(kept, False)
+    dest, src = np.nonzero(kept)
+    return _read_only(np.count_nonzero(kept, axis=1).astype(np.uint8), dest,
+                      src // d - dest // d, src % d - dest % d,
+                      gates[:, dest, src])
+
+
+class _Pattern:
+    """Where a chain's matrix stores its entries on one basis, and what
+    each stored entry is made of; every array is read-only.
+
+    indptr and indices are the CSR's: each row in column order, with one
+    entry per column. The bonds on one site pair (repeated bonds at N = 2
+    and N = 4, the two gates of a qbq bond) share their entries. codes[k]
+    says what entry k holds: 0 the diagonal, stored for every row at
+    diag_at; 1 + q the sum over the bonds term_bond[q] of coupling times
+    term_value[q], in bond order, leaving out the terms marked
+    term_absent[q]. The diagonal is summed bond by bond from the codes
+    in site_digits, one uint8 row per site.
+    """
+
+    def __init__(self, N, d, bonds, ranks):
+        ranks = np.asarray(ranks, dtype=np.int64)
+        m = len(ranks)
+        # a basis of all d^N configurations is ranks 0..m-1: no lookup
+        full = m == d ** N
+        weight = d ** np.arange(N - 1, -1, -1, dtype=np.int64)
+        # codes stay below d^2 <= 9, so one byte per site and rank holds them
+        site_digits = np.empty((N, m), dtype=np.uint8)
+        for site, w in enumerate(weight):
+            site_digits[site] = ranks // w % d
+        members = {}
+        for b, (i, j, _) in enumerate(bonds):
+            members.setdefault((i, j), []).append(b)
+        site_pairs = [
+            (i, j, bs, _gate_moves(tuple(bonds[b][2] for b in bs), d))
+            for (i, j), bs in members.items()]
+        base = np.cumsum([1] + [len(moves[1]) for *_, moves in site_pairs])
+        # each row's two-site code per pair, and its entry count: the
+        # diagonal, stored zero or not, and the pairs' entries in that row.
+        # MAX_CONFIGS keeps nnz far below 2^31, where scipy would switch
+        # to int64 indices
+        pair_code = np.empty((len(site_pairs), m), dtype=np.uint8)
+        indptr = np.ones(m + 1, dtype=np.int32)
+        indptr[0] = 0
+        for code, (i, j, _, (n_off, *_)) in zip(pair_code, site_pairs):
+            np.multiply(site_digits[i], d, out=code)
+            code += site_digits[j]
+            indptr[1:] += np.take(n_off, code)
+        np.cumsum(indptr, out=indptr)
+        # an entry's column is its row's plus a shift fixed by its pair and
+        # gate entry (on a sector, the rank of that sum, which grows with
+        # the shift), so writing the entries shift by shift, one slot per
+        # row, lays every row out in column order
+        kinds = [(0, -1, 0, 0)]
+        for p, (i, j, _, (_, dest, da, db, _)) in enumerate(site_pairs):
+            shifts = da * weight[i] + db * weight[j]
+            kinds += [(int(shift), p, int(c), int(base[p]) + e)
+                      for e, (shift, c) in enumerate(zip(shifts, dest))]
+        kinds.sort(key=lambda kind: kind[0])
+        indices = np.empty(indptr[-1], dtype=np.int32)
+        codes = np.empty(indptr[-1], dtype=np.min_scalar_type(base[-1] - 1))
+        slot = indptr[:-1].copy()
+        for shift, p, c, entry in kinds:
+            if p < 0:
+                indices[slot] = np.arange(m)
+                codes[slot] = 0
+                self.diag_at = slot.copy()
+                slot += 1
+                continue
+            rows = (pair_code[p] == c).nonzero()[0]
+            if full:
+                cols = rows + shift
+            else:
+                src = ranks[rows]
+                src += shift
+                cols = ranks.searchsorted(src)
+                if (ranks.take(cols, mode="clip") != src).any():
+                    raise ConsistencyError("a gate entry left the Sz sector")
+            at = slot[rows]
+            indices[at] = cols
+            codes[at] = entry
+            at += 1
+            slot[rows] = at
+        del pair_code, slot
+        self.m, self.d = m, d
+        self.indptr, self.indices, self.codes = indptr, indices, codes
+        width = max((len(bs) for _, _, bs, _ in site_pairs), default=1)
+        self.term_bond = np.zeros((base[-1] - 1, width), dtype=np.intp)
+        self.term_value = np.zeros((base[-1] - 1, width))
+        for start, (_, _, bs, (*_, values)) in zip(base, site_pairs):
+            part = slice(start - 1, start - 1 + values.shape[1])
+            self.term_bond[part, :len(bs)] = bs
+            self.term_value[part, :len(bs)] = values.T
+        self.term_absent = self.term_value == 0
+        self.site_digits = site_digits
+        _read_only(indptr, indices, codes, self.diag_at, site_digits,
+                   self.term_bond, self.term_value, self.term_absent)
+        self.diag_terms = [(i, j, np.diagonal(_GATES[kind](d)))
+                           for i, j, kind in bonds]
+
+    def fill(self, const, couplings):
+        """The CSR of the chain with these couplings (one per bond, in bond
+        order) and this constant: a fresh data array around the shared
+        read-only indptr and indices."""
+        import scipy.sparse
+
+        couplings = np.array(couplings, dtype=float)
+        diag = np.full(self.m, float(const))
+        for coupling, (i, j, gdiag) in zip(couplings, self.diag_terms):
+            code = self.site_digits[i] * self.d
+            code += self.site_digits[j]
+            diag += np.take(coupling * gdiag, code)
+        # -0.0 stands for a term left out: it leaves any sum as it is
+        terms = couplings[self.term_bond] * self.term_value
+        terms[self.term_absent] = -0.0
+        table = np.empty(len(terms) + 1)
+        table[1:] = terms[:, 0]
+        for column in terms.T[1:]:
+            table[1:] += column
+        # gathered through a small intp buffer: numpy would cast the uint8
+        # codes through a larger one, or all at once for take
+        data = np.empty(len(self.codes))
+        index = np.empty(min(GATHER_CHUNK, len(data)), dtype=np.intp)
+        for start in range(0, len(data), GATHER_CHUNK):
+            codes = self.codes[start:start + GATHER_CHUNK]
+            at = index[:len(codes)]
+            at[...] = codes
+            # mode="raise" would buffer the output as well; no code passes
+            # the table's end
+            np.take(table, at, out=data[start:start + GATHER_CHUNK],
+                    mode="clip")
+        index = at = None
+        data[self.diag_at] = diag
+        mat = scipy.sparse.csr_matrix((data, self.indices, self.indptr),
+                                      shape=(self.m, self.m))
+        mat.has_canonical_format = True
+        return mat
 
 
 def _scatter_matrix(N, d, const, pairs, ranks):
-    """Hamiltonian matrix on the basis {ranks} as a sparse CSR, filled in
-    place.
+    """Hamiltonian matrix on the basis {ranks} as a sparse CSR: the
+    _Pattern of its bonds on that basis, filled with its couplings, with
+    no cache in between.
 
-    Each bond's two-site code digits[i] * d + digits[j] is taken from one
-    row of small-int digits per site. A first pass gathers the diagonal
-    and each row's entry count: row r receives one entry per kept
-    off-diagonal gate entry in gate row code[r]. The int32 indptr and
-    indices and the float64 data are then allocated once, at final size.
-    Each row holds its diagonal entry first, zero or not, then its
-    off-diagonal entries bond by bond, by ascending source code: the order
-    a COO scatter of the same entries would give. Each gate conserves
-    two-site Sz, so a closed basis holds every source config, and a
-    rank-lookup miss means the basis is not closed. scipy's
-    sum_duplicates sorts each row and merges bonds that repeat (N = 2
-    nearest, N = 4 next-nearest neighbors), as a COO conversion does, so
-    every array keeps the bytes of coo.tocsr(). The peak is the returned
-    CSR plus about 60 bytes per row (115 for the spin-1 qbq gates): the
-    digits, the diagonal or the fill pointers, and one bond's index arrays
-    (j1j2 at N = 14: 3.8 MB traced for a 3.0 MB CSR).
+    The pattern is built in place. A first pass takes each bond's
+    two-site code digits[i] * d + digits[j] from one uint8 row of digits
+    per site and counts each row's entries: its diagonal, stored zero or
+    not, and the entries of its code's gate row, the bonds on one site
+    pair sharing theirs. The int32 indptr and indices and the uint8
+    (uint16 past 255) codes are then allocated once, at final size, and
+    written one (pair, gate entry) at a time, by ascending column shift,
+    so every row comes out in column order with no sort. Each gate
+    conserves two-site Sz, so a closed basis holds every source config,
+    and a rank-lookup miss means the basis is not closed. The fill
+    gathers one float64 data array from a small table of coupling times
+    gate entry, summed over the bonds of a pair in bond order, and writes
+    the diagonal, summed bond by bond. Those are the orders in which
+    coo.tocsr() summed them: two terms sum the same either way, and more
+    meet only at N = 2 (four for qbq), where rows are short enough for
+    scipy's row sort to keep their order. So every array keeps the bytes
+    of that COO scatter.
     """
-    import scipy.sparse
+    bonds = tuple((i, j, gate) for _, i, j, gate in pairs)
+    return _Pattern(N, d, bonds, ranks).fill(const, [c for c, *_ in pairs])
 
-    ranks = np.asarray(ranks, dtype=np.int64)
-    m = len(ranks)
-    # a basis of all d^N configurations is ranks 0..m-1: no lookup needed
-    full = m == d ** N
-    weight = d ** np.arange(N - 1, -1, -1, dtype=np.int64)
-    # codes stay below d^2 <= 9, so one byte per site and rank holds them
-    site_digits = [(ranks // w % d).astype(np.uint8) for w in weight]
 
-    def bond_code(i, j):
-        # an intp index gathers about 3x faster than a uint8 one
-        return (site_digits[i] * d + site_digits[j]).astype(np.intp)
-
-    gates = {}
-    diag = np.full(m, float(const))
-    # row counts, turned into row starts in place; MAX_CONFIGS keeps nnz
-    # far below 2^31, where scipy would switch to int64 indices
-    indptr = np.ones(m + 1, dtype=np.int32)
-    indptr[0] = 0
-    for coupling, i, j, gate in pairs:
-        if id(gate) not in gates:
-            gates[id(gate)] = _gate_moves(gate, d)
-        gdiag, n_off, _ = gates[id(gate)]
-        code = bond_code(i, j)
-        diag += coupling * gdiag[code]
-        indptr[1:] += n_off[code]
-    np.cumsum(indptr, out=indptr)
-    indices = np.empty(indptr[-1], dtype=np.int32)
-    data = np.empty(indptr[-1])
-    data[indptr[:-1]] = diag
-    indices[indptr[:-1]] = np.arange(m)
-    del diag
-    slot = indptr[:-1] + 1
-    for coupling, i, j, gate in pairs:
-        _, n_off, moves = gates[id(gate)]
-        code = bond_code(i, j)
-        n_row = n_off[code]
-        for t, (da, db, value) in enumerate(moves):
-            rows = np.flatnonzero(n_row > t)
-            rc = code[rows]
-            shift = (da * weight[i] + db * weight[j])[rc]
-            if full:
-                cols = np.add(shift, rows, out=shift)
-            else:
-                src = ranks[rows] + shift
-                cols = np.searchsorted(ranks, src)
-                if np.any(ranks.take(cols, mode="clip") != src):
-                    raise ConsistencyError("a gate entry left the Sz sector")
-            at = slot[rows]
-            at += t
-            indices[at] = cols
-            data[at] = (coupling * value)[rc]
-        slot += n_row
-    mat = scipy.sparse.csr_matrix((data, indices, indptr), shape=(m, m))
-    mat.sum_duplicates()
-    return mat
+@functools.lru_cache(maxsize=PATTERN_CACHE_SIZE)
+def _pattern(N, d, bonds, sector):
+    """The _Pattern of one chain shape: N, d, the bonds (i, j, gate kind)
+    and the basis, the full space (sector None) or one SectorIndex."""
+    ranks = np.arange(d ** N) if sector is None else sector.ranks
+    return _Pattern(N, d, bonds, ranks)
 
 
 def build(spec, sector=None):
     """Hermitian LinearOperator for the chain, on the full d^N space or,
     given a SectorIndex, restricted to that total-Sz sector.
 
-    The operator is always one sparse CSR matrix scattered over the basis
-    ranks; only eig_smallest densifies it (up to DENSE_DIM_MAX).
+    The operator is always one sparse CSR matrix over the basis ranks,
+    filled with the spec's couplings on the cached pattern of its shape;
+    only eig_smallest densifies it (up to DENSE_DIM_MAX). Every call
+    returns a fresh operator and a fresh data array.
     """
     N, d = spec.N, spec.d
     if sector is None:
-        ranks = np.arange(check_size(N, d))
+        check_size(N, d)
     elif (sector.N, sector.d) != (N, d):
         raise InputError(
             f"sector ({sector.N},{sector.d}) does not match spec ({N},{d})")
-    else:
-        ranks = sector.ranks
     const, pairs = _terms(spec)
-    return LinearOperator(_scatter_matrix(N, d, const, pairs, ranks))
+    bonds = tuple((i, j, gate) for _, i, j, gate in pairs)
+    pattern = _pattern(N, d, bonds, sector)
+    return LinearOperator(pattern.fill(const, [c for c, *_ in pairs]))
 
 
 def eigenstate_residual(h, v, energy):

@@ -364,6 +364,28 @@ def fidelity_per_site(a, b):
     return fidelity_per_site_subspace(a, [b])
 
 
+def _state_list(basis):
+    """basis as a list of StateVector; anything else, a lone StateVector
+    included, is an InputError that asks for one."""
+    items = None
+    if not isinstance(basis, StateVector):
+        try:
+            items = list(basis)
+        except TypeError:
+            pass
+    if items is not None and all(isinstance(b, StateVector) for b in items):
+        return items
+    if isinstance(basis, StateVector):
+        got = "one StateVector; pass [state]"
+    elif items is None:
+        got = type(basis).__name__
+    else:
+        got = "a list holding " + ", ".join(sorted(
+            {type(b).__name__ for b in items
+             if not isinstance(b, StateVector)}))
+    raise InputError(f"a target subspace is a list of StateVector, got {got}")
+
+
 class Subspace:
     """Orthonormal basis of span(basis), built once for any number of
     fidelities against it.
@@ -378,7 +400,7 @@ class Subspace:
     """
 
     def __init__(self, basis):
-        basis = list(basis)
+        basis = _state_list(basis)
         if not basis:
             raise InputError("empty target subspace")
         for b in basis[1:]:

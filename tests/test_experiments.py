@@ -505,6 +505,11 @@ def test_limit_convergence_rejects_bad_schedules():
         limit_convergence(spec, target, [0.4, 0.1, 0.2])
     with pytest.raises(InputError):
         limit_convergence(spec, target, [0.4, 0.1])
+    # the target is a list of states, even when it holds one
+    with pytest.raises(InputError, match="list of StateVector, got one"):
+        limit_convergence(spec, target[0], [0.4, 0.2, 0.1])
+    with pytest.raises(InputError, match="list of StateVector, got a list"):
+        limit_convergence(spec, [target[0].amplitudes], [0.4, 0.2, 0.1])
     # walking away from the thin-torus limit raises the monotonicity check
     with pytest.raises(ConsistencyError):
         limit_convergence(spec, [refstates.mg_combination(6, +1),

@@ -89,11 +89,12 @@ def test_scipy_loads_only_where_it_runs(tmp_path):
 CACHE_PROBE = """
 import json
 import idmps, idmps.cli
-from idmps import blocks, hilbert, special
+from idmps import blocks, hamiltonians, hilbert, special
 print(json.dumps({
     "blocks._orbit_table": blocks._orbit_table.cache_info().currsize,
     "blocks._all_flavor_rows": blocks._all_flavor_rows.cache_info().currsize,
     "blocks._sz0_orbit_table": blocks._sz0_orbit_table.cache_info().currsize,
+    "hamiltonians._pattern": hamiltonians._pattern.cache_info().currsize,
     "hilbert._listed_sector": hilbert._listed_sector.cache_info().currsize,
     "special._thetas_at_zero": special._thetas_at_zero.cache_info().currsize,
 }))
@@ -116,7 +117,7 @@ def test_import_fills_no_cache():
     # importing the package and its CLI does no per-size or per-tau work:
     # every such cache fills only when a command runs
     sizes = json.loads(_fresh_python(CACHE_PROBE))
-    assert sizes == dict.fromkeys(sizes, 0) and len(sizes) == 5
+    assert sizes == dict.fromkeys(sizes, 0) and len(sizes) == 6
 
 
 def _third_party_imports(directory):

@@ -170,6 +170,18 @@ def test_heisenberg_gate_spin_half_literal():
     assert np.abs(g - ref).max() < 1e-15
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_gates_are_built_once_and_read_only(d):
+    for gate in (heisenberg_gate, biquadratic_gate):
+        assert gate(d) is gate(d)
+        with pytest.raises(ValueError):
+            gate(d)[0, 0] = 1.0
+    # the gates of a site pair are tabulated once per kind list
+    kinds = (hamiltonians.HEISENBERG, hamiltonians.BIQUADRATIC)
+    assert hamiltonians._gate_moves(kinds, d) is \
+        hamiltonians._gate_moves(kinds, d)
+
+
 def test_biquadratic_gate_eigenvalues():
     # (S.S)^2 on two spin-1 sites: S.S in {-2, -1, 1} so squares are {4, 1}
     vals = np.linalg.eigvalsh(biquadratic_gate(3))
@@ -417,8 +429,8 @@ def _masked_scatter(spec, ranks):
     site_digits = digits(ranks, N, d)
     weight = d ** np.arange(N - 1, -1, -1)
     rows, cols, vals = [np.arange(m)], [np.arange(m)], [np.full(m, const)]
-    for coupling, i, j, gate in pairs:
-        g4 = gate.reshape(d, d, d, d)
+    for coupling, i, j, kind in pairs:
+        g4 = hamiltonians._GATES[kind](d).reshape(d, d, d, d)
         for a2, b2, a, b in np.argwhere(g4 != 0):
             sel = np.nonzero((site_digits[:, i] == a)
                              & (site_digits[:, j] == b))[0]
@@ -467,7 +479,8 @@ def _coo_scatter(N, d, const, pairs, ranks):
     weight = d ** np.arange(N - 1, -1, -1, dtype=np.int64)
     diag = np.full(m, float(const))
     rows, cols, vals = [], [], []
-    for coupling, i, j, gate in pairs:
+    for coupling, i, j, kind in pairs:
+        gate = hamiltonians._GATES[kind](d)
         code = site_digits[i] * d + site_digits[j]
         diag += coupling * np.diagonal(gate)[code]
         for dest_code, src_code in np.argwhere(gate != 0):
@@ -506,9 +519,127 @@ def test_in_place_fill_keeps_the_coo_bytes(spec):
             assert a.tobytes() == b.tobytes()
 
 
+def _shape(spec):
+    _, pairs = hamiltonians._terms(spec)
+    return tuple((i, j, gate) for _, i, j, gate in pairs)
+
+
+def _assert_coo_bytes(spec, sector, mat):
+    const, pairs = hamiltonians._terms(spec)
+    ranks = (np.arange(spec.d ** spec.N) if sector is None
+             else sector.ranks)
+    ref = _coo_scatter(spec.N, spec.d, const, pairs, ranks)
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(mat, name), getattr(ref, name)
+        assert a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+
+
+# pairs of specs of one chain shape: the second build fills the pattern the
+# first one left in the cache
+CACHE_HIT_CASES = (
+    [(HamiltonianSpec("j1j2", N, J1=0.7, J2=-0.45),
+      HamiltonianSpec("j1j2", N, J1=-0.9, J2=0.3)) for N in (2, 3, 4, 5, 9)]
+    + [(HamiltonianSpec("j1j2", 6, J1=0.0, J2=0.4),
+        HamiltonianSpec("j1j2", 6, J1=0.0, J2=-1.0)),
+       (HamiltonianSpec("j1j2", 7, J2=0.0),
+        HamiltonianSpec("j1j2", 7, J1=-0.6, J2=0.0))]
+    + [(HamiltonianSpec("qbq", N, theta=0.3),
+        HamiltonianSpec("qbq", N, theta=theta))
+       for N in (2, 3, 4, 5) for theta in (0.0, -0.0)]
+    # N = 2 sums four terms per entry, where their order shows in the bits
+    + [(HamiltonianSpec("qbq", 2, theta=0.3),
+        HamiltonianSpec("qbq", 2, theta=theta)) for theta in (-2.7, -2.0)]
+    + [(HamiltonianSpec(kind, N), HamiltonianSpec(kind, N))
+       for kind in ("hs", "parent") for N in (2, 5, 8)])
+
+
+@pytest.mark.parametrize("first,second", CACHE_HIT_CASES, ids=repr)
+def test_cache_hit_fill_keeps_the_coo_bytes(first, second):
+    # every basis, the full space and each Sz sector (+Sz and -Sz alike),
+    # is filled from the pattern the first spec left
+    assert _shape(first) == _shape(second)
+    for sector in [None] + _sectors(first):
+        hamiltonians._pattern.cache_clear()
+        build(first, sector)
+        got = build(second, sector).matrix
+        info = hamiltonians._pattern.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        _assert_coo_bytes(second, sector, got)
+
+
+def test_cache_hit_keeps_signed_zeros():
+    # at theta = +-0 the biquadratic terms are zeros of that sign: alone
+    # in an entry (the spin-flip pair, and the diagonal of a zero exchange
+    # sum) such a zero is stored as is, beside an exchange term it leaves
+    # that term's bits
+    hamiltonians._pattern.cache_clear()
+    build(HamiltonianSpec("qbq", 4, theta=0.3))
+    for theta in (0.0, -0.0):
+        spec = HamiltonianSpec("qbq", 4, theta=theta)
+        data = build(spec).matrix.data
+        negative = np.signbit(data[data == 0])
+        assert negative.size and negative.any() == np.signbit(theta)
+        _assert_coo_bytes(spec, None, build(spec).matrix)
+    assert hamiltonians._pattern.cache_info().misses == 1
+
+
+def test_a_dropped_coupling_is_its_own_shape():
+    # j1j2 leaves out the bonds of a zero coupling, so J2 = 0 misses the
+    # pattern of J2 != 0, and the fill of J2 = 0 matches its own scatter
+    hamiltonians._pattern.cache_clear()
+    build(HamiltonianSpec("j1j2", 8, J2=0.3))
+    for spec in (HamiltonianSpec("j1j2", 8, J2=0.0),
+                 HamiltonianSpec("j1j2", 8, J1=0.0, J2=0.3)):
+        misses = hamiltonians._pattern.cache_info().misses
+        got = build(spec).matrix
+        assert hamiltonians._pattern.cache_info().misses == misses + 1
+        _assert_coo_bytes(spec, None, got)
+
+
+def test_the_pattern_cache_keeps_one_chain_shape():
+    # one Sz sector and the full space of one chain, as a scan builds them
+    assert hamiltonians.PATTERN_CACHE_SIZE == 2
+    hamiltonians._pattern.cache_clear()
+    sector = enumerate_sector(10, 2, 0.0)
+    for J2 in (0.1, 0.2, 0.3):
+        build(HamiltonianSpec("j1j2", 10, J2=J2), sector)
+        build(HamiltonianSpec("j1j2", 10, J2=J2))
+    info = hamiltonians._pattern.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (4, 2, 2)
+
+
+def test_operators_share_a_read_only_pattern():
+    # each build returns a fresh operator and data array around one
+    # read-only indptr and indices: writing into those raises, and
+    # writing into one operator's data leaves the next build as it was
+    spec = HamiltonianSpec("j1j2", 8, J1=-0.8, J2=0.35)
+    hamiltonians._pattern.cache_clear()
+    a = build(HamiltonianSpec("j1j2", 8, J2=0.2))
+    b = build(spec)
+    assert a is not b and a.matrix is not b.matrix
+    assert not np.shares_memory(a.matrix.data, b.matrix.data)
+    assert b.matrix.data.flags.writeable
+    for name in ("indices", "indptr"):
+        arr = getattr(b.matrix, name)
+        assert np.shares_memory(arr, getattr(a.matrix, name))
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    b.matrix.data[:] = 7.0
+    _assert_coo_bytes(spec, None, build(spec).matrix)
+
+
+def test_an_empty_sector_builds_the_empty_operator():
+    # N = 5 spin-1/2 sites have no Sz = 0 configuration
+    sector = enumerate_sector(5, 2, 0.0)
+    for J2 in (0.3, 0.4):
+        h = build(HamiltonianSpec("j1j2", 5, J2=J2), sector)
+        assert h.matrix.shape == (0, 0) and h.apply(np.zeros(0)).size == 0
+
+
 def test_scatter_refuses_a_basis_the_gates_leave():
     # the exchange takes up-down to down-up, which this basis leaves out
-    pairs = [(1.0, 0, 1, heisenberg_gate(2))]
+    pairs = [(1.0, 0, 1, hamiltonians.HEISENBERG)]
     with pytest.raises(ConsistencyError, match="left the Sz sector"):
         _scatter_matrix(2, 2, 0.0, pairs, np.array([1]))
 
@@ -530,6 +661,51 @@ def test_build_peaks_near_the_operator_it_returns():
     h, peak = _traced_peak(build, spec)
     m = h.matrix
     assert peak <= 1.5 * (m.data.nbytes + m.indices.nbytes + m.indptr.nbytes)
+
+
+def _csr_bytes(m):
+    return m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+
+
+def test_first_build_peaks_near_the_operator_it_returns():
+    # with the pattern built in the same call: codes of one byte, columns
+    # written in row order, no sort and no triplets
+    spec = HamiltonianSpec("j1j2", 12, J2=0.3)
+    build(HamiltonianSpec("j1j2", 4, J2=0.3))
+    hamiltonians._pattern.cache_clear()
+    h, peak = _traced_peak(build, spec)
+    assert hamiltonians._pattern.cache_info().misses == 1
+    assert peak <= 1.5 * _csr_bytes(h.matrix)
+
+
+@pytest.mark.parametrize("sz", [None, 0.0])
+def test_later_builds_allocate_little_beyond_their_data(sz):
+    # a cache hit allocates the data array, the diagonal and a 32 kB index
+    # buffer: 0.73x (full space) and 0.75x (Sz = 0) of the CSR at N = 14
+    sector = None if sz is None else enumerate_sector(14, 2, sz)
+    hamiltonians._pattern.cache_clear()
+    build(HamiltonianSpec("j1j2", 14, J2=0.3), sector)
+    h, peak = _traced_peak(build, HamiltonianSpec("j1j2", 14, J2=0.45),
+                           sector)
+    assert hamiltonians._pattern.cache_info().hits == 1
+    assert peak <= 0.8 * _csr_bytes(h.matrix)
+
+
+@pytest.mark.parametrize("spec", [HamiltonianSpec("j1j2", 12, J2=0.3),
+                                  HamiltonianSpec("qbq", 8, theta=0.3),
+                                  HamiltonianSpec("hs", 10)], ids=repr)
+def test_the_cached_pattern_holds_little_beyond_the_shared_indices(spec):
+    # indptr and indices (shared with every operator), one code byte per
+    # entry, the diagonal's slots and one digit byte per site and row
+    build(HamiltonianSpec("j1j2", 4, J2=0.3))
+    hamiltonians._pattern.cache_clear()
+    tracemalloc.start()
+    try:
+        h = build(spec)
+        held = tracemalloc.get_traced_memory()[0] - h.matrix.data.nbytes
+    finally:
+        tracemalloc.stop()
+    assert held <= 0.6 * _csr_bytes(h.matrix)
 
 
 def test_real_operator_applies_to_a_complex_vector_without_a_copy():
@@ -604,8 +780,8 @@ def test_real_parts_alone_take_one_product_with_the_split_bits(spec, ham):
 def test_gates_hold_no_entry_near_zero(spec):
     # _gate_moves keeps every nonzero entry: none of a built gate lies in
     # (0, 1e-10], where a cut between roundoff and entries would go
-    for _, _, _, gate in hamiltonians._terms(spec)[1]:
-        mags = np.abs(gate)
+    for _, _, _, kind in hamiltonians._terms(spec)[1]:
+        mags = np.abs(hamiltonians._GATES[kind](spec.d))
         assert not np.any((mags > 0) & (mags <= 1e-10))
 
 

@@ -455,6 +455,27 @@ def test_subspace_validation():
     assert space.qh.flags.c_contiguous and space.qh.dtype == complex
 
 
+def test_subspace_asks_for_a_list_of_states():
+    # a lone StateVector is not iterable, and a list of other things has
+    # no amplitudes: both are InputErrors, not a TypeError or an
+    # AttributeError from inside the QR
+    a = random_state(2, 2)
+    cases = [(a, "one StateVector; pass \\[state\\]"), (3, "int"),
+             ([1.0, a], "a list holding float"),
+             (np.ones(4), "a list holding float64"),
+             ([a, "a"], "a list holding str")]
+    for basis, got in cases:
+        for call in (lambda: Subspace(basis),
+                     lambda: fidelity_per_site_subspace(a, basis)):
+            with pytest.raises(InputError,
+                               match="a target subspace is a list of "
+                                     f"StateVector, got {got}"):
+                call()
+    # any iterable of states still spans a subspace
+    assert Subspace(iter([a])).qh.shape == (1, 4)
+    assert Subspace((a,)).qh.shape == (1, 4)
+
+
 def test_subspace_of_zero_states_names_the_rank_cut():
     zero = StateVector(2, 2, np.zeros(4))
     a = random_state(2, 2)
