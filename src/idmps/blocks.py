@@ -51,7 +51,7 @@ import numpy as np
 
 from .errors import ConsistencyError, InputError, NumericalError
 from .hilbert import LABELS, StateVector, all_configs, check_sites, \
-    check_size, enumerate_sector, norm
+    check_size, digits, enumerate_sector, norm
 from .logcomplex import LogComplex
 from .numerics import pfaffian_log
 from .special import ModularParam, prime_form_log, theta_char_log, \
@@ -265,7 +265,7 @@ def _sz0_orbit_table(N):
     a g = T^k or T^k P that takes row i to its representative. The class
     is a homomorphism onto Z2 x Z2, so every one-dimensional character of
     D_N is one sign per class (_characters)."""
-    members = enumerate_sector(N, 2, 0.0).configs() > 0
+    members = digits(enumerate_sector(N, 2, 0.0).ranks, N, 2) == 0
     cls = np.zeros(len(members), np.int8)
     for rep, _, lower, (_, reflects, k) in _orbit_walk(members):
         cls[lower] = k % 2 + 2 * reflects

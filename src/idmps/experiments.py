@@ -25,7 +25,7 @@ from . import blocks, hamiltonians, refstates
 from .errors import ConsistencyError, Error, InputError
 from .hilbert import (Subspace, apply_site_unitary, enumerate_sector,
                       fidelity_per_site_subspace, inner, norm, raise_total,
-                      total_spin_quantum, translate)
+                      rank_config, total_spin_quantum, translate)
 from .numerics import minimize_scalar, pfaffian
 from .special import ModularParam, modular_residual
 
@@ -399,7 +399,7 @@ def _su2_1_row_residual(spec, R, lam):
     the character of its dihedral orbit, so its states are eigenstates by
     construction; this measures the amplitudes themselves, in log form
     (blocks._su2_1_logs), since they overflow doubles at small R."""
-    rows = enumerate_sector(spec.N, 2, 0.0).configs()
+    rows = rank_config(enumerate_sector(spec.N, 2, 0.0).ranks, spec.N, 2)
     geom = ModularParam(R)
     logs, sign = blocks._su2_1_logs(spec, geom, rows)
     tlogs, tsign = blocks._su2_1_logs(spec, geom, np.roll(rows, 1, axis=1))

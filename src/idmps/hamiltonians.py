@@ -38,8 +38,8 @@ import numpy as np
 
 from . import blocks
 from .errors import ConsistencyError, InputError
-from .hilbert import (StateVector, check_sites, check_size, embed_sector,
-                      enumerate_sector, norm, spin_ladder)
+from .hilbert import (StateVector, check_sites, check_size, digits,
+                      embed_sector, enumerate_sector, norm, spin_ladder)
 from .numerics import DEGENERACY_TOL, LinearOperator, eig_smallest
 
 HS = "hs"
@@ -249,9 +249,7 @@ class _Pattern:
         full = m == d ** N
         weight = d ** np.arange(N - 1, -1, -1, dtype=np.int64)
         # codes stay below d^2 <= 9, so one byte per site and rank holds them
-        site_digits = np.empty((N, m), dtype=np.uint8)
-        for site, w in enumerate(weight):
-            site_digits[site] = ranks // w % d
+        site_digits = digits(ranks, N, d).T
         members = {}
         for b, (i, j, _) in enumerate(bonds):
             members.setdefault((i, j), []).append(b)

@@ -33,8 +33,7 @@ LABELS = {2: (1, -1), 3: (1, 0, -1)}
 # spin carried by each digit
 SPINS = {2: (0.5, -0.5), 3: (1.0, 0.0, -1.0)}
 # largest configuration count d^N a table or state vector may span; only
-# all_configs and SectorIndex.configs() hold N labels per rank, 8 N bytes
-# each (168 MB for all_configs at N=20, d=2)
+# all_configs holds N labels per rank, 8 N bytes each (168 MB at N=20, d=2)
 MAX_CONFIGS = 2 ** 20
 # a basis vector whose QR diagonal is below this share of the largest adds
 # no direction to a target subspace
@@ -103,9 +102,15 @@ def check_size(N, d):
 
 def digits(ranks, N, d):
     """Base-d digits of a rank or an array of ranks, site 1 (the most
-    significant digit) first: shape ranks.shape + (N,)."""
+    significant digit) first: shape ranks.shape + (N,), as uint8. The
+    package's one decoder of ranks: it writes one site at a time into an
+    (N,) + ranks.shape table and returns it with the site axis last, so
+    the .T of a 1-D ranks' digits is that C-contiguous table."""
     r = np.asarray(ranks, dtype=np.int64)
-    return (r[..., None] // d ** np.arange(N - 1, -1, -1)) % d
+    out = np.empty((N,) + r.shape, dtype=np.uint8)
+    for site in range(N):
+        out[site] = r // d ** (N - 1 - site) % d
+    return np.moveaxis(out, 0, -1)
 
 
 def rank_config(rank, N, d):
@@ -135,9 +140,12 @@ def total_sz_table(N, d):
 class SectorIndex:
     """Configuration ranks in one total-Sz sector, ascending.
 
-    Listed sectors are shared by every caller, so the ranks and the configs
-    (computed on first use) are write-protected.
+    Listed sectors are shared by every caller, so the ranks are
+    write-protected; a caller that wants labels decodes them with
+    rank_config(sector.ranks, N, d).
     """
+
+    __slots__ = ("N", "d", "Sz", "ranks")
 
     def __init__(self, N, d, Sz, ranks):
         self.N = int(N)
@@ -145,17 +153,10 @@ class SectorIndex:
         self.Sz = float(Sz)
         self.ranks = np.array(ranks, dtype=np.int64)
         self.ranks.flags.writeable = False
-        self._configs = None
 
     @property
     def size(self):
         return len(self.ranks)
-
-    def configs(self):
-        if self._configs is None:
-            self._configs = rank_config(self.ranks, self.N, self.d)
-            self._configs.flags.writeable = False
-        return self._configs
 
     def __repr__(self):
         return (f"SectorIndex(N={self.N}, d={self.d}, Sz={self.Sz}, "

@@ -14,8 +14,8 @@ from idmps.blocks import (BlockSpec, amplitude, build_record, build_state,
 from idmps.errors import ConsistencyError, InputError, NumericalError
 from idmps.hilbert import (StateVector, all_configs, apply_site_unitary,
                            enumerate_sector, fidelity_per_site,
-                           fidelity_per_site_subspace, total_spin_quantum,
-                           total_sz_table, translate)
+                           fidelity_per_site_subspace, rank_config,
+                           total_spin_quantum, total_sz_table, translate)
 from idmps.logcomplex import LogComplex
 from idmps.numerics import pfaffian
 from idmps.refstates import U_CIRC_TO_SPIN, spin1_dimer_combinations
@@ -283,7 +283,7 @@ def _einsum_su2_1(spec, geom):
     or None where all vanish."""
     N = spec.N
     sector = enumerate_sector(N, 2, 0.0)
-    labels = sector.configs()
+    labels = rank_config(sector.ranks, N, 2)
     s = labels.astype(float)
     table = blocks._kernel_table(spec, geom)
     logs = 0.25 * (table.sum() + np.einsum("mi,ij,mj->m", s, table, s))
@@ -357,7 +357,7 @@ def test_su2_1_blocks_are_dihedral_eigenstates(label):
 def test_sz0_orbits_match_rolled_rows(N):
     # every row against its 2N images T^k s and T^k P s by np.roll
     reps, orbit, cls = blocks._sz0_orbit_table(N)
-    rows = enumerate_sector(N, 2, 0.0).configs()
+    rows = rank_config(enumerate_sector(N, 2, 0.0).ranks, N, 2)
     weights = 1 << np.arange(N)
     assert len(orbit) == len(rows) and orbit.max() == len(reps) - 1
     for row, o, c in zip(rows, orbit, cls):
@@ -398,11 +398,27 @@ def test_stabilizer_zeros_are_fold_zeros():
     assert killed_any
 
 
+def test_sz0_orbit_table_holds_no_label_table():
+    # with its sector listed, the table holds its representatives, orbit
+    # and class per row: 0.6 MB at N = 18, where the former cached label
+    # table of the sector alone took 7 MB
+    N = 18
+    blocks._sz0_orbit_table.cache_clear()
+    enumerate_sector(N, 2, 0.0)
+    tracemalloc.start()
+    try:
+        blocks._sz0_orbit_table(N)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 2 ** 20
+
+
 def test_su2_1_cylinder_amplitude_exact_zero():
     # n/N = +-1/2 mod 1 with n = sum_j s_j j zeroes cos(pi n/N) exactly
     spec = BlockSpec("su2_1", 0.5, 6)
     sector = enumerate_sector(6, 2, 0.0)
-    zeros = [c for c in sector.configs()
+    zeros = [c for c in rank_config(sector.ranks, 6, 2)
              if (2 * int(c @ np.arange(1, 7)) + 6) % 12 == 0]
     assert [1, -1, 1, -1, 1, -1] in [list(c) for c in zeros]
     cyl = build_state(spec, None)
@@ -896,7 +912,7 @@ def test_cylinder_su2_1_k0_is_pair_product():
     z = insertion_points(4)
     sector = enumerate_sector(4, 2, 0.0)
     raw = np.zeros(16, dtype=complex)
-    for r, labels in zip(sector.ranks, sector.configs()):
+    for r, labels in zip(sector.ranks, rank_config(sector.ranks, 4, 2)):
         amp = complex(marshall_sign(labels))
         for i in range(4):
             for j in range(i + 1, 4):

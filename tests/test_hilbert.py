@@ -2,6 +2,7 @@
 import math
 import struct
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -81,7 +82,34 @@ def test_all_configs_rows_are_ranks():
         cfgs = all_configs(N, d)
         assert [config_rank(c, d) for c in cfgs] == list(range(d ** N))
         sec = enumerate_sector(N, d, 0)
-        assert np.array_equal(sec.configs(), cfgs[sec.ranks])
+        assert np.array_equal(rank_config(sec.ranks, N, d), cfgs[sec.ranks])
+
+
+def test_digits_are_one_uint8_row_per_site():
+    # the (N, rows) table is written site by site; digits hands back its
+    # transpose, so ranks.shape + (N,) holds and .T is the table itself
+    for N, d in ((1, 2), (5, 2), (4, 3), (20, 2), (12, 3)):
+        ranks = np.unique(np.r_[0, d ** N - 1, np.arange(0, d ** N, 997)])
+        got = hilbert.digits(ranks, N, d)
+        want = ranks[:, None] // d ** np.arange(N - 1, -1, -1) % d
+        assert got.dtype == np.uint8 and got.shape == (len(ranks), N)
+        assert np.array_equal(got, want)
+        assert got.T.flags.c_contiguous
+    assert hilbert.digits(5, 3, 2).tolist() == [1, 0, 1]
+    assert hilbert.digits(np.arange(6).reshape(2, 3), 3, 2).shape == (2, 3, 3)
+
+
+def test_digits_hold_no_int64_table():
+    # N uint8 digits per rank and two int64 temporaries of one site's
+    # digits; the former form made two int64 tables of N per rank
+    N, ranks = 16, np.arange(2 ** 16)
+    tracemalloc.start()
+    try:
+        hilbert.digits(ranks, N, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (N + 24) * len(ranks)
 
 
 def test_bad_labels_and_dims():
@@ -99,7 +127,7 @@ def test_sector_counts():
     assert enumerate_sector(4, 2, 0).size == 6
     sec = enumerate_sector(2, 3, 2)
     assert sec.size == 1
-    assert list(sec.configs()[0]) == [1, 1]
+    assert list(rank_config(sec.ranks[0], 2, 3)) == [1, 1]
     assert enumerate_sector(2, 2, 2).size == 0
 
 
@@ -141,14 +169,13 @@ def test_listed_sectors_match_a_filter_of_all_configs():
                 sec = enumerate_sector(N, d, Sz)
                 ranks = np.nonzero(totals == Sz)[0]
                 assert np.array_equal(sec.ranks, ranks)
-                assert np.array_equal(sec.configs(), cfgs[ranks])
+                assert np.array_equal(rank_config(ranks, N, d), cfgs[ranks])
 
 
 def test_equal_sector_keys_share_one_listing():
     sec = enumerate_sector(6, 2, 0.0)
     for key in ((6, 2, 0), (6, 2, np.float64(0)), (np.int64(6), 2.0, -0.0)):
         assert enumerate_sector(*key) is sec
-    assert sec.configs() is sec.configs()
     assert enumerate_sector(6, 2, 1.0) is not sec
 
 
@@ -156,8 +183,14 @@ def test_listed_sectors_are_read_only():
     sec = enumerate_sector(4, 3, 0.0)
     with pytest.raises(ValueError):
         sec.ranks[0] = 1
-    with pytest.raises(ValueError):
-        sec.configs()[0, 0] = 0
+
+
+def test_a_sector_carries_only_its_ranks():
+    # no label table rides along; callers decode ranks with rank_config
+    sec = enumerate_sector(6, 2, 0.0)
+    assert SectorIndex.__slots__ == ("N", "d", "Sz", "ranks")
+    with pytest.raises(AttributeError):
+        sec.labels = rank_config(sec.ranks, 6, 2)
 
 
 def test_scan_lists_each_sector_once(monkeypatch):
