@@ -13,14 +13,16 @@ in place, and kept read-only in a cache of PATTERN_CACHE_SIZE = 2
 shapes: the Sz sector and the full space of one scan's chain. A build
 then fills only a fresh float64 data array from the spec's couplings and
 wraps it, with the shared indptr and indices, in a fresh CSR and
-LinearOperator. For j1j2 a pattern holds about 0.53x the CSR bytes
-(1.6 MB for a 3.0 MB CSR at N = 14, full space; 140 MB for 268 MB at
-N = 20), of which the indices are shared with every operator; a first
-build peaks at about 1.25x its CSR and a later one at about 0.7x.
-Every chain also conserves total
-spin, so the ground energy lies in the sector of lowest |Sz|, which holds
-a member of every multiplet: ground_states solves that sector alone,
-while ground_subspace can still merge all of them. The cotangent parent
+LinearOperator. A fill sums the bonds of a site pair in bond order and
+the diagonal bond by bond, the orders in which the COO scatter it
+replaced summed them, so every array keeps that scatter's bytes. For
+j1j2 a pattern holds about 0.53x the CSR bytes (1.6 MB for a 3.0 MB CSR
+at N = 14, full space; 140 MB for 268 MB at N = 20), of which the
+indices are shared with every operator; a first build peaks at about
+1.25x its CSR and a later one at about 0.7x. Every chain also conserves
+total spin, so the ground energy lies in the sector of lowest |Sz|, which
+holds a member of every multiplet: ground_states solves that sector
+alone, while ground_subspace can still merge all of them. The cotangent parent
 chain carries long-range couplings built from w_jk = i cot(pi (z_j - z_k))
 at uniform z_j = j/N; every w product is minus a product of two real
 cotangents, so the couplings are real by construction and are built from
@@ -239,7 +241,8 @@ class _Pattern:
     diag_at; 1 + q the sum over the bonds term_bond[q] of coupling times
     term_value[q], in bond order, leaving out the terms marked
     term_absent[q]. The diagonal is summed bond by bond from the codes
-    in site_digits, one uint8 row per site.
+    in site_digits, one uint8 row per site. A basis that some gate entry
+    leaves is a ConsistencyError.
     """
 
     def __init__(self, N, d, bonds, ranks):
@@ -357,33 +360,6 @@ class _Pattern:
                                       shape=(self.m, self.m))
         mat.has_canonical_format = True
         return mat
-
-
-def _scatter_matrix(N, d, const, pairs, ranks):
-    """Hamiltonian matrix on the basis {ranks} as a sparse CSR: the
-    _Pattern of its bonds on that basis, filled with its couplings, with
-    no cache in between.
-
-    The pattern is built in place. A first pass takes each bond's
-    two-site code digits[i] * d + digits[j] from one uint8 row of digits
-    per site and counts each row's entries: its diagonal, stored zero or
-    not, and the entries of its code's gate row, the bonds on one site
-    pair sharing theirs. The int32 indptr and indices and the uint8
-    (uint16 past 255) codes are then allocated once, at final size, and
-    written one (pair, gate entry) at a time, by ascending column shift,
-    so every row comes out in column order with no sort. Each gate
-    conserves two-site Sz, so a closed basis holds every source config,
-    and a rank-lookup miss means the basis is not closed. The fill
-    gathers one float64 data array from a small table of coupling times
-    gate entry, summed over the bonds of a pair in bond order, and writes
-    the diagonal, summed bond by bond. Those are the orders in which
-    coo.tocsr() summed them: two terms sum the same either way, and more
-    meet only at N = 2 (four for qbq), where rows are short enough for
-    scipy's row sort to keep their order. So every array keeps the bytes
-    of that COO scatter.
-    """
-    bonds = tuple((i, j, gate) for _, i, j, gate in pairs)
-    return _Pattern(N, d, bonds, ranks).fill(const, [c for c, *_ in pairs])
 
 
 @functools.lru_cache(maxsize=PATTERN_CACHE_SIZE)

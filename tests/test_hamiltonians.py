@@ -9,10 +9,10 @@ import scipy.sparse
 from idmps import blocks, experiments, hamiltonians, refstates
 from idmps.errors import ConsistencyError, InputError
 from idmps.hamiltonians import (COUPLING_RANGE, DEGENERACY_TOL,
-                                HamiltonianSpec, _scatter_matrix,
-                                biquadratic_gate, build, eigenstate_residual,
-                                ground_states, ground_subspace,
-                                heisenberg_gate, parent_annihilation_check)
+                                HamiltonianSpec, biquadratic_gate, build,
+                                eigenstate_residual, ground_states,
+                                ground_subspace, heisenberg_gate,
+                                parent_annihilation_check)
 from idmps.hilbert import (StateVector, digits, enumerate_sector,
                            fidelity_per_site, fidelity_per_site_subspace,
                            spin_matrices, total_spin_quantum, translate)
@@ -117,6 +117,31 @@ def test_operators_store_at_most_one_diagonal_entry_per_row(spec):
         rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
         on_diag = np.bincount(rows[m.indices == rows], minlength=m.shape[0])
         assert on_diag.max(initial=0) <= 1
+
+
+@pytest.mark.parametrize("spec", (
+    [HamiltonianSpec(kind, N) for kind in ("hs", "parent")
+     for N in range(4, 9)]
+    + [HamiltonianSpec("j1j2", N, J2=0.45) for N in range(4, 9)]
+    + [HamiltonianSpec("qbq", N, theta=theta) for N in range(3, 7)
+       for theta in (math.atan(1 / 3), -2.0)]), ids=repr)
+def test_every_chain_commutes_with_translation_and_reversal(spec):
+    # T is translate's shift, P the site reversal; both are symmetries of
+    # every periodic chain here, so HT = TH and HP = PH on any vector
+    N, d = spec.N, spec.d
+    h = build(spec)
+    v = np.random.default_rng(N).normal(size=d ** N)
+
+    def shift(x):
+        return translate(StateVector(N, d, x)).amplitudes
+
+    def reverse(x):
+        return x.reshape((d,) * N).transpose(range(N)[::-1]).reshape(-1)
+
+    hv = h.apply(v)
+    bound = 1e-13 * max(1.0, np.abs(hv).max())
+    for g in (shift, reverse):
+        assert np.abs(h.apply(g(v)) - g(hv)).max() <= bound
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -501,6 +526,14 @@ def _coo_scatter(N, d, const, pairs, ranks):
         shape=(m, m)).tocsr()
 
 
+def _uncached_fill(N, d, const, pairs, ranks):
+    """The CSR of these terms on the basis {ranks}: a _Pattern built for
+    them alone, with no cache in between, filled with their couplings."""
+    bonds = tuple((i, j, gate) for _, i, j, gate in pairs)
+    return hamiltonians._Pattern(N, d, bonds, ranks).fill(
+        const, [c for c, *_ in pairs])
+
+
 @pytest.mark.parametrize("spec", ORACLE_CASES
                          + [HamiltonianSpec("hs", N) for N in (2, 3, 8, 12)]
                          + [HamiltonianSpec("j1j2", N, J1=0.7, J2=-0.45)
@@ -511,7 +544,7 @@ def test_in_place_fill_keeps_the_coo_bytes(spec):
     const, pairs = hamiltonians._terms(spec)
     bases = [np.arange(spec.d ** spec.N)] + [s.ranks for s in _sectors(spec)]
     for ranks in bases:
-        mine = _scatter_matrix(spec.N, spec.d, const, pairs, ranks)
+        mine = _uncached_fill(spec.N, spec.d, const, pairs, ranks)
         ref = _coo_scatter(spec.N, spec.d, const, pairs, ranks)
         for name in ("data", "indices", "indptr"):
             a, b = getattr(mine, name), getattr(ref, name)
@@ -641,7 +674,7 @@ def test_scatter_refuses_a_basis_the_gates_leave():
     # the exchange takes up-down to down-up, which this basis leaves out
     pairs = [(1.0, 0, 1, hamiltonians.HEISENBERG)]
     with pytest.raises(ConsistencyError, match="left the Sz sector"):
-        _scatter_matrix(2, 2, 0.0, pairs, np.array([1]))
+        _uncached_fill(2, 2, 0.0, pairs, np.array([1]))
 
 
 def _traced_peak(fn, *args):

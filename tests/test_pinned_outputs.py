@@ -30,12 +30,15 @@ parent commit's DIR and the change's), run
 
 which prints, for each file whose bytes differ, each field whose numbers
 moved, its largest change relative to the largest magnitude in that field,
-and its largest absolute change, as `total_spin[] 0.00213 (abs 2.1e-37)`.
+and its largest absolute change, as `total_spin[] 0.00213 (abs 2.1e-37)`,
+and then each changed bool, string or null leaf as
+`at_lower_edge false -> true`.
 """
 import contextlib
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -247,6 +250,22 @@ def test_diff_prints_absolute_next_to_relative_changes(tmp_path, capsys):
         "state.json: .total_spin[] 0.0021 (abs 2.1e-37)\n"
 
 
+def test_diff_prints_changed_flags_strings_and_nulls(tmp_path, capsys):
+    docs = {"old": {"at_lower_edge": False, "R_opt": 0.02,
+                    "pairing": {"thin_torus_target": None},
+                    "sweep": [{"error": "no singlet"}, {"error": None}]},
+            "new": {"at_lower_edge": True, "R_opt": 0.02,
+                    "pairing": {"thin_torus_target": "mg"},
+                    "sweep": [{"error": "no singlet"}, {"error": "gap"}]}}
+    for side, doc in docs.items():
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "scan.json").write_text(json.dumps(doc))
+    assert main(["diff", str(tmp_path / "old"), str(tmp_path / "new")]) == 0
+    assert capsys.readouterr().out == (
+        'scan.json: .at_lower_edge false -> true, .pairing.thin_torus_target '
+        'null -> "mg", .sweep[].error null -> "gap"\n')
+
+
 # ------------------------------------------------------------ regeneration
 
 def write(outdir):
@@ -266,9 +285,11 @@ def write(outdir):
     return changed
 
 
-def _numbers(path):
-    """{field: [numbers]} of one output file; list indices are dropped from
-    the field names, so an array's entries share one field."""
+def _leaves(path):
+    """{field: [values]} of one output file, numbers as floats and JSON's
+    other leaves (bools, strings, nulls) as they are; list indices are
+    dropped from the field names, so an array's entries share one
+    field."""
     with open(path, "rb") as fh:
         data = fh.read()
     if path.endswith(".state"):
@@ -286,19 +307,35 @@ def _numbers(path):
         elif isinstance(node, list):
             for value in node:
                 walk(value, field + "[]")
-        elif isinstance(node, (int, float)) and not isinstance(node, bool):
-            out.setdefault(field, []).append(float(node))
+        else:
+            out.setdefault(field, []).append(
+                float(node) if _is_number(node) else node)
 
     walk(json.loads(data), "")
     return out
 
 
+_MISSING = object()
+
+
+def _is_number(value):
+    return (isinstance(value, (int, float, complex))
+            and not isinstance(value, bool))
+
+
+def _text(value):
+    return "missing" if value is _MISSING else json.dumps(value)
+
+
 def diff(old_dir, new_dir):
     """[(file, {field: (largest relative change, largest absolute
-    change)})] for each file under both directories whose bytes differ,
-    over the fields whose numbers moved; a relative change is measured
-    against the largest magnitude in its field, and both are nan where a
-    field's length differs or it is missing on one side."""
+    change)}, [(field, old, new)])] for each file under both directories
+    whose bytes differ. The dict holds the fields of numbers alone whose
+    numbers moved; a relative change is measured against the largest
+    magnitude in its field, and both are nan where a field's length
+    differs or it is missing on one side. The list holds, as JSON text,
+    each changed leaf of the other fields (a bool, string or null, or
+    "missing" past the end of the shorter side)."""
     report = []
     for root, _, names in sorted(os.walk(new_dir)):
         for name in sorted(names):
@@ -308,17 +345,23 @@ def diff(old_dir, new_dir):
             with open(path, "rb") as fa, open(other, "rb") as fb:
                 if _masked(name, fa.read()) == _masked(name, fb.read()):
                     continue
-            a, b = _numbers(other), _numbers(path)
-            moved = {}
+            a, b = _leaves(other), _leaves(path)
+            moved, changed = {}, []
             for key in sorted(a.keys() | b.keys()):
                 x, y = a.get(key), b.get(key)
-                if x is None or y is None or len(x) != len(y):
+                if not all(map(_is_number, (x or []) + (y or []))):
+                    changed += [
+                        (key, _text(u), _text(v)) for u, v in
+                        itertools.zip_longest(x or [], y or [],
+                                              fillvalue=_MISSING)
+                        if _text(u) != _text(v)]
+                elif x is None or y is None or len(x) != len(y):
                     moved[key] = (math.nan, math.nan)
                 elif x != y:
                     scale = max(abs(v) for v in x) or 1.0
                     change = max(abs(u - v) for u, v in zip(x, y))
                     moved[key] = (change / scale, change)
-            report.append((rel, moved))
+            report.append((rel, moved, changed))
     return report
 
 
@@ -332,11 +375,12 @@ def main(argv):
         print("\n".join(f"changed {f}" for f in changed)
               or "no digest changed")
     elif argv[:1] == ["diff"] and len(argv) == 3:
-        for rel, moved in diff(argv[1], argv[2]):
+        for rel, moved, changed in diff(argv[1], argv[2]):
             print(f"{rel}: " + (", ".join(
-                f"{key} {relative:.3g} (abs {change:.2g})"
-                for key, (relative, change) in moved.items())
-                or "no number moved"))
+                [f"{key} {relative:.3g} (abs {change:.2g})"
+                 for key, (relative, change) in moved.items()]
+                + [f"{key} {old} -> {new}" for key, old, new in changed])
+                or "no value moved"))
     else:
         print(__doc__.split("\n\n")[0], file=sys.stderr)
         print("usage: test_pinned_outputs.py write [DIR] | "
