@@ -22,13 +22,13 @@ indices are shared with every operator; a first build peaks at about
 1.25x its CSR and a later one at about 0.7x. Every chain also conserves
 total spin, so the ground energy lies in the sector of lowest |Sz|, which
 holds a member of every multiplet: ground_states solves that sector
-alone, while ground_subspace can still merge all of them. The cotangent parent
-chain carries long-range couplings built from w_jk = i cot(pi (z_j - z_k))
-at uniform z_j = j/N; every w product is minus a product of two real
+alone, while ground_subspace can still merge all of them. The cotangent
+parent chain carries long-range couplings built from w_jk = i cot(pi (z_j -
+z_k)) at uniform z_j = j/N; every w product is minus a product of two real
 cotangents, so the couplings are real by construction and are built from
-the cotangents alone. The gates are built once per d from the real
-ladder operators of hilbert.spin_ladder, so no operator passes through
-complex arithmetic.
+the cotangents alone. The gates are built once per d in real arithmetic,
+from Sz and the integer squares of the ladder weights, so no operator
+passes through complex arithmetic and the spin-1 gates are exact.
 
 scipy.sparse is imported by _Pattern.fill, at the first operator build,
 so importing this module (and the package) loads no scipy module.
@@ -124,9 +124,18 @@ class HamiltonianSpec:
 @functools.cache
 def heisenberg_gate(d):
     """Two-site S.S = Sz Sz + (S^+ S^- + S^- S^+)/2 as a d^2 x d^2 real
-    symmetric matrix, built once per d and read-only."""
-    sp, sz = spin_ladder(d)
-    gate = np.kron(sz, sz) + (np.kron(sp, sp.T) + np.kron(sp.T, sp)) / 2
+    symmetric matrix, built once per d and read-only.
+
+    Each S^+ S^- entry is sqrt(a b) of the integer squared ladder weights
+    a, b = s(s+1) - m(m+1), so a spin-1 flip is exactly 1, where the
+    square of spin_ladder's 2 / sqrt(2) halved rounds one ulp low.
+    """
+    _, sz = spin_ladder(d)
+    m = np.diagonal(sz)
+    # S^+ takes label digit k + 1 (spin m[k + 1]) to digit k
+    up2 = np.diag(m[0] * (m[0] + 1) - m[1:] * (m[1:] + 1), 1)
+    flips = np.sqrt(np.kron(up2, up2.T))
+    gate = np.kron(sz, sz) + (flips + flips.T) / 2
     gate.flags.writeable = False
     return gate
 

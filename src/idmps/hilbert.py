@@ -5,7 +5,8 @@ d=3 uses s in {+1,0,-1} (spin 1). Configuration rank is big-endian in the
 site index: site 1 is the most significant digit, with label order (+1,-1)
 for d=2 and (+1,0,-1) for d=3, so files and sector listings are reproducible
 byte for byte. Spin operators are real: spin_ladder gives S^+ and Sz,
-and gates and total-spin sweeps are built from them alone. Every fidelity
+total-spin sweeps are built from them alone, and the hamiltonians gates
+from Sz and the integer squared weights of S^+. Every fidelity
 goes through a Subspace, which orthonormalizes the target's spanning set
 once, however many states are scored against it.
 
@@ -299,8 +300,7 @@ def apply_site_unitary(v, u):
 
 def spin_matrices(d):
     """(Sx, Sy, Sz) in the label basis (+1,-1) or (+1,0,-1), as complex
-    matrices; spin_ladder is the real form that gates and total-spin
-    sweeps use."""
+    matrices; spin_ladder is the real form that total-spin sweeps use."""
     _check_dim(d)
     if d == 2:
         sx = np.array([[0, 1], [1, 0]]) / 2

@@ -146,12 +146,21 @@ def test_every_chain_commutes_with_translation_and_reversal(spec):
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_gates_match_the_complex_kronecker_construction(d):
-    # the real ladder form keeps every bit of sum_a Sa x Sa
+    # at spin 1/2 the real form keeps every bit of sum_a Sa x Sa; at spin 1
+    # that sum holds (1/sqrt(2))^2 + (1/sqrt(2))^2 one ulp below a flip's
+    # exact 1, while the gates hold integers
     sx, sy, sz = spin_matrices(d)
     g = np.kron(sx, sx) + np.kron(sy, sy) + np.kron(sz, sz)
     assert not g.imag.any()
-    assert np.array_equal(heisenberg_gate(d), g.real)
-    assert np.array_equal(biquadratic_gate(d), g.real @ g.real)
+    gate = heisenberg_gate(d)
+    assert np.array_equal(biquadratic_gate(d), gate @ gate)
+    if d == 2:
+        assert np.array_equal(gate, g.real)
+        assert np.array_equal(biquadratic_gate(d), g.real @ g.real)
+    else:
+        assert np.all(np.abs(gate - g.real) <= np.spacing(np.abs(gate)))
+        assert set(gate.ravel()) == {-1.0, 0.0, 1.0}
+        assert set(biquadratic_gate(d).ravel()) == {-1.0, 0.0, 1.0, 2.0}
 
 
 def complex_w_parent_terms(N):
