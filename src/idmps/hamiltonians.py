@@ -23,10 +23,10 @@ indices are shared with every operator; a first build peaks at about
 total spin, so the ground energy lies in the sector of lowest |Sz|, which
 holds a member of every multiplet: ground_states solves that sector
 alone, while ground_subspace can still merge all of them. The cotangent
-parent chain carries long-range couplings built from w_jk = i cot(pi (z_j -
-z_k)) at uniform z_j = j/N; every w product is minus a product of two real
-cotangents, so the couplings are real by construction and are built from
-the cotangents alone. The gates are built once per d in real arithmetic,
+parent chain carries long-range couplings built from
+w_jk = i cot(pi (z_j - z_k)) at uniform z_j = j/N; every w product is
+minus a product of two real cotangents, so the couplings are real by
+construction and are built from the cotangents alone. The gates are built once per d in real arithmetic,
 from Sz and the integer squares of the ladder weights, so no operator
 passes through complex arithmetic and the spin-1 gates are exact.
 
